@@ -7,12 +7,14 @@ errors (bad flags, bad config, invalid parameter values), 3 for domain
 failures (no solution in range, resonant level, unwritable output).
 
 Every run is deterministic: identical inputs produce byte-identical
-output regardless of ``--threads``.
+output. Each grid is solved in one vectorized pass on a single thread;
+``--threads`` is still accepted (it must be >= 0) and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +37,7 @@ from .sweep import (
     plot_script,
     proposed_normalizer,
     serialize,
-    temperature_sweep,
+    sweep_records,
 )
 from .meanfield import critical_temperatures
 from .thermal import (
@@ -84,11 +86,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _real(text: str) -> float:
+    """A finite float; flags and config values reject nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        # argparse prints this message as is; a ValueError would name the parser
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     items = [chunk for chunk in text.split(",") if chunk.strip()]
     if not items:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
-    return [float(chunk) for chunk in items]
+    return [_real(chunk) for chunk in items]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -104,7 +115,7 @@ def _parse_level(text: str) -> TransitionLevel:
         raise ValueError(
             f"expected proj1,proj2,omega_a1,omega_2a (4 numbers), got {text!r}"
         )
-    proj1, proj2, omega_a1, omega_2a = (float(part) for part in parts)
+    proj1, proj2, omega_a1, omega_2a = (_real(part) for part in parts)
     return TransitionLevel(proj1=proj1, proj2=proj2, omega_a1=omega_a1, omega_2a=omega_2a)
 
 
@@ -148,7 +159,7 @@ def _merge_config(args: argparse.Namespace) -> None:
         if getattr(args, key) is None:
             try:
                 setattr(args, key, converters[key](raw))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
@@ -230,7 +241,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         format="csv",
         precision=9,
         tol=1e-10,
-        threads=1,
     )
     _validate_common(args)
     _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
@@ -248,11 +258,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             theta_max=args.theta_max,
             points=args.points,
         )
-        for point in temperature_sweep(cfg, threads=args.threads):
-            record = point.record()
-            if theta_cr is not None:
-                record = {"theta_norm": point.theta / theta_cr, **record}
-            records.append(record)
+        records.extend(sweep_records(cfg, theta_cr))
     _write_bytes(args.out, serialize(records, args.format, args.precision))
     return EXIT_OK
 
@@ -304,7 +310,6 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         format="csv",
         precision=9,
         tol=1e-10,
-        threads=1,
     )
     _check(args.variant != "both", "phase maps are per-variant; pick proposed or traditional")
     _validate_common(args)
@@ -325,7 +330,6 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         ny=args.ny,
         omega_k=args.omega_k,
         tol=args.tol,
-        threads=args.threads,
     )
     _write_bytes(
         args.out,
@@ -343,7 +347,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     _require(args, "ratios")
-    _fill_defaults(args, points=400, format="csv", precision=9, tol=1e-10, threads=1)
+    _fill_defaults(args, points=400, format="csv", precision=9, tol=1e-10)
     _validate_common(args)
     _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
     for ratio in args.ratios:
@@ -354,7 +358,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
         points=args.points,
         omega_k=args.omega_k,
         tol=args.tol,
-        threads=args.threads,
     )
     _write_bytes(args.out, serialize(figure1_records(series), args.format, args.precision))
     if args.plot_script is not None:
@@ -365,7 +368,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 def _cmd_fig2(args: argparse.Namespace) -> int:
     _require(args, "chi_ratio")
     _fill_defaults(
-        args, variant="proposed", points=200, format="csv", precision=9, tol=1e-10, threads=1
+        args, variant="proposed", points=200, format="csv", precision=9, tol=1e-10
     )
     _validate_common(args)
     _check(
@@ -382,7 +385,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
                 variant=variant,
                 omega_k=args.omega_k,
                 tol=args.tol,
-                threads=args.threads,
             )
         )
     _write_bytes(
@@ -445,14 +447,13 @@ def _cmd_micro(args: argparse.Namespace) -> int:
 # parser construction
 
 
-def _add_common_output(sub: argparse.ArgumentParser) -> dict[str, Callable[[str], object]]:
+def _add_common_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default=None, help="output format")
     sub.add_argument(
         "--precision", type=int, default=None, help="significant digits for floats (6..17)"
     )
     sub.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
     sub.add_argument("--config", default=None, metavar="PATH", help="key=value config file")
-    return {"format": str, "precision": int, "out": str}
 
 
 def _build_parser() -> _Parser:
@@ -469,18 +470,25 @@ def _build_parser() -> _Parser:
         sub.set_defaults(handler=handler)
         return sub
 
-    def finish(sub: argparse.ArgumentParser, converters: dict[str, Callable[[str], object]]) -> None:
-        converters.update(_add_common_output(sub))
-        sub.set_defaults(_converters=converters)
+    def finish(sub: argparse.ArgumentParser, **overrides: Callable[[str], object]) -> None:
+        # A config value parses like its flag's value, unless overridden (a
+        # switch, or a repeatable flag given as one list).
+        _add_common_output(sub)
+        converters = {
+            action.dest: action.type or str
+            for action in sub._actions
+            if action.dest not in ("help", "config")
+        }
+        sub.set_defaults(_converters={**converters, **overrides})
 
     sub = register("sweep", _cmd_sweep, "equilibrium observables on a temperature grid")
     sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--chi-ratio", type=float, default=None, help="chi / omega21, > 0")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--theta-min", type=float, default=None, help="grid start (default 0)")
+    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    sub.add_argument("--theta-min", type=_real, default=None, help="grid start (default 0)")
     sub.add_argument(
         "--theta-max",
-        type=float,
+        type=_real,
         default=None,
         help="grid end (default: 3x the constant-coupling transition)",
     )
@@ -492,74 +500,35 @@ def _build_parser() -> _Parser:
         default=None,
         help="prepend theta_norm = theta / theta_cr (largest proposed-variant root)",
     )
-    sub.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (0 = all cores)")
-    finish(
-        sub,
-        {
-            "variant": str,
-            "chi_ratio": float,
-            "omega_k": float,
-            "theta_min": float,
-            "theta_max": float,
-            "points": int,
-            "normalize": _parse_bool,
-            "tol": float,
-            "threads": int,
-        },
-    )
+    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
+    finish(sub, normalize=_parse_bool)
 
     sub = register("critical", _cmd_critical, "scan for order/disorder transition temperatures")
     sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--chi-ratio", type=float, default=None, help="chi / omega21, > 0")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--theta-min", type=float, default=None, help="scan start (default 1e-4)")
-    sub.add_argument("--theta-max", type=float, default=None, help="scan end (default 2.0)")
+    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    sub.add_argument("--theta-min", type=_real, default=None, help="scan start (default 1e-4)")
+    sub.add_argument("--theta-max", type=_real, default=None, help="scan end (default 2.0)")
     sub.add_argument("--points", type=int, default=None, help="scan grid size (default 512)")
-    sub.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-10)")
-    finish(
-        sub,
-        {
-            "variant": str,
-            "chi_ratio": float,
-            "omega_k": float,
-            "theta_min": float,
-            "theta_max": float,
-            "points": int,
-            "tol": float,
-        },
-    )
+    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
+    finish(sub)
 
     sub = register("phase", _cmd_phase, "phase classification on a ratio x temperature grid")
     sub.add_argument("--variant", choices=["proposed", "traditional"], default=None)
-    sub.add_argument("--chi-min", type=float, default=None, help="ratio axis start (default 0.05)")
-    sub.add_argument("--chi-max", type=float, default=None, help="ratio axis end (default 0.95)")
-    sub.add_argument("--theta-min", type=float, default=None, help="theta axis start (default 0.01)")
-    sub.add_argument("--theta-max", type=float, default=None, help="theta axis end (default 1.0)")
+    sub.add_argument("--chi-min", type=_real, default=None, help="ratio axis start (default 0.05)")
+    sub.add_argument("--chi-max", type=_real, default=None, help="ratio axis end (default 0.95)")
+    sub.add_argument("--theta-min", type=_real, default=None, help="theta axis start (default 0.01)")
+    sub.add_argument("--theta-max", type=_real, default=None, help="theta axis end (default 1.0)")
     sub.add_argument("--nx", type=int, default=None, help="ratio axis cells (default 64)")
     sub.add_argument("--ny", type=int, default=None, help="theta axis cells (default 64)")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=float, default=None, help="boundary tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (0 = all cores)")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    sub.add_argument("--tol", type=_real, default=None, help="boundary tolerance (default 1e-10)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
     sub.add_argument(
         "--boundary-out", default=None, metavar="PATH", help="also write refined boundary points"
     )
-    finish(
-        sub,
-        {
-            "variant": str,
-            "chi_min": float,
-            "chi_max": float,
-            "theta_min": float,
-            "theta_max": float,
-            "nx": int,
-            "ny": int,
-            "omega_k": float,
-            "tol": float,
-            "threads": int,
-            "boundary_out": str,
-        },
-    )
+    finish(sub)
 
     sub = register(
         "fig1", _cmd_fig1, "order-parameter curves for both variants on a normalized axis"
@@ -572,55 +541,34 @@ def _build_parser() -> _Parser:
         help="coupling ratios chi / omega21, each in (0, 1)",
     )
     sub.add_argument("--points", type=int, default=None, help="grid size per curve (default 400)")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=float, default=None, help="normalizer tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (0 = all cores)")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    sub.add_argument("--tol", type=_real, default=None, help="normalizer tolerance (default 1e-10)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
     sub.add_argument(
         "--plot-script", default=None, metavar="PATH", help="write a matplotlib script for the CSV"
     )
-    finish(
-        sub,
-        {
-            "ratios": _parse_float_list,
-            "points": int,
-            "omega_k": float,
-            "tol": float,
-            "threads": int,
-            "plot_script": str,
-        },
-    )
+    finish(sub)
 
     sub = register(
         "fig2", _cmd_fig2, "equilibrium vs relaxation polarization across the transition"
     )
-    sub.add_argument("--chi-ratio", type=float, default=None, help="chi / omega21, in (0, 1)")
+    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, in (0, 1)")
     sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
     sub.add_argument("--points", type=int, default=None, help="grid size (default 200)")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (0 = all cores)")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
+    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
     sub.add_argument(
         "--plot-script", default=None, metavar="PATH", help="write a matplotlib script for the CSV"
     )
-    finish(
-        sub,
-        {
-            "chi_ratio": float,
-            "variant": str,
-            "points": int,
-            "omega_k": float,
-            "tol": float,
-            "threads": int,
-            "plot_script": str,
-        },
-    )
+    finish(sub)
 
     sub = register(
         "exact-compare", _cmd_exact_compare, "finite-size polarization vs the mean-field value"
     )
-    sub.add_argument("--chi-ratio", type=float, default=None, help="chi / omega21, > 0")
+    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
     sub.add_argument("--variant", choices=["proposed", "traditional"], default=None)
-    sub.add_argument("--theta", type=float, default=None, help="temperature, > 0")
+    sub.add_argument("--theta", type=_real, default=None, help="temperature, > 0")
     sub.add_argument(
         "--n-list",
         type=_parse_int_list,
@@ -628,17 +576,8 @@ def _build_parser() -> _Parser:
         metavar="N1,N2,...",
         help="atom counts (default 8,32,128,512)",
     )
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    finish(
-        sub,
-        {
-            "chi_ratio": float,
-            "variant": str,
-            "theta": float,
-            "n_list": _parse_int_list,
-            "omega_k": float,
-        },
-    )
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    finish(sub)
 
     sub = register("micro", _cmd_micro, "coupling constants from an intermediate-level table")
     sub.add_argument(
@@ -650,18 +589,10 @@ def _build_parser() -> _Parser:
         metavar="P1,P2,WA1,W2A",
         help="one intermediate level: proj1,proj2,omega_a1,omega_2a (repeatable)",
     )
-    sub.add_argument("--gamma-cav", type=float, default=None, help="cavity half-linewidth, > 0")
-    sub.add_argument("--omega21", type=float, default=None, help="bare splitting (default 1.0)")
-    sub.add_argument("--omega-k", type=float, default=None, help="mode energy (default omega21/2)")
-    finish(
-        sub,
-        {
-            "levels": _parse_level_list,
-            "gamma_cav": float,
-            "omega21": float,
-            "omega_k": float,
-        },
-    )
+    sub.add_argument("--gamma-cav", type=_real, default=None, help="cavity half-linewidth, > 0")
+    sub.add_argument("--omega21", type=_real, default=None, help="bare splitting (default 1.0)")
+    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
+    finish(sub, levels=_parse_level_list)
 
     return parser
 

@@ -1,7 +1,10 @@
 """Equilibrium mean-field thermodynamics of the exchange ensemble.
 
 Variational free energy per atom, the self-consistent order parameter,
-critical temperatures, and the equilibrium population inversion.
+critical temperatures, and the equilibrium population inversion. Functions
+of :class:`Couplings` accept float fields or array fields (one lane per
+temperature) and answer in kind, so sweeps, scans and phase maps solve whole
+grids in one call.
 """
 
 from __future__ import annotations
@@ -9,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .thermal import Couplings, DomainError, ModelParams, couplings_at
 
@@ -31,6 +36,9 @@ __all__ = [
     "validity_report",
 ]
 
+# Hard cap on the Newton steps of one gap solve.
+_NEWTON_CAP = 100
+
 
 class NoCriticalPointError(DomainError):
     """A scan range contains no order/disorder transition."""
@@ -39,6 +47,11 @@ class NoCriticalPointError(DomainError):
 class Phase(str, Enum):
     ORDERED = "ordered"
     DISORDERED = "disordered"
+
+
+# Phase values indexed by an ordered flag; an object array, so converting a
+# phase column to a list shares two strings instead of making one per lane.
+_PHASE_NAMES = np.array([Phase.DISORDERED.value, Phase.ORDERED.value], dtype=object)
 
 
 class TransitionKind(str, Enum):
@@ -80,6 +93,13 @@ class ValidityReport:
     window_upper_margin: float
 
 
+def _free_energy(c_abs, lam, varpi, theta):
+    splitting = np.hypot(varpi, 2.0 * lam * c_abs)
+    with np.errstate(over="ignore"):  # splitting/theta -> inf is the saturated limit
+        depth = 0.5 * splitting + theta * np.log1p(np.exp(-splitting / theta))
+    return lam * c_abs * c_abs - depth
+
+
 def free_energy_per_atom(c_abs: float, cpl: Couplings) -> float:
     """Variational free energy per atom at fixed order-parameter magnitude.
 
@@ -88,35 +108,75 @@ def free_energy_per_atom(c_abs: float, cpl: Couplings) -> float:
     -(E/2 + theta*ln(1 + exp(-E/theta))) + lam*c**2, which is finite for
     temperatures all the way down to the underflow limit.
     """
-    if c_abs < 0.0:
+    c_abs = np.asarray(c_abs, dtype=float)
+    theta = np.asarray(cpl.theta, dtype=float)
+    if not np.all(c_abs >= 0.0):
         raise DomainError(f"c_abs must be non-negative, got {c_abs}")
-    if cpl.theta <= 0.0:
+    if not np.all(theta > 0.0):
         raise DomainError(f"free energy needs theta > 0, got {cpl.theta}")
-    splitting = math.hypot(cpl.varpi, 2.0 * cpl.lam * c_abs)
-    depth = 0.5 * splitting + cpl.theta * math.log1p(math.exp(-splitting / cpl.theta))
-    return cpl.lam * c_abs * c_abs - depth
+    energy = _free_energy(c_abs, cpl.lam, cpl.varpi, theta)
+    return float(energy) if np.ndim(energy) == 0 else energy
 
 
-def _splitting_root(lam: float, theta: float) -> float:
-    # Root of u(E) = lam*tanh(E/(2*theta))/E = 1 on (0, lam]. The caller
-    # guarantees theta < lam/2, so u(0+) = lam/(2*theta) > 1 and u is
-    # strictly decreasing: the bracket cannot fail. Bisection runs to float
-    # convergence; it is ~60 cheap evaluations.
-    def u(splitting: float) -> float:
-        return lam * math.tanh(splitting / (2.0 * theta)) / splitting
+def _newton_splitting(lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # Root of g(E) = lam*tanh(E/(2*theta)) - E on (0, lam], lane by lane; the
+    # caller guarantees theta < lam/2, so g'(0) > 0 and the root exists. g is
+    # concave with g(lam) <= 0, so Newton from E = lam falls monotonically onto
+    # the root without a bracket (Numerical Recipes 9.4): a lane is done once a
+    # step no longer lowers E. Far above the root a step shrinks E by about a
+    # third and the root is never below ~1e-8*lam, so even theta one ulp below
+    # lam/2 needs only ~70 steps.
+    splitting = lam.copy()
+    todo = np.arange(lam.size)
+    for _ in range(_NEWTON_CAP):
+        lam_t, twice_theta, old = lam[todo], 2.0 * theta[todo], splitting[todo]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sat = np.tanh(old / twice_theta)
+            slope = lam_t * (1.0 - sat * sat) / twice_theta - 1.0
+            new = old - (lam_t * sat - old) / slope
+        moved = new < old  # false once converged, and for any inf/nan step
+        todo = todo[moved]
+        splitting[todo] = new[moved]
+        if todo.size == 0:
+            return splitting
+    raise RuntimeError(f"gap solve: {todo.size} lanes not converged in {_NEWTON_CAP} Newton steps")
 
-    hi = lam
-    if u(hi) >= 1.0:
-        return hi  # tanh saturated: the root is lam to float precision
-    lo = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if u(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
+
+def _solve(theta, lam, varpi, caller: str) -> GapSolution:
+    # Gap solution of float or array couplings with theta >= 0. Lanes at
+    # theta = 0 take the saturated limit (tanh -> 1, root E = lam) with its
+    # closed-form free energy; lanes with theta < lam/2 get the Newton root.
+    values = [np.asarray(v, dtype=float) for v in (theta, lam, varpi)]
+    theta, lam, varpi = np.broadcast_arrays(*map(np.atleast_1d, values))
+    if not np.all(lam > 0.0):
+        raise DomainError(f"{caller} needs lam > 0, got {values[1]}")
+    cold = theta == 0.0
+    warm_theta = np.where(cold, 1.0, theta)  # finite stand-in on the cold lanes
+    abs_varpi = np.abs(varpi)
+    rooted = ~cold & (theta < 0.5 * lam)
+    splitting = np.array(lam)
+    splitting[rooted] = _newton_splitting(lam[rooted], theta[rooted])
+    c_abs = np.sqrt(np.maximum(splitting * splitting - varpi * varpi, 0.0)) / (2.0 * lam)
+    # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
+    ordered = (cold | rooted) & (splitting > abs_varpi) & (c_abs > 0.0)
+    c_abs = np.where(ordered, c_abs, 0.0)
+    recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
+    with np.errstate(over="ignore"):
+        gap = lam * c_abs * np.tanh(recomputed / (2.0 * warm_theta)) / recomputed
+    cold_energy = np.where(ordered, -(lam * lam + varpi * varpi) / (4.0 * lam), -0.5 * abs_varpi)
+    fields = {
+        "c_abs": c_abs,
+        "splitting": np.where(ordered, splitting, abs_varpi),
+        "phase": _PHASE_NAMES[ordered.astype(np.intp)],
+        "residual": np.where(ordered & ~cold, np.abs(c_abs - gap), 0.0),
+        "free_energy_per_atom": np.where(
+            cold, cold_energy, _free_energy(c_abs, lam, varpi, warm_theta)
+        ),
+    }
+    if all(value.ndim == 0 for value in values):
+        fields = {name: column.tolist()[0] for name, column in fields.items()}
+        fields["phase"] = Phase(fields["phase"])
+    return GapSolution(**fields)
 
 
 def gap_solve(cpl: Couplings, tol: float = 1e-10) -> GapSolution:
@@ -127,50 +187,28 @@ def gap_solve(cpl: Couplings, tol: float = 1e-10) -> GapSolution:
     root exists on (0, lam] iff ``theta < lam/2``. The phase is ORDERED when
     that root exceeds ``|varpi|``, giving
     ``c = sqrt(E**2 - varpi**2)/(2*lam)`` — the global minimizer of the free
-    energy; otherwise the minimum sits at c = 0.
+    energy; otherwise the minimum sits at c = 0. The root comes from Newton's
+    method started at ``E = lam``, which falls monotonically onto it, for
+    every lane of an array at once.
 
     Parameters
     ----------
     cpl : Couplings
-        Effective couplings; requires ``theta > 0`` and ``lam > 0``.
+        Effective couplings; requires ``lam > 0`` and ``theta > 0``. Array
+        couplings give array fields, with ``phase`` holding the
+        :class:`Phase` values as strings; their ``theta = 0`` lanes take the
+        :func:`zero_temperature_solution` limit.
     tol : float
-        Acceptance scale for the reported residual, in (0, 1e-3]. The
-        bisection itself always runs to float convergence, so residuals are
-        typically ~1e-16 regardless of ``tol``.
+        Acceptance scale for the reported residual, in (0, 1e-3]. Newton
+        always runs to float convergence, so residuals are typically ~1e-16
+        regardless of ``tol``.
     """
-    if cpl.theta <= 0.0:
+    theta = np.asarray(cpl.theta, dtype=float)
+    if not np.all(theta > 0.0 if theta.ndim == 0 else theta >= 0.0):
         raise DomainError(f"gap_solve needs theta > 0, got {cpl.theta}")
-    if cpl.lam <= 0.0:
-        raise DomainError(f"gap_solve needs lam > 0, got {cpl.lam}")
     if not 0.0 < tol <= 1e-3:
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol}")
-    abs_varpi = abs(cpl.varpi)
-    if cpl.theta < 0.5 * cpl.lam:
-        splitting = _splitting_root(cpl.lam, cpl.theta)
-        if splitting > abs_varpi:
-            c_abs = math.sqrt(max(splitting * splitting - cpl.varpi * cpl.varpi, 0.0)) / (
-                2.0 * cpl.lam
-            )
-            if c_abs > 0.0:
-                recomputed = math.hypot(cpl.varpi, 2.0 * cpl.lam * c_abs)
-                residual = abs(
-                    c_abs
-                    - cpl.lam * c_abs * math.tanh(recomputed / (2.0 * cpl.theta)) / recomputed
-                )
-                return GapSolution(
-                    c_abs=c_abs,
-                    splitting=splitting,
-                    phase=Phase.ORDERED,
-                    residual=residual,
-                    free_energy_per_atom=free_energy_per_atom(c_abs, cpl),
-                )
-    return GapSolution(
-        c_abs=0.0,
-        splitting=abs_varpi,
-        phase=Phase.DISORDERED,
-        residual=0.0,
-        free_energy_per_atom=free_energy_per_atom(0.0, cpl),
-    )
+    return _solve(theta, cpl.lam, cpl.varpi, "gap_solve")
 
 
 def zero_temperature_solution(cpl: Couplings) -> GapSolution:
@@ -179,26 +217,9 @@ def zero_temperature_solution(cpl: Couplings) -> GapSolution:
     With tanh saturated to 1 the order parameter is
     ``sqrt(lam**2 - varpi**2)/(2*lam)`` when ``lam > |varpi|`` and 0
     otherwise, with free energies ``-(lam**2 + varpi**2)/(4*lam)`` and
-    ``-|varpi|/2``. Sweeps use this for their theta = 0 endpoint.
+    ``-|varpi|/2``. ``cpl.theta`` is ignored; ``lam`` must be positive.
     """
-    abs_varpi = abs(cpl.varpi)
-    if cpl.lam > abs_varpi:
-        c_abs = math.sqrt(cpl.lam * cpl.lam - cpl.varpi * cpl.varpi) / (2.0 * cpl.lam)
-        energy = -(cpl.lam * cpl.lam + cpl.varpi * cpl.varpi) / (4.0 * cpl.lam)
-        return GapSolution(
-            c_abs=c_abs,
-            splitting=cpl.lam,
-            phase=Phase.ORDERED,
-            residual=0.0,
-            free_energy_per_atom=energy,
-        )
-    return GapSolution(
-        c_abs=0.0,
-        splitting=abs_varpi,
-        phase=Phase.DISORDERED,
-        residual=0.0,
-        free_energy_per_atom=-0.5 * abs_varpi,
-    )
+    return _solve(0.0, cpl.lam, cpl.varpi, "zero_temperature_solution")
 
 
 def ordering_measure(cpl: Couplings) -> float:
@@ -207,48 +228,69 @@ def ordering_measure(cpl: Couplings) -> float:
     ``lam*tanh(|varpi|/(2*theta)) - |varpi|`` is strictly positive iff the
     self-consistent order parameter is nonzero, except exactly at
     ``varpi = 0`` where the ordering condition degenerates to
-    ``theta < lam/2``.
+    ``theta < lam/2``. Array couplings give an array.
     """
-    if cpl.theta <= 0.0:
+    theta = np.asarray(cpl.theta, dtype=float)
+    if not np.all(theta > 0.0):
         raise DomainError(f"ordering measure needs theta > 0, got {cpl.theta}")
-    return cpl.lam * math.tanh(abs(cpl.varpi) / (2.0 * cpl.theta)) - abs(cpl.varpi)
+    abs_varpi = np.abs(cpl.varpi)
+    with np.errstate(over="ignore"):
+        measure = cpl.lam * np.tanh(abs_varpi / (2.0 * theta)) - abs_varpi
+    return float(measure) if np.ndim(measure) == 0 else measure
 
 
 def is_ordered(cpl: Couplings) -> bool:
-    """Phase classification consistent with :func:`gap_solve`."""
-    if cpl.varpi == 0.0:
-        return cpl.theta < 0.5 * cpl.lam
-    return ordering_measure(cpl) > 0.0
+    """Phase classification consistent with :func:`gap_solve`, elementwise for arrays."""
+    ordered = np.where(
+        np.equal(cpl.varpi, 0.0), np.less(cpl.theta, 0.5 * cpl.lam), ordering_measure(cpl) > 0.0
+    )
+    return bool(ordered) if ordered.ndim == 0 else ordered
+
+
+def _uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
+    step = (hi - lo) / (points - 1)
+    grid = lo + np.arange(points) * step
+    grid[-1] = hi  # keep the endpoint exact
+    return grid
 
 
 def _sign_change_roots(
-    fn: Callable[[float], float], grid: Sequence[float], tol: float
-) -> list[tuple[float, TransitionKind]]:
-    # Bisect every strict sign change between consecutive nonzero values.
-    # Exact zeros are saturation plateaus (tanh rounds to 1.0 at marginal
-    # couplings), not roots: counting them would invent transitions where
-    # lam*tanh < lam = |varpi| holds strictly in exact arithmetic.
-    values = [fn(x) for x in grid]
-    nonzero = [(x, v) for x, v in zip(grid, values) if v != 0.0]
-    roots: list[tuple[float, TransitionKind]] = []
-    for (x0, v0), (x1, v1) in zip(nonzero, nonzero[1:]):
-        if (v0 > 0.0) == (v1 > 0.0):
-            continue
-        lo, lo_val, hi = x0, v0, x1
-        while True:
-            mid = 0.5 * (lo + hi)
-            # Refine to a quarter of the requested tolerance so roots found
-            # from different grids agree within tol.
-            if mid <= lo or mid >= hi or (hi - lo) <= 0.25 * tol * mid:
-                break
-            mid_val = fn(mid)
-            if mid_val != 0.0 and (mid_val > 0.0) == (lo_val > 0.0):
-                lo, lo_val = mid, mid_val
-            else:
-                hi = mid
-        kind = TransitionKind.VANISHING if v0 > 0.0 else TransitionKind.ONSET
-        roots.append((0.5 * (lo + hi), kind))
-    return roots
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    grid: np.ndarray,
+    tol: float,
+    lanes: int = 1,
+) -> list[tuple[float, TransitionKind, int]]:
+    # Bisect every strict sign change between consecutive nonzero values of
+    # fn(theta, lane) along the theta grid, for each of `lanes` independent
+    # lanes (fn broadcasts a lane index array against theta). Exact zeros are
+    # saturation plateaus (tanh rounds to 1.0 at marginal couplings), not
+    # roots: counting them would invent transitions where lam*tanh < lam =
+    # |varpi| holds strictly in exact arithmetic. All brackets are bisected in
+    # lockstep. Returns (root, kind, lane), ordered by lane, then theta.
+    values = np.broadcast_to(fn(grid[:, None], np.arange(lanes)[None, :]), (grid.size, lanes))
+    lane_of, node = np.nonzero(values.T)
+    kept = values[node, lane_of]
+    positive = kept > 0.0
+    first = np.flatnonzero((lane_of[1:] == lane_of[:-1]) & (positive[1:] != positive[:-1]))
+    lane = lane_of[first]
+    lo, lo_val, hi = grid[node[first]], kept[first], grid[node[first + 1]]
+    active = np.ones(first.size, dtype=bool)
+    while True:
+        mid = 0.5 * (lo + hi)
+        # Refine to a quarter of the requested tolerance so roots found
+        # from different grids agree within tol.
+        active &= (mid > lo) & (mid < hi) & ((hi - lo) > 0.25 * tol * mid)
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        mid_val = fn(mid[idx], lane[idx])
+        same = (mid_val != 0.0) & ((mid_val > 0.0) == (lo_val[idx] > 0.0))
+        lo[idx[same]], lo_val[idx[same]] = mid[idx[same]], mid_val[same]
+        hi[idx[~same]] = mid[idx[~same]]
+    kinds = [TransitionKind.VANISHING if up else TransitionKind.ONSET for up in positive[first]]
+    return list(zip((0.5 * (lo + hi)).tolist(), kinds, lane.tolist()))
 
 
 def critical_temperatures(
@@ -284,15 +326,14 @@ def critical_temperatures(
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + i * step for i in range(grid_points - 1)] + [hi]
+    grid = _uniform_grid(lo, hi, grid_points)
 
-    def measure(theta: float) -> float:
+    def measure(theta: np.ndarray, lane: np.ndarray) -> np.ndarray:
         return ordering_measure(couplings_at(params, theta))
 
     return [
         CriticalPoint(theta_cr=root, couplings_at_cr=couplings_at(params, root), kind=kind)
-        for root, kind in _sign_change_roots(measure, grid, tol)
+        for root, kind, _ in _sign_change_roots(measure, grid, tol)
     ]
 
 
@@ -301,13 +342,18 @@ def population_inversion(cpl: Couplings, sol: GapSolution) -> float:
 
     Evaluates ``-(varpi/(2*E))*tanh(E/(2*theta))`` at the solution's
     splitting. In the ordered phase the self-consistency condition collapses
-    this to ``-varpi/(2*lam)``, the relaxation stationary value.
+    this to ``-varpi/(2*lam)``, the relaxation stationary value. Array
+    couplings and solution give an array.
     """
-    splitting = sol.splitting
-    if splitting == 0.0:
-        return 0.0
-    saturation = 1.0 if cpl.theta == 0.0 else math.tanh(splitting / (2.0 * cpl.theta))
-    return -0.5 * (cpl.varpi / splitting) * saturation
+    theta, splitting, varpi = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (cpl.theta, sol.splitting, cpl.varpi))
+    )
+    flat, cold = splitting == 0.0, theta == 0.0
+    safe = np.where(flat, 1.0, splitting)
+    with np.errstate(over="ignore"):
+        saturation = np.where(cold, 1.0, np.tanh(safe / (2.0 * np.where(cold, 1.0, theta))))
+    rz = np.where(flat, 0.0, -0.5 * (varpi / safe) * saturation)
+    return float(rz) if rz.ndim == 0 else rz
 
 
 def rz_relaxation(cpl: Couplings) -> float:
@@ -317,9 +363,10 @@ def rz_relaxation(cpl: Couplings) -> float:
     exactly where the equilibrium solution stops tracking it (the ordered
     phase requires ``|varpi| < lam``).
     """
-    if cpl.lam <= 0.0:
+    if not np.all(np.asarray(cpl.lam) > 0.0):
         raise DomainError(f"rz_relaxation needs lam > 0, got {cpl.lam}")
-    return -cpl.varpi / (2.0 * cpl.lam)
+    rz = -np.asarray(cpl.varpi, dtype=float) / (2.0 * cpl.lam)
+    return float(rz) if rz.ndim == 0 else rz
 
 
 def validity_report(params: ModelParams, theta: float) -> ValidityReport:

@@ -1,8 +1,9 @@
 """Temperature sweeps, figure series, phase maps, and their serialization.
 
-Grid points are independent work items: sweeps may fan out over a thread
-pool, but results are always reassembled in grid order, so output bytes do
-not depend on the thread count. Nothing here draws randomness.
+Every grid is solved in one array call to the physics core (couplings,
+ordering measure and gap solve of :mod:`quasispin.meanfield`), then turned
+into records column by column. Nothing here draws randomness or runs
+threads, so identical inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,12 +24,13 @@ from .meanfield import (
     Phase,
     TransitionKind,
     _sign_change_roots,
+    _uniform_grid,
     critical_temperatures,
     gap_solve,
+    is_ordered,
     ordering_measure,
     population_inversion,
     rz_relaxation,
-    zero_temperature_solution,
 )
 from .thermal import DomainError, ModelParams, Variant, couplings_at
 
@@ -45,6 +45,7 @@ __all__ = [
     "PhaseMap",
     "MAX_PHASE_CELLS",
     "thermo_point",
+    "sweep_records",
     "temperature_sweep",
     "proposed_normalizer",
     "default_theta_max",
@@ -61,10 +62,10 @@ __all__ = [
     "plot_script",
 ]
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 MAX_PHASE_CELLS = 10_000_000
+# Phase maps are classified in blocks of whole columns holding about this
+# many cells, so each float temporary stays near 0.5 MB whatever the grid size.
+_BLOCK_CELLS = 1 << 16
 
 # Fixed serialization schema for thermodynamic records, in order.
 THERMO_COLUMNS = (
@@ -142,7 +143,7 @@ class SweepConfig:
     output_format: OutputFormat = OutputFormat.CSV
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_min < self.theta_max:
+        if not 0.0 <= self.theta_min < self.theta_max < math.inf:
             raise DomainError(
                 f"need 0 <= theta_min < theta_max, got [{self.theta_min}, {self.theta_max}]"
             )
@@ -202,47 +203,54 @@ class PhaseMap:
     boundary: list[BoundaryPoint]
 
 
-def _uniform_grid(lo: float, hi: float, points: int) -> list[float]:
-    step = (hi - lo) / (points - 1)
-    grid = [lo + i * step for i in range(points - 1)]
-    grid.append(hi)  # keep the endpoint exact
-    return grid
+def _columns(params: ModelParams, thetas: np.ndarray) -> dict[str, list]:
+    # One call to the array core solves every temperature; theta = 0 takes
+    # the analytic saturated limit.
+    cpl = couplings_at(params, thetas)
+    sol = gap_solve(cpl)
+    return {
+        "theta": thetas.tolist(),
+        "nbar": cpl.nbar.tolist(),
+        "lambda": cpl.lam.tolist(),
+        "varpi": cpl.varpi.tolist(),
+        "c_abs": sol.c_abs.tolist(),
+        "f_per_atom": sol.free_energy_per_atom.tolist(),
+        "rz_eq10": population_inversion(cpl, sol).tolist(),
+        "rz_eq4": rz_relaxation(cpl).tolist(),
+        "phase": sol.phase.tolist(),
+        "variant": [params.variant.value] * thetas.size,
+    }
 
 
-def _map_ordered(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
-    # Fan out over a pool but keep input order, so results are independent
-    # of the thread count.
-    if threads < 0:
-        raise DomainError(f"threads must be >= 0, got {threads}")
-    count = (os.cpu_count() or 1) if threads == 0 else threads
-    if count <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, items))
+def _sweep_columns(cfg: SweepConfig) -> dict[str, list]:
+    return _columns(cfg.params, _uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points))
+
+
+def _points(columns: dict[str, list], variant: Variant) -> list[ThermoPoint]:
+    columns["phase"] = [Phase(value) for value in columns["phase"]]
+    columns["variant"] = [variant] * len(columns["theta"])
+    return [ThermoPoint(*row) for row in zip(*columns.values())]
 
 
 def thermo_point(params: ModelParams, theta: float) -> ThermoPoint:
     """Solve one temperature; theta = 0 uses the analytic saturated limit."""
-    cpl = couplings_at(params, theta)
-    sol = zero_temperature_solution(cpl) if theta == 0.0 else gap_solve(cpl)
-    return ThermoPoint(
-        theta=theta,
-        nbar=cpl.nbar,
-        lam=cpl.lam,
-        varpi=cpl.varpi,
-        c_abs=sol.c_abs,
-        f_per_atom=sol.free_energy_per_atom,
-        rz_eq10=population_inversion(cpl, sol),
-        rz_eq4=rz_relaxation(cpl),
-        phase=sol.phase,
-        variant=params.variant,
-    )
+    return _points(_columns(params, np.array([theta], dtype=float)), params.variant)[0]
 
 
-def temperature_sweep(cfg: SweepConfig, threads: int = 1) -> list[ThermoPoint]:
+def temperature_sweep(cfg: SweepConfig) -> list[ThermoPoint]:
     """Equilibrium solutions on a uniform theta grid, one record per point."""
-    thetas = _uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points)
-    return _map_ordered(lambda theta: thermo_point(cfg.params, theta), thetas, threads)
+    return _points(_sweep_columns(cfg), cfg.params.variant)
+
+
+def sweep_records(cfg: SweepConfig, theta_cr: float | None = None) -> list[dict[str, object]]:
+    """Serialization records of one sweep, keyed by :data:`THERMO_COLUMNS`.
+
+    With ``theta_cr`` each record starts with ``theta_norm = theta / theta_cr``.
+    """
+    columns = _sweep_columns(cfg)
+    if theta_cr is not None:
+        columns = {"theta_norm": [theta / theta_cr for theta in columns["theta"]], **columns}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> CriticalPoint:
@@ -289,7 +297,6 @@ def figure1_series(
     points: int = 400,
     omega_k: float | None = None,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> list[RatioSeries]:
     """Order-parameter curves for both variants on a shared normalized axis.
 
@@ -316,7 +323,7 @@ def figure1_series(
                 theta_max=FIG1_AXIS_MAX * theta_cr,
                 points=points,
             )
-            sweeps[variant] = temperature_sweep(cfg, threads=threads)
+            sweeps[variant] = temperature_sweep(cfg)
         series.append(
             RatioSeries(
                 chi_ratio=ratio,
@@ -350,7 +357,6 @@ def figure2_series(
     variant: Variant = Variant.PROPOSED,
     omega_k: float | None = None,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> list[PopulationPoint]:
     """Equilibrium vs relaxation polarization across the variant's transition.
 
@@ -376,23 +382,15 @@ def figure2_series(
         theta_max=FIG2_AXIS_MAX * roots[-1].theta_cr,
         points=points,
     )
+    columns = _sweep_columns(cfg)
     return [
-        PopulationPoint(
-            theta=point.theta, rz_eq10=point.rz_eq10, rz_eq4=point.rz_eq4, variant=variant
-        )
-        for point in temperature_sweep(cfg, threads=threads)
+        PopulationPoint(theta=theta, rz_eq10=rz_eq10, rz_eq4=rz_eq4, variant=variant)
+        for theta, rz_eq10, rz_eq4 in zip(columns["theta"], columns["rz_eq10"], columns["rz_eq4"])
     ]
 
 
 def figure2_records(points: Sequence[PopulationPoint]) -> list[dict[str, object]]:
     return [point.record() for point in points]
-
-
-def _occupation_vector(variant: Variant, thetas: np.ndarray, omega_k: float) -> np.ndarray:
-    if variant is Variant.TRADITIONAL:
-        return np.zeros_like(thetas)
-    x = omega_k / thetas
-    return np.exp(-x) / -np.expm1(-x)
 
 
 def phase_map(
@@ -403,14 +401,15 @@ def phase_map(
     ny: int,
     omega_k: float | None = None,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> PhaseMap:
     """Classify the phase on a coupling-ratio x temperature grid.
 
     Cells are ordered where the ordering measure is positive (at
     ``varpi = 0`` where it degenerates, where ``theta < lam/2``). The
     boundary is refined per column by the same scan-and-bisect used by
-    :func:`critical_temperatures`, on the column's theta grid.
+    :func:`critical_temperatures`, on the column's theta grid. Cells and
+    brackets come from the same array measure, evaluated on blocks of whole
+    columns whose brackets are bisected together.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -426,49 +425,43 @@ def phase_map(
         raise DomainError(f"nx and ny must be >= 2, got nx={nx}, ny={ny}")
     if nx * ny > MAX_PHASE_CELLS:
         raise DomainError(f"grid of {nx}x{ny} cells exceeds the cap of {MAX_PHASE_CELLS}")
-    if omega_k is None:
-        omega_k = 0.5
     ratios = _uniform_grid(ratio_lo, ratio_hi, nx)
     thetas = _uniform_grid(theta_lo, theta_hi, ny)
-    theta_arr = np.asarray(thetas)
-    occupation = _occupation_vector(variant, theta_arr, omega_k)
-
-    def column(ratio: float) -> tuple[np.ndarray, list[BoundaryPoint]]:
-        chi = ratio  # omega21 = 1
-        lam = chi * (1.0 + 2.0 * occupation)
-        varpi = 1.0 - 2.0 * occupation * occupation * chi - lam
-        measure = lam * np.tanh(np.abs(varpi) / (2.0 * theta_arr)) - np.abs(varpi)
-        cells = np.where(varpi == 0.0, theta_arr < 0.5 * lam, measure > 0.0)
-        params = ModelParams(omega21=1.0, chi=chi, omega_k=omega_k, variant=variant)
-        roots = _sign_change_roots(
-            lambda theta: ordering_measure(couplings_at(params, theta)), thetas, tol
+    ratio_list = ratios.tolist()
+    ordered = np.empty((ny, nx), dtype=bool)
+    boundary = []
+    width = max(1, _BLOCK_CELLS // ny)
+    for start in range(0, nx, width):
+        block = ModelParams(
+            omega21=1.0, chi=ratios[start : start + width], omega_k=omega_k, variant=variant
         )
-        return cells, [
-            BoundaryPoint(chi_ratio=ratio, theta_cr=root, kind=kind) for root, kind in roots
-        ]
+        ordered[:, start : start + width] = is_ordered(couplings_at(block, thetas[:, None]))
 
-    results = _map_ordered(column, ratios, threads)
-    ordered = np.column_stack([cells for cells, _ in results])
-    boundary = [point for _, points in results for point in points]
+        def measure(theta: np.ndarray, lane: np.ndarray, block=block) -> np.ndarray:
+            return ordering_measure(couplings_at(replace(block, chi=block.chi[lane]), theta))
+
+        boundary += [
+            BoundaryPoint(chi_ratio=ratio_list[start + lane], theta_cr=root, kind=kind)
+            for root, kind, lane in _sign_change_roots(measure, thetas, tol, block.chi.size)
+        ]
     return PhaseMap(
-        variant=variant, chi_ratios=ratios, thetas=thetas, ordered=ordered, boundary=boundary
+        variant=variant,
+        chi_ratios=ratio_list,
+        thetas=thetas.tolist(),
+        ordered=ordered,
+        boundary=boundary,
     )
 
 
 def phase_map_records(pmap: PhaseMap) -> list[dict[str, object]]:
     """Row-major cell records (theta rows, ratio columns)."""
-    records = []
-    for i, theta in enumerate(pmap.thetas):
-        for j, ratio in enumerate(pmap.chi_ratios):
-            records.append(
-                {
-                    "chi_ratio": ratio,
-                    "theta": theta,
-                    "phase": (Phase.ORDERED if pmap.ordered[i, j] else Phase.DISORDERED).value,
-                    "variant": pmap.variant.value,
-                }
-            )
-    return records
+    variant = pmap.variant.value
+    names = (Phase.DISORDERED.value, Phase.ORDERED.value)
+    return [
+        {"chi_ratio": ratio, "theta": theta, "phase": names[flag], "variant": variant}
+        for theta, row in zip(pmap.thetas, pmap.ordered.tolist())
+        for ratio, flag in zip(pmap.chi_ratios, row)
+    ]
 
 
 def boundary_records(pmap: PhaseMap) -> list[dict[str, object]]:

@@ -4,7 +4,8 @@ The two-level atoms exchange excitation pairs through a lossy cavity mode,
 so the effective exchange integral and the dressed level splitting inherit
 a temperature dependence through the mode's Planck occupation. This module
 evaluates that occupation, the resulting couplings, and the microscopic
-two-photon amplitude they derive from.
+two-photon amplitude they derive from. Temperatures (and the coupling ``chi``)
+may be numpy arrays; the couplings then broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -61,20 +64,18 @@ class ModelParams:
     """
 
     omega21: float  # bare two-level splitting, > 0
-    chi: float  # vacuum exchange coupling, > 0
+    chi: float | np.ndarray  # vacuum exchange coupling, > 0 (an array: one per lane)
     omega_k: float | None = None  # cavity mode energy, > 0
     n_atoms: int = 100  # ensemble size, >= 2
     variant: Variant = Variant.PROPOSED
 
     def __post_init__(self) -> None:
-        if self.omega21 <= 0.0:
-            raise DomainError(f"omega21 must be positive, got {self.omega21}")
-        if self.chi <= 0.0:
-            raise DomainError(f"chi must be positive, got {self.chi}")
         if self.omega_k is None:
             object.__setattr__(self, "omega_k", 0.5 * self.omega21)
-        if self.omega_k <= 0.0:
-            raise DomainError(f"omega_k must be positive, got {self.omega_k}")
+        for name in ("omega21", "chi", "omega_k"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 2:
             raise DomainError(f"n_atoms must be an integer >= 2, got {self.n_atoms}")
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -82,7 +83,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Couplings:
-    """Effective couplings of the ensemble at one temperature."""
+    """Effective couplings of the ensemble at one temperature.
+
+    Every field is a float, or every field is a numpy array (broadcastable
+    against the others) holding one lane per temperature.
+    """
 
     theta: float  # temperature, >= 0
     nbar: float  # cavity occupation entering the couplings
@@ -91,39 +96,54 @@ class Couplings:
     varpi: float  # splitting left over after exchange, omega - lam
 
 
-def mean_photon_number(theta: float, omega_k: float) -> float:
+def _check_temperature(theta: np.ndarray) -> None:
+    if not np.all((theta >= 0.0) & (theta < math.inf)):
+        raise DomainError(f"theta must be non-negative and finite, got {theta}")
+
+
+def mean_photon_number(theta: float | np.ndarray, omega_k: float) -> float | np.ndarray:
     """Planck occupation of a mode of energy ``omega_k`` at temperature ``theta``.
 
     Evaluated as ``exp(-x) / (1 - exp(-x))`` with ``x = omega_k / theta``,
     which is finite for every ``theta >= 0``: no overflow for small
-    temperatures and no precision loss for large ones.
+    temperatures and no precision loss for large ones. ``theta`` may be an
+    array; a float gives a float.
     """
-    if omega_k <= 0.0:
-        raise DomainError(f"omega_k must be positive, got {omega_k}")
-    if theta < 0.0:
-        raise DomainError(f"theta must be non-negative, got {theta}")
-    if theta == 0.0:
-        return 0.0
-    x = omega_k / theta
-    return math.exp(-x) / -math.expm1(-x)
+    if not 0.0 < omega_k < math.inf:
+        raise DomainError(f"omega_k must be positive and finite, got {omega_k}")
+    theta_arr = np.asarray(theta, dtype=float)
+    _check_temperature(theta_arr)
+    # theta = 0 (or a subnormal theta) sends x to +inf, where the ratio is
+    # exactly 0: the limit, so the divide-by-zero flag carries no news.
+    with np.errstate(divide="ignore", over="ignore"):
+        x = omega_k / theta_arr
+    nbar = np.exp(-x) / -np.expm1(-x)
+    return float(nbar) if nbar.ndim == 0 else nbar
 
 
-def couplings_at(params: ModelParams, theta: float) -> Couplings:
+def couplings_at(params: ModelParams, theta: float | np.ndarray) -> Couplings:
     """Effective couplings at temperature ``theta``.
 
     The exchange integral is ``chi * (1 + 2*nbar)`` and the dressed
     splitting is ``omega21 - 2*nbar**2*chi``. The TRADITIONAL variant
-    evaluates both at ``nbar = 0`` regardless of temperature.
+    evaluates both at ``nbar = 0`` regardless of temperature. An array
+    ``theta`` (or ``params.chi``) gives array fields, broadcast elementwise;
+    a float ``theta`` with a float ``chi`` gives float fields.
     """
+    theta_arr = np.asarray(theta, dtype=float)
     if params.variant is Variant.TRADITIONAL:
-        if theta < 0.0:
-            raise DomainError(f"theta must be non-negative, got {theta}")
-        nbar = 0.0
+        _check_temperature(theta_arr)
+        nbar = np.zeros_like(theta_arr)
     else:
-        nbar = mean_photon_number(theta, params.omega_k)
+        nbar = np.asarray(mean_photon_number(theta_arr, params.omega_k))
     omega = params.omega21 - 2.0 * nbar * nbar * params.chi
     lam = params.chi * (1.0 + 2.0 * nbar)
-    return Couplings(theta=theta, nbar=nbar, omega=omega, lam=lam, varpi=omega - lam)
+    varpi = omega - lam
+    if np.ndim(varpi) == 0:
+        return Couplings(
+            theta=theta, nbar=float(nbar), omega=float(omega), lam=float(lam), varpi=float(varpi)
+        )
+    return Couplings(theta=theta_arr, nbar=nbar, omega=omega, lam=lam, varpi=varpi)
 
 
 @dataclass(frozen=True)

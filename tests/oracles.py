@@ -1,8 +1,9 @@
 """Independent reference implementations used by the test suite.
 
 Everything here recomputes the physics from scratch: plain textbook
-formulas, dense grid search, golden-section refinement. No code is shared
-with the package, so agreement is a real cross-check rather than a
+formulas, dense grid search, golden-section refinement, and the scalar
+bisection gap solver that the package's array core replaced. No code is
+shared with the package, so agreement is a real cross-check rather than a
 tautology.
 """
 
@@ -89,3 +90,61 @@ def ladder_rz(n_atoms: int, lambda_n: float, varpi: float, theta: float) -> floa
     energies = varpi * ms + lambda_n * ms * ms - lambda_n * spin * (spin + 1.0)
     weights = np.exp(-(energies - energies.min()) / theta)
     return float((ms * weights).sum() / (n_atoms * weights.sum()))
+
+
+def _bisection_splitting(lam: float, theta: float) -> float:
+    # Root of u(E) = lam*tanh(E/(2*theta))/E = 1 on (0, lam]; needs
+    # theta < lam/2, so u(0+) = lam/(2*theta) > 1 and u is strictly
+    # decreasing. Bisection to float convergence, about 60 evaluations.
+    def u(splitting: float) -> float:
+        return lam * math.tanh(splitting / (2.0 * theta)) / splitting
+
+    hi = lam
+    if u(hi) >= 1.0:
+        return hi  # tanh saturated: the root is lam to float precision
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if u(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisection_solution(lam: float, varpi: float, theta: float) -> dict:
+    """Scalar gap solution by bisection: the package's solver before its array core.
+
+    Returns c_abs, splitting, phase, f_per_atom and rz_eq10 for one set of
+    couplings; theta = 0 takes the saturated closed forms.
+    """
+    abs_varpi = abs(varpi)
+    if theta == 0.0:
+        if lam > abs_varpi:
+            c_abs, splitting, phase = math.sqrt(lam * lam - varpi * varpi) / (2.0 * lam), lam, "ordered"
+            f_per_atom = -(lam * lam + varpi * varpi) / (4.0 * lam)
+        else:
+            c_abs, splitting, phase, f_per_atom = 0.0, abs_varpi, "disordered", -0.5 * abs_varpi
+        saturation = 1.0
+    else:
+        c_abs, splitting, phase = 0.0, abs_varpi, "disordered"
+        if theta < 0.5 * lam:
+            root = _bisection_splitting(lam, theta)
+            if root > abs_varpi:
+                c = math.sqrt(max(root * root - varpi * varpi, 0.0)) / (2.0 * lam)
+                if c > 0.0:
+                    c_abs, splitting, phase = c, root, "ordered"
+        level = math.hypot(varpi, 2.0 * lam * c_abs)
+        f_per_atom = lam * c_abs * c_abs - (
+            0.5 * level + theta * math.log1p(math.exp(-level / theta))
+        )
+        saturation = math.tanh(splitting / (2.0 * theta))
+    rz_eq10 = 0.0 if splitting == 0.0 else -0.5 * (varpi / splitting) * saturation
+    return {
+        "c_abs": c_abs,
+        "splitting": splitting,
+        "phase": phase,
+        "f_per_atom": f_per_atom,
+        "rz_eq10": rz_eq10,
+    }

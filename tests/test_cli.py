@@ -125,6 +125,34 @@ class TestSweep:
         _, second, _ = run(capsys, argv + ["--threads", "3"])
         assert first == second
 
+    def test_threads_is_accepted_and_ignored(self, capsys):
+        argv = ["sweep", "--chi-ratio", "0.6", "--points", "4"]
+        code, _, err = run(capsys, argv + ["--threads", "-1"])
+        assert code == EXIT_USAGE
+        assert "--threads" in err
+        code, out, _ = run(capsys, argv + ["--threads", "0"])
+        assert code == EXIT_OK
+        assert out == run(capsys, argv)[1]
+
+    def test_rejects_infinite_theta_max(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--chi-ratio", "0.6", "--theta-max", "inf"])
+        assert code == EXIT_USAGE
+        assert out == "" and "finite" in err
+
+    def test_rejects_infinite_omega_k(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "--chi-ratio", "0.6", "--omega-k", "inf"])
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_rejects_non_finite_floats_from_flags_and_config(self, capsys, tmp_path):
+        for value in ("nan", "-inf", "1e400"):
+            code, _, _ = run(capsys, ["sweep", "--chi-ratio", value])
+            assert code == EXIT_USAGE
+        config = tmp_path / "run.cfg"
+        config.write_text("theta_min = nan\n", encoding="utf-8")
+        code, _, _ = run(capsys, ["sweep", "--chi-ratio", "0.6", "--config", str(config)])
+        assert code == EXIT_USAGE
+
     def test_precision_is_honored(self, capsys):
         argv = ["sweep", "--chi-ratio", "0.6", "--points", "3"]
         _, default, _ = run(capsys, argv)

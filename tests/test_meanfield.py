@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasispin.meanfield as meanfield
 from quasispin.meanfield import (
     Phase,
     TransitionKind,
@@ -20,11 +22,14 @@ from quasispin.meanfield import (
 )
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
 
+from oracles import bisection_solution
 from oracles import free_energy as oracle_free_energy
 from oracles import order_parameter as oracle_order_parameter
 
 # closed form for the constant-coupling transition: |varpi|/(2*artanh(|varpi|/lam))
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
+# chi/omega21 at which the proposed variant's reentrant window opens
+R_STAR = 0.4403426148559534
 
 
 def trad(chi: float) -> ModelParams:
@@ -334,3 +339,93 @@ class TestValidityReport:
         report = validity_report(params, 0.1)
         assert not report.bloch_ok
         assert report.bloch_margin < 0.0
+
+
+def _half_lam_crossing(params: ModelParams) -> float | None:
+    # Largest theta found with theta < lam(theta)/2 next to the crossing
+    # theta = lam(theta)/2, where the gap root shrinks to 0; None if no crossing.
+    def below(theta: float) -> bool:
+        return theta < 0.5 * couplings_at(params, theta).lam
+
+    lo, hi = 1e-3, 2.0
+    if not below(lo) or below(hi):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+
+
+def _solver_allowance(lam: float, theta: float, splitting: float, c_abs: float) -> float:
+    # Two float solvers each pin the splitting E to a few ulps of lam divided
+    # by |g'(E)|, g(E) = lam*tanh(E/(2*theta)) - E, and c = sqrt(E**2 -
+    # varpi**2)/(2*lam) passes a change dE on as E*dE/(4*lam**2*c). Away from
+    # transitions that is far below 1e-12; at a transition c -> 0 and no two
+    # float solvers can agree to 1e-12, neither being closer to the exact c.
+    if c_abs == 0.0 or theta == 0.0:
+        return 1e-12
+    slope = lam * (1.0 - math.tanh(splitting / (2.0 * theta)) ** 2) / (2.0 * theta) - 1.0
+    d_splitting = 8.0 * np.finfo(float).eps * lam / max(abs(slope), 1e-300)
+    return max(1e-12, splitting * d_splitting / (4.0 * lam * lam * c_abs))
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_bisection_oracle(self, variant):
+        ratios = [0.05 + 0.05 * k for k in range(1, 18)] + [R_STAR + 1e-7]
+        ordered, worst_residual = 0, 0.0
+        for ratio in ratios:
+            params = ModelParams(omega21=1.0, chi=ratio, variant=variant)
+            roots = [p.theta_cr for p in critical_temperatures(params, (1e-4, 2.0), 1024)]
+            top = roots[-1] if roots else 1.0
+            thetas = [0.0, 1e-300, *np.linspace(0.0, 3.0 * top, 200)[1:]]
+            thetas += [root * (1.0 + d) for root in roots for d in (-1e-9, 0.0, 1e-9)]
+            crossing = _half_lam_crossing(params)
+            if crossing is not None:
+                thetas += [crossing] + [crossing * (1.0 - 10.0**-k) for k in range(1, 16)]
+            cpl = couplings_at(params, np.array(thetas))
+            sol = gap_solve(cpl)
+            rz = population_inversion(cpl, sol)
+            worst_residual = max(worst_residual, sol.residual.max())
+            for i, theta in enumerate(thetas):
+                ref = bisection_solution(float(cpl.lam[i]), float(cpl.varpi[i]), theta)
+                where = f"{variant.value} ratio={ratio} theta={theta!r}"
+                assert sol.phase[i] == ref["phase"], where
+                allowed = _solver_allowance(cpl.lam[i], theta, ref["splitting"], ref["c_abs"])
+                assert abs(sol.c_abs[i] - ref["c_abs"]) <= allowed, where
+                assert abs(sol.free_energy_per_atom[i] - ref["f_per_atom"]) <= 1e-12, where
+                assert abs(rz[i] - ref["rz_eq10"]) <= 1e-12, where
+                ordered += ref["phase"] == "ordered"
+        assert ordered > 200 and worst_residual <= 1e-14
+
+    def test_scalar_and_array_forms_agree(self):
+        thetas = np.concatenate([[0.0, 1e-300], np.linspace(0.01, 2.0, 97)])
+        cases = (prop(0.45), prop(0.5), trad(0.5), trad(0.6), ModelParams(2.0, 0.7, omega_k=0.8))
+        for params in cases:
+            cpl = couplings_at(params, thetas)
+            warm = couplings_at(params, thetas[1:])
+            measure, ordered = ordering_measure(warm), is_ordered(warm)
+            sol = gap_solve(warm)
+            for i, theta in enumerate(thetas.tolist()):
+                one = couplings_at(params, theta)
+                assert (one.nbar, one.omega, one.lam, one.varpi) == (
+                    cpl.nbar[i], cpl.omega[i], cpl.lam[i], cpl.varpi[i]
+                )
+                if theta == 0.0:
+                    continue
+                assert ordering_measure(one) == measure[i - 1]
+                assert is_ordered(one) == ordered[i - 1]
+                scalar = gap_solve(one)
+                assert scalar.phase.value == sol.phase[i - 1]
+                assert scalar.c_abs == sol.c_abs[i - 1]
+                assert scalar.free_energy_per_atom == sol.free_energy_per_atom[i - 1]
+
+    def test_unconverged_lane_raises(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "_NEWTON_CAP", 2)
+        with pytest.raises(RuntimeError, match="not converged"):
+            gap_solve(couplings_at(trad(0.6), np.array([0.05, 0.29])))
+
+    def test_rejects_non_finite_scan_range(self):
+        with pytest.raises(DomainError):
+            critical_temperatures(trad(0.6), (1e-4, math.inf))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from quasispin.sweep import (
     plot_script,
     proposed_normalizer,
     serialize,
+    sweep_records,
     temperature_sweep,
     thermo_point,
 )
@@ -76,14 +78,6 @@ class TestTemperatureSweep:
             else:
                 assert point.c_abs > 0.0
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = SweepConfig(params=prop(0.5), theta_min=0.0, theta_max=0.6, points=80)
-        serial = temperature_sweep(cfg, threads=1)
-        pooled = temperature_sweep(cfg, threads=4)
-        assert serial == pooled
-        records = [p.record() for p in serial]
-        assert serialize(records) == serialize([p.record() for p in pooled])
-
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SweepConfig(params=trad(0.6), theta_min=-0.1, theta_max=0.5, points=10)
@@ -91,11 +85,31 @@ class TestTemperatureSweep:
             SweepConfig(params=trad(0.6), theta_min=0.5, theta_max=0.5, points=10)
         with pytest.raises(DomainError):
             SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.5, points=1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=bad, points=10)
+            with pytest.raises(DomainError):
+                SweepConfig(params=trad(0.6), theta_min=bad, theta_max=0.5, points=10)
 
-    def test_rejects_negative_threads(self):
-        cfg = SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.5, points=4)
-        with pytest.raises(DomainError):
-            temperature_sweep(cfg, threads=-1)
+    def test_records_match_points(self):
+        cfg = SweepConfig(params=prop(0.5), theta_min=0.0, theta_max=0.6, points=80)
+        assert sweep_records(cfg) == [p.record() for p in temperature_sweep(cfg)]
+        normalized = sweep_records(cfg, theta_cr=0.3)
+        assert list(normalized[0]) == ["theta_norm", *THERMO_COLUMNS]
+        assert normalized[-1]["theta_norm"] == 0.6 / 0.3
+
+    def test_masked_branches_raise_no_runtime_warnings(self):
+        # theta = 0 lanes, subnormal-scale temperatures and varpi = 0 (ratio 0.5
+        # with constant couplings) all sit behind masks in the array core.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for params in (prop(0.6), trad(0.6), prop(0.5), trad(0.5), trad(0.3)):
+                for theta_min in (0.0, 1e-300):
+                    cfg = SweepConfig(params=params, theta_min=theta_min, theta_max=1.0, points=64)
+                    assert len(temperature_sweep(cfg)) == 64
+            for variant in Variant:
+                pmap = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
+                assert pmap.chi_ratios[2] == 0.5
 
 
 class TestNormalizerAndDefaults:
@@ -225,16 +239,25 @@ class TestPhaseMap:
         records = boundary_records(pmap)
         assert list(records[0].keys()) == ["chi_ratio", "theta_cr", "kind", "variant"]
 
-    def test_thread_count_does_not_change_results(self):
-        kwargs = dict(
-            chi_ratio_range=(0.3, 0.7), theta_range=(0.05, 0.65), nx=7, ny=9
-        )
-        serial = phase_map(Variant.PROPOSED, threads=1, **kwargs)
-        pooled = phase_map(Variant.PROPOSED, threads=3, **kwargs)
-        assert np.array_equal(serial.ordered, pooled.ordered)
-        assert serial.boundary == pooled.boundary
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_boundary_roots_lie_between_opposite_cells(self, variant):
+        # 300x256 cells span two column blocks of the classification
+        pmap = phase_map(variant, (0.05, 0.95), (0.01, 1.0), nx=300, ny=256)
+        assert len(pmap.boundary) >= 150
+        params = ModelParams(omega21=1.0, chi=np.array(pmap.chi_ratios), variant=variant)
+        whole = is_ordered(couplings_at(params, np.array(pmap.thetas)[:, None]))
+        assert np.array_equal(pmap.ordered, whole)
+        for point in pmap.boundary:
+            column = pmap.chi_ratios.index(point.chi_ratio)
+            row = int(np.searchsorted(pmap.thetas, point.theta_cr))
+            assert 0 < row < len(pmap.thetas)
+            assert pmap.ordered[row - 1, column] != pmap.ordered[row, column]
 
     def test_validation(self):
+        with pytest.raises(DomainError):
+            phase_map(Variant.PROPOSED, (0.1, 0.5), (0.1, math.inf), nx=4, ny=4)
+        with pytest.raises(DomainError):
+            phase_map(Variant.PROPOSED, (0.1, math.inf), (0.1, 0.5), nx=4, ny=4)
         with pytest.raises(DomainError):
             phase_map(Variant.PROPOSED, (0.0, 0.5), (0.1, 0.5), nx=4, ny=4)
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,17 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega21=1.0, chi=0.5, variant="bogus")
 
+    def test_rejects_non_finite_inputs(self):
+        for kwargs in (
+            dict(omega21=math.nan, chi=0.5),
+            dict(omega21=math.inf, chi=0.5),
+            dict(omega21=1.0, chi=math.inf),
+            dict(omega21=1.0, chi=0.5, omega_k=math.inf),
+            dict(omega21=1.0, chi=np.array([0.5, math.nan])),
+        ):
+            with pytest.raises(DomainError):
+                ModelParams(**kwargs)
+
 
 class TestCouplingsAt:
     def test_traditional_freezes_occupation(self):
@@ -118,6 +130,21 @@ class TestCouplingsAt:
         params = ModelParams(omega21=omega21, chi=chi, omega_k=ratio_k * omega21)
         cpl = couplings_at(params, theta)
         assert cpl.varpi == cpl.omega - cpl.lam
+
+    def test_array_temperatures_broadcast(self):
+        params = ModelParams(omega21=1.0, chi=np.array([0.4, 0.6]))
+        thetas = np.array([[0.0], [0.5]])
+        cpl = couplings_at(params, thetas)
+        assert cpl.lam.shape == (2, 2)
+        assert cpl.nbar[0, 0] == 0.0
+        assert cpl.lam[1, 1] == couplings_at(ModelParams(omega21=1.0, chi=0.6), 0.5).lam
+
+    def test_rejects_bad_temperatures(self):
+        for variant in Variant:
+            params = ModelParams(omega21=1.0, chi=0.6, variant=variant)
+            for theta in (-0.1, math.inf, math.nan, np.array([0.1, math.inf])):
+                with pytest.raises(DomainError):
+                    couplings_at(params, theta)
 
     def test_couplings_record_theta(self):
         params = ModelParams(omega21=1.0, chi=0.6)
