@@ -22,22 +22,23 @@ from typing import Callable, Sequence
 
 from .exact import compare_meanfield
 from .sweep import (
+    FIG1_POINTS,
+    FIG2_POINTS,
     OutputFormat,
     SweepConfig,
-    boundary_records,
-    comparison_records,
-    critical_point_records,
+    boundary_table,
+    comparison_table,
+    concat_tables,
+    critical_point_table,
     default_theta_max,
-    figure1_records,
-    figure1_series,
-    figure2_records,
-    figure2_series,
+    figure1_table,
+    figure2_table,
     phase_map,
-    phase_map_records,
+    phase_map_table,
     plot_script,
     proposed_normalizer,
     serialize,
-    sweep_records,
+    sweep_table,
 )
 from .meanfield import critical_temperatures
 from .thermal import (
@@ -57,13 +58,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _VERSION = "quasispin 0.1.0"
-
-CRITICAL_COLUMNS = ("theta_cr", "kind", "nbar", "lambda", "varpi", "variant")
-PHASE_COLUMNS = ("chi_ratio", "theta", "phase", "variant")
-BOUNDARY_COLUMNS = ("chi_ratio", "theta_cr", "kind", "variant")
-POPULATION_COLUMNS = ("theta", "rz_eq10", "rz_eq4", "variant")
-COMPARE_COLUMNS = ("n_atoms", "rz_exact", "rz_meanfield", "deviation", "variant")
-MICRO_COLUMNS = ("amplitude", "chi", "gamma", "chi_over_gamma")
 
 
 class UsageError(Exception):
@@ -250,16 +244,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
     theta_cr = proposed_normalizer(base, tol=args.tol).theta_cr if args.normalize else None
-    records = []
-    for variant in _variant_list(args.variant):
-        cfg = SweepConfig(
-            params=replace(base, variant=variant),
-            theta_min=args.theta_min,
-            theta_max=args.theta_max,
-            points=args.points,
-        )
-        records.extend(sweep_records(cfg, theta_cr))
-    _write_bytes(args.out, serialize(records, args.format, args.precision))
+    grid = (args.theta_min, args.theta_max, args.points)
+    tables = [
+        sweep_table(SweepConfig(replace(base, variant=variant), *grid), theta_cr)
+        for variant in _variant_list(args.variant)
+    ]
+    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
     return EXIT_OK
 
 
@@ -282,7 +272,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
         0.0 < args.theta_min < args.theta_max,
         f"need 0 < theta-min < theta-max, got [{args.theta_min}, {args.theta_max}]",
     )
-    records = []
+    tables = []
     for variant in _variant_list(args.variant):
         params = ModelParams(
             omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant
@@ -290,10 +280,8 @@ def _cmd_critical(args: argparse.Namespace) -> int:
         points = critical_temperatures(
             params, (args.theta_min, args.theta_max), grid_points=args.points, tol=args.tol
         )
-        records.extend(critical_point_records(points, variant))
-    _write_bytes(
-        args.out, serialize(records, args.format, args.precision, fieldnames=CRITICAL_COLUMNS)
-    )
+        tables.append(critical_point_table(points, variant))
+    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
     return EXIT_OK
 
 
@@ -331,35 +319,24 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         omega_k=args.omega_k,
         tol=args.tol,
     )
-    _write_bytes(
-        args.out,
-        serialize(phase_map_records(pmap), args.format, args.precision, fieldnames=PHASE_COLUMNS),
-    )
+    _write_bytes(args.out, serialize(phase_map_table(pmap), args.format, args.precision))
     if args.boundary_out is not None:
         _write_bytes(
-            args.boundary_out,
-            serialize(
-                boundary_records(pmap), args.format, args.precision, fieldnames=BOUNDARY_COLUMNS
-            ),
+            args.boundary_out, serialize(boundary_table(pmap), args.format, args.precision)
         )
     return EXIT_OK
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     _require(args, "ratios")
-    _fill_defaults(args, points=400, format="csv", precision=9, tol=1e-10)
+    _fill_defaults(args, points=FIG1_POINTS, format="csv", precision=9, tol=1e-10)
     _validate_common(args)
     _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
     for ratio in args.ratios:
         _check(0.0 < ratio < 1.0, f"each ratio must lie in (0, 1), got {ratio}")
     _check_plot_script(args)
-    series = figure1_series(
-        args.ratios,
-        points=args.points,
-        omega_k=args.omega_k,
-        tol=args.tol,
-    )
-    _write_bytes(args.out, serialize(figure1_records(series), args.format, args.precision))
+    table = figure1_table(args.ratios, points=args.points, omega_k=args.omega_k, tol=args.tol)
+    _write_bytes(args.out, serialize(table, args.format, args.precision))
     if args.plot_script is not None:
         _write_text(args.plot_script, plot_script("fig1", args.out))
     return EXIT_OK
@@ -368,7 +345,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 def _cmd_fig2(args: argparse.Namespace) -> int:
     _require(args, "chi_ratio")
     _fill_defaults(
-        args, variant="proposed", points=200, format="csv", precision=9, tol=1e-10
+        args, variant="proposed", points=FIG2_POINTS, format="csv", precision=9, tol=1e-10
     )
     _validate_common(args)
     _check(
@@ -376,21 +353,13 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     )
     _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
     _check_plot_script(args)
-    points = []
-    for variant in _variant_list(args.variant):
-        points.extend(
-            figure2_series(
-                args.chi_ratio,
-                points=args.points,
-                variant=variant,
-                omega_k=args.omega_k,
-                tol=args.tol,
-            )
+    tables = [
+        figure2_table(
+            args.chi_ratio, points=args.points, variant=variant, omega_k=args.omega_k, tol=args.tol
         )
-    _write_bytes(
-        args.out,
-        serialize(figure2_records(points), args.format, args.precision, fieldnames=POPULATION_COLUMNS),
-    )
+        for variant in _variant_list(args.variant)
+    ]
+    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
     if args.plot_script is not None:
         _write_text(args.plot_script, plot_script("fig2", args.out))
     return EXIT_OK
@@ -408,13 +377,7 @@ def _cmd_exact_compare(args: argparse.Namespace) -> int:
     params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
     comparisons = compare_meanfield(params, args.theta, args.n_list)
     _write_bytes(
-        args.out,
-        serialize(
-            comparison_records(comparisons, variant),
-            args.format,
-            args.precision,
-            fieldnames=COMPARE_COLUMNS,
-        ),
+        args.out, serialize(comparison_table(comparisons, variant), args.format, args.precision)
     )
     return EXIT_OK
 
@@ -430,16 +393,14 @@ def _cmd_micro(args: argparse.Namespace) -> int:
     amplitude = transition_amplitude(table, args.omega_k)
     chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, args.omega_k)
     delta = 2.0 * args.omega_k - args.omega21
-    record = {
-        "amplitude": amplitude,
-        "chi": chi,
-        "gamma": gamma,
+    table = {
+        "amplitude": [amplitude],
+        "chi": [chi],
+        "gamma": [gamma],
         # analytic ratio: finite even when the amplitude vanishes
-        "chi_over_gamma": delta / (2.0 * args.gamma_cav),
+        "chi_over_gamma": [delta / (2.0 * args.gamma_cav)],
     }
-    _write_bytes(
-        args.out, serialize([record], args.format, args.precision, fieldnames=MICRO_COLUMNS)
-    )
+    _write_bytes(args.out, serialize(table, args.format, args.precision))
     return EXIT_OK
 
 
@@ -540,7 +501,9 @@ def _build_parser() -> _Parser:
         metavar="R1,R2,...",
         help="coupling ratios chi / omega21, each in (0, 1)",
     )
-    sub.add_argument("--points", type=int, default=None, help="grid size per curve (default 400)")
+    sub.add_argument(
+        "--points", type=int, default=None, help=f"grid size per curve (default {FIG1_POINTS})"
+    )
     sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
     sub.add_argument("--tol", type=_real, default=None, help="normalizer tolerance (default 1e-10)")
     sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
@@ -554,7 +517,7 @@ def _build_parser() -> _Parser:
     )
     sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, in (0, 1)")
     sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--points", type=int, default=None, help="grid size (default 200)")
+    sub.add_argument("--points", type=int, default=None, help=f"grid size (default {FIG2_POINTS})")
     sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
     sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
     sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")

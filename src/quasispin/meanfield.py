@@ -253,6 +253,8 @@ def _uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     step = (hi - lo) / (points - 1)
     grid = lo + np.arange(points) * step
     grid[-1] = hi  # keep the endpoint exact
+    if not np.all(grid[1:] > grid[:-1]):
+        raise DomainError(f"{points} grid points on [{lo!r}, {hi!r}] are not all distinct")
     return grid
 
 

@@ -1,20 +1,23 @@
 """Temperature sweeps, figure series, phase maps, and their serialization.
 
 Every grid is solved in one array call to the physics core (couplings,
-ordering measure and gap solve of :mod:`quasispin.meanfield`), then turned
-into records column by column. Nothing here draws randomness or runs
-threads, so identical inputs give identical output bytes.
+ordering measure and gap solve of :mod:`quasispin.meanfield`). Results leave
+as a column table: a ``dict`` of equal-length lists whose key order is the
+column order, built from the ``.tolist()`` columns of the core's arrays.
+:func:`serialize` writes a table to CSV or JSON with one format template per
+row. Nothing here draws randomness or runs threads, so identical inputs give
+identical output bytes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +35,15 @@ from .meanfield import (
     population_inversion,
     rz_relaxation,
 )
+from .exact import FiniteSizeComparison
 from .thermal import DomainError, ModelParams, Variant, couplings_at
 
 __all__ = [
     "OutputFormat",
+    "Table",
     "THERMO_COLUMNS",
+    "FIG1_POINTS",
+    "FIG2_POINTS",
     "ThermoPoint",
     "SweepConfig",
     "RatioSeries",
@@ -45,29 +52,33 @@ __all__ = [
     "PhaseMap",
     "MAX_PHASE_CELLS",
     "thermo_point",
-    "sweep_records",
+    "sweep_table",
     "temperature_sweep",
     "proposed_normalizer",
     "default_theta_max",
     "figure1_series",
-    "figure1_records",
+    "figure1_table",
     "figure2_series",
-    "figure2_records",
+    "figure2_table",
     "phase_map",
-    "phase_map_records",
-    "boundary_records",
-    "critical_point_records",
-    "comparison_records",
+    "phase_map_table",
+    "boundary_table",
+    "critical_point_table",
+    "comparison_table",
+    "concat_tables",
     "serialize",
     "plot_script",
 ]
+
+# A column table: column name -> one cell per row; key order is column order.
+Table = dict[str, list]
 
 MAX_PHASE_CELLS = 10_000_000
 # Phase maps are classified in blocks of whole columns holding about this
 # many cells, so each float temporary stays near 0.5 MB whatever the grid size.
 _BLOCK_CELLS = 1 << 16
 
-# Fixed serialization schema for thermodynamic records, in order.
+# Columns of a sweep table, in order.
 THERMO_COLUMNS = (
     "theta",
     "nbar",
@@ -86,6 +97,9 @@ FIG1_AXIS_MAX = 1.05
 # Figure-2 grids span twice the critical temperature: coincidence below,
 # separation above, with theta_cr exactly on the grid.
 FIG2_AXIS_MAX = 2.0
+# Default grid sizes of the figure datasets, shared with the CLI.
+FIG1_POINTS = 400
+FIG2_POINTS = 200
 
 # Critical-point searches scan (1e-4, 2)*omega21: every transition of either
 # variant with chi/omega21 in (0, 1) and omega_k = omega21/2 lies well below
@@ -115,21 +129,6 @@ class ThermoPoint:
     phase: Phase
     variant: Variant
 
-    def record(self) -> dict[str, object]:
-        """Serialization record with the fixed column names and order."""
-        return {
-            "theta": self.theta,
-            "nbar": self.nbar,
-            "lambda": self.lam,
-            "varpi": self.varpi,
-            "c_abs": self.c_abs,
-            "f_per_atom": self.f_per_atom,
-            "rz_eq10": self.rz_eq10,
-            "rz_eq4": self.rz_eq4,
-            "phase": self.phase.value,
-            "variant": self.variant.value,
-        }
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -139,8 +138,6 @@ class SweepConfig:
     theta_min: float
     theta_max: float
     points: int
-    normalize_axis: bool = False
-    output_format: OutputFormat = OutputFormat.CSV
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta_min < self.theta_max < math.inf:
@@ -149,7 +146,6 @@ class SweepConfig:
             )
         if self.points < 2:
             raise DomainError(f"points must be >= 2, got {self.points}")
-        object.__setattr__(self, "output_format", OutputFormat(self.output_format))
 
 
 @dataclass(frozen=True)
@@ -170,14 +166,6 @@ class PopulationPoint:
     rz_eq10: float
     rz_eq4: float
     variant: Variant
-
-    def record(self) -> dict[str, object]:
-        return {
-            "theta": self.theta,
-            "rz_eq10": self.rz_eq10,
-            "rz_eq4": self.rz_eq4,
-            "variant": self.variant.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -203,12 +191,15 @@ class PhaseMap:
     boundary: list[BoundaryPoint]
 
 
-def _columns(params: ModelParams, thetas: np.ndarray) -> dict[str, list]:
+def _columns(params: ModelParams, thetas: np.ndarray, theta_cr: float | None = None) -> Table:
     # One call to the array core solves every temperature; theta = 0 takes
-    # the analytic saturated limit.
+    # the analytic saturated limit. With theta_cr the table starts with
+    # theta_norm = theta / theta_cr.
     cpl = couplings_at(params, thetas)
     sol = gap_solve(cpl)
+    normalized = {} if theta_cr is None else {"theta_norm": (thetas / theta_cr).tolist()}
     return {
+        **normalized,
         "theta": thetas.tolist(),
         "nbar": cpl.nbar.tolist(),
         "lambda": cpl.lam.tolist(),
@@ -222,11 +213,7 @@ def _columns(params: ModelParams, thetas: np.ndarray) -> dict[str, list]:
     }
 
 
-def _sweep_columns(cfg: SweepConfig) -> dict[str, list]:
-    return _columns(cfg.params, _uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points))
-
-
-def _points(columns: dict[str, list], variant: Variant) -> list[ThermoPoint]:
+def _points(columns: Table, variant: Variant) -> list[ThermoPoint]:
     columns["phase"] = [Phase(value) for value in columns["phase"]]
     columns["variant"] = [variant] * len(columns["theta"])
     return [ThermoPoint(*row) for row in zip(*columns.values())]
@@ -238,19 +225,24 @@ def thermo_point(params: ModelParams, theta: float) -> ThermoPoint:
 
 
 def temperature_sweep(cfg: SweepConfig) -> list[ThermoPoint]:
-    """Equilibrium solutions on a uniform theta grid, one record per point."""
-    return _points(_sweep_columns(cfg), cfg.params.variant)
+    """Equilibrium solutions on a uniform theta grid, one point per temperature."""
+    return _points(sweep_table(cfg), cfg.params.variant)
 
 
-def sweep_records(cfg: SweepConfig, theta_cr: float | None = None) -> list[dict[str, object]]:
-    """Serialization records of one sweep, keyed by :data:`THERMO_COLUMNS`.
+def sweep_table(cfg: SweepConfig, theta_cr: float | None = None) -> Table:
+    """Column table of one sweep, with the :data:`THERMO_COLUMNS` columns.
 
-    With ``theta_cr`` each record starts with ``theta_norm = theta / theta_cr``.
+    With ``theta_cr`` the table starts with ``theta_norm = theta / theta_cr``.
     """
-    columns = _sweep_columns(cfg)
-    if theta_cr is not None:
-        columns = {"theta_norm": [theta / theta_cr for theta in columns["theta"]], **columns}
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return _columns(cfg.params, _uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points), theta_cr)
+
+
+def concat_tables(tables: Sequence[Table]) -> Table:
+    """Stack tables with the same columns, row blocks in order."""
+    first = tables[0]
+    if any(list(table) != list(first) for table in tables):
+        raise ValueError("tables to concatenate must have the same columns")
+    return {name: list(chain.from_iterable(table[name] for table in tables)) for name in first}
 
 
 def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> CriticalPoint:
@@ -292,9 +284,28 @@ def default_theta_max(chi_ratio: float) -> float:
     return 2.0
 
 
+def _figure1_sweeps(
+    chi_ratios: Sequence[float], points: int, omega_k: float | None, tol: float
+) -> list[tuple[float, float, list[SweepConfig]]]:
+    # (ratio, Proposed theta_cr, [Proposed sweep, Traditional sweep]) per ratio
+    if not chi_ratios:
+        raise DomainError("chi_ratios must not be empty")
+    for ratio in chi_ratios:
+        if not 0.0 < ratio < 1.0:
+            raise DomainError(f"each chi ratio must lie in (0, 1), got {ratio}")
+    sweeps = []
+    for ratio in chi_ratios:
+        base = ModelParams(omega21=1.0, chi=ratio, omega_k=omega_k, variant=Variant.PROPOSED)
+        theta_cr = proposed_normalizer(base, tol).theta_cr
+        top = FIG1_AXIS_MAX * theta_cr
+        cfgs = [SweepConfig(replace(base, variant=v), 0.0, top, points) for v in Variant]
+        sweeps.append((ratio, theta_cr, cfgs))
+    return sweeps
+
+
 def figure1_series(
     chi_ratios: Sequence[float],
-    points: int = 400,
+    points: int = FIG1_POINTS,
     omega_k: float | None = None,
     tol: float = 1e-10,
 ) -> list[RatioSeries]:
@@ -306,54 +317,34 @@ def figure1_series(
     zero at 1.0. Raises :class:`NoCriticalPointError` for ratios without a
     Proposed transition.
     """
-    if not chi_ratios:
-        raise DomainError("chi_ratios must not be empty")
-    for ratio in chi_ratios:
-        if not 0.0 < ratio < 1.0:
-            raise DomainError(f"each chi ratio must lie in (0, 1), got {ratio}")
-    series = []
-    for ratio in chi_ratios:
-        base = ModelParams(omega21=1.0, chi=ratio, omega_k=omega_k, variant=Variant.PROPOSED)
-        theta_cr = proposed_normalizer(base, tol).theta_cr
-        sweeps = {}
-        for variant in (Variant.PROPOSED, Variant.TRADITIONAL):
-            cfg = SweepConfig(
-                params=replace(base, variant=variant),
-                theta_min=0.0,
-                theta_max=FIG1_AXIS_MAX * theta_cr,
-                points=points,
-            )
-            sweeps[variant] = temperature_sweep(cfg)
-        series.append(
-            RatioSeries(
-                chi_ratio=ratio,
-                theta_cr_max=theta_cr,
-                proposed=sweeps[Variant.PROPOSED],
-                traditional=sweeps[Variant.TRADITIONAL],
-            )
-        )
-    return series
+    return [
+        RatioSeries(ratio, theta_cr, *map(temperature_sweep, cfgs))
+        for ratio, theta_cr, cfgs in _figure1_sweeps(chi_ratios, points, omega_k, tol)
+    ]
 
 
-def figure1_records(series: Sequence[RatioSeries]) -> list[dict[str, object]]:
-    """Flatten ratio series to records: series keys, then the fixed columns."""
-    records = []
-    for entry in series:
-        for points in (entry.proposed, entry.traditional):
-            for point in points:
-                records.append(
-                    {
-                        "chi_ratio": entry.chi_ratio,
-                        "theta_norm": point.theta / entry.theta_cr_max,
-                        **point.record(),
-                    }
-                )
-    return records
+def figure1_table(
+    chi_ratios: Sequence[float],
+    points: int = FIG1_POINTS,
+    omega_k: float | None = None,
+    tol: float = 1e-10,
+) -> Table:
+    """The :func:`figure1_series` curves as one table.
+
+    Columns ``chi_ratio``, ``theta_norm``, then :data:`THERMO_COLUMNS`; rows
+    run per ratio, the Proposed block before the Traditional one.
+    """
+    tables = [
+        {"chi_ratio": [ratio] * points, **sweep_table(cfg, theta_cr)}
+        for ratio, theta_cr, cfgs in _figure1_sweeps(chi_ratios, points, omega_k, tol)
+        for cfg in cfgs
+    ]
+    return concat_tables(tables)
 
 
 def figure2_series(
     chi_ratio: float,
-    points: int = 400,
+    points: int = FIG2_POINTS,
     variant: Variant = Variant.PROPOSED,
     omega_k: float | None = None,
     tol: float = 1e-10,
@@ -365,6 +356,22 @@ def figure2_series(
     separate. Raises :class:`NoCriticalPointError` when the variant has no
     transition at this ratio.
     """
+    table = figure2_table(chi_ratio, points, variant, omega_k, tol)
+    variant = Variant(variant)
+    return [
+        PopulationPoint(theta=theta, rz_eq10=rz_eq10, rz_eq4=rz_eq4, variant=variant)
+        for theta, rz_eq10, rz_eq4 in zip(table["theta"], table["rz_eq10"], table["rz_eq4"])
+    ]
+
+
+def figure2_table(
+    chi_ratio: float,
+    points: int = FIG2_POINTS,
+    variant: Variant = Variant.PROPOSED,
+    omega_k: float | None = None,
+    tol: float = 1e-10,
+) -> Table:
+    """The :func:`figure2_series` points as a ``theta, rz_eq10, rz_eq4, variant`` table."""
     if not 0.0 < chi_ratio < 1.0:
         raise DomainError(f"chi_ratio must lie in (0, 1), got {chi_ratio}")
     variant = Variant(variant)
@@ -376,21 +383,8 @@ def figure2_series(
         raise NoCriticalPointError(
             f"no critical temperature for chi/omega21 = {chi_ratio:g} ({variant.value} variant)"
         )
-    cfg = SweepConfig(
-        params=params,
-        theta_min=0.0,
-        theta_max=FIG2_AXIS_MAX * roots[-1].theta_cr,
-        points=points,
-    )
-    columns = _sweep_columns(cfg)
-    return [
-        PopulationPoint(theta=theta, rz_eq10=rz_eq10, rz_eq4=rz_eq4, variant=variant)
-        for theta, rz_eq10, rz_eq4 in zip(columns["theta"], columns["rz_eq10"], columns["rz_eq4"])
-    ]
-
-
-def figure2_records(points: Sequence[PopulationPoint]) -> list[dict[str, object]]:
-    return [point.record() for point in points]
+    columns = sweep_table(SweepConfig(params, 0.0, FIG2_AXIS_MAX * roots[-1].theta_cr, points))
+    return {name: columns[name] for name in ("theta", "rz_eq10", "rz_eq4", "variant")}
 
 
 def phase_map(
@@ -453,110 +447,135 @@ def phase_map(
     )
 
 
-def phase_map_records(pmap: PhaseMap) -> list[dict[str, object]]:
-    """Row-major cell records (theta rows, ratio columns)."""
-    variant = pmap.variant.value
+def phase_map_table(pmap: PhaseMap) -> Table:
+    """Row-major cell table (theta rows, ratio columns)."""
+    nx, ny = len(pmap.chi_ratios), len(pmap.thetas)
     names = (Phase.DISORDERED.value, Phase.ORDERED.value)
-    return [
-        {"chi_ratio": ratio, "theta": theta, "phase": names[flag], "variant": variant}
-        for theta, row in zip(pmap.thetas, pmap.ordered.tolist())
-        for ratio, flag in zip(pmap.chi_ratios, row)
-    ]
+    return {
+        "chi_ratio": pmap.chi_ratios * ny,
+        "theta": [theta for theta in pmap.thetas for _ in range(nx)],
+        "phase": list(map(names.__getitem__, pmap.ordered.ravel().tolist())),
+        "variant": [pmap.variant.value] * (nx * ny),
+    }
 
 
-def boundary_records(pmap: PhaseMap) -> list[dict[str, object]]:
-    return [
-        {
-            "chi_ratio": point.chi_ratio,
-            "theta_cr": point.theta_cr,
-            "kind": point.kind.value,
-            "variant": pmap.variant.value,
-        }
-        for point in pmap.boundary
-    ]
+def boundary_table(pmap: PhaseMap) -> Table:
+    points = pmap.boundary
+    return {
+        "chi_ratio": [point.chi_ratio for point in points],
+        "theta_cr": [point.theta_cr for point in points],
+        "kind": [point.kind.value for point in points],
+        "variant": [pmap.variant.value] * len(points),
+    }
 
 
-def critical_point_records(
-    points: Sequence[CriticalPoint], variant: Variant
-) -> list[dict[str, object]]:
-    return [
-        {
-            "theta_cr": point.theta_cr,
-            "kind": point.kind.value,
-            "nbar": point.couplings_at_cr.nbar,
-            "lambda": point.couplings_at_cr.lam,
-            "varpi": point.couplings_at_cr.varpi,
-            "variant": Variant(variant).value,
-        }
-        for point in points
-    ]
+def critical_point_table(points: Sequence[CriticalPoint], variant: Variant) -> Table:
+    couplings = [point.couplings_at_cr for point in points]
+    return {
+        "theta_cr": [point.theta_cr for point in points],
+        "kind": [point.kind.value for point in points],
+        "nbar": [cpl.nbar for cpl in couplings],
+        "lambda": [cpl.lam for cpl in couplings],
+        "varpi": [cpl.varpi for cpl in couplings],
+        "variant": [Variant(variant).value] * len(points),
+    }
 
 
-def comparison_records(comparisons, variant: Variant) -> list[dict[str, object]]:
-    return [
-        {
-            "n_atoms": item.n_atoms,
-            "rz_exact": item.rz_exact,
-            "rz_meanfield": item.rz_meanfield,
-            "deviation": item.deviation,
-            "variant": Variant(variant).value,
-        }
-        for item in comparisons
-    ]
+def comparison_table(comparisons: Sequence[FiniteSizeComparison], variant: Variant) -> Table:
+    return {
+        "n_atoms": [item.n_atoms for item in comparisons],
+        "rz_exact": [item.rz_exact for item in comparisons],
+        "rz_meanfield": [item.rz_meanfield for item in comparisons],
+        "deviation": [item.deviation for item in comparisons],
+        "variant": [Variant(variant).value] * len(comparisons),
+    }
 
 
-def _format_float(value: float, precision: int) -> str:
-    return format(value, f".{precision}g")
+# A string cell needs RFC 4180 quotes when it holds one of these characters.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# json.dumps spellings of the non-finite floats.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv_cell(value: object, precision: int) -> object:
+def _cell_text(value: object, precision: int) -> str:
+    # CSV text of a cell in a column that is neither all floats nor all strings
     if isinstance(value, bool):
-        return str(value).lower()
+        return "true" if value else "false"
     if isinstance(value, float):
-        return _format_float(value, precision)
-    return value
+        return "%.*g" % (precision, value)
+    return str(value)
 
 
-def _json_value(value: object, precision: int) -> object:
-    if isinstance(value, float):
-        return float(_format_float(value, precision))
-    return value
+def _csv_quote(text: str, lone: bool) -> str:
+    # RFC 4180 quoting; the one cell of a one-column row is quoted when empty,
+    # so that the row does not read as a blank line.
+    if _NEEDS_QUOTES.search(text) or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(column: list, precision: int, lone: bool) -> tuple[str, list]:
+    # (row-template field, cells for it): float columns format in the template
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return f"%.{precision}g", column
+    if not kinds <= {str}:
+        column = [_cell_text(value, precision) for value in column]
+    quoted = {text: _csv_quote(text, lone) for text in set(column)}
+    if any(text != cell for text, cell in quoted.items()):
+        column = list(map(quoted.__getitem__, column))
+    return "%s", column
+
+
+def _json_column(column: list, precision: int) -> list[str]:
+    # JSON text of every cell, as json.dumps writes the cell rounded to precision
+    kinds = set(map(type, column))
+    fmt = f"%.{precision}g"
+    if kinds <= {float}:
+        texts = list(map(repr, map(float, map(fmt.__mod__, column))))
+        if not _JSON_NON_FINITE.keys().isdisjoint(texts):
+            texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+        return texts
+    if kinds <= {str}:
+        return list(map({text: json.dumps(text) for text in set(column)}.__getitem__, column))
+    return [
+        json.dumps(float(fmt % value) if isinstance(value, float) else value) for value in column
+    ]
 
 
 def serialize(
-    records: Sequence[Mapping[str, object]],
+    table: Table,
     output_format: OutputFormat | str = OutputFormat.CSV,
     precision: int = 9,
-    fieldnames: Sequence[str] | None = None,
 ) -> bytes:
-    """Deterministic CSV or JSON bytes for a list of records.
+    """Deterministic CSV or JSON bytes for a column table.
 
-    Floats are written in round-trip ``g`` form limited to ``precision``
-    significant digits (6..17, default 9). CSV quoting follows RFC 4180
-    with LF line endings; JSON keeps key order. Identical inputs give
-    byte-identical output.
-
-    ``fieldnames`` fixes the column set and order; when omitted it is taken
-    from the first record (so it is required to serialize an empty list).
+    The table's keys name the columns, in order; every column holds one cell
+    per row. Floats are written in round-trip ``g`` form limited to
+    ``precision`` significant digits (6..17, default 9), booleans as
+    ``true``/``false``. CSV has LF line endings and RFC 4180 quotes around
+    any string cell holding a comma, quote, CR or LF; JSON is a list of
+    objects in column order, indented by two spaces, with ``NaN`` and
+    ``Infinity`` for non-finite floats. Each row goes through one format
+    template. Identical inputs give byte-identical output.
     """
     if int(precision) != precision or not 6 <= precision <= 17:
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
     output_format = OutputFormat(output_format)
-    if fieldnames is None:
-        if not records:
-            raise DomainError("fieldnames are required to serialize an empty record list")
-        fieldnames = list(records[0].keys())
+    if len(set(map(len, table.values()))) > 1:
+        raise ValueError(f"table columns differ in length: {list(map(len, table.values()))}")
     if output_format is OutputFormat.CSV:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for record in records:
-            writer.writerow([_csv_cell(record[name], precision) for name in fieldnames])
-        return buffer.getvalue().encode("utf-8")
-    payload = [
-        {name: _json_value(record[name], precision) for name in fieldnames} for record in records
-    ]
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        lone = len(table) == 1
+        fields = [_csv_column(column, precision, lone) for column in table.values()]
+        header = ",".join(_csv_quote(name, lone) for name in table) + "\n"
+        template = ",".join(field for field, _ in fields) + "\n"
+        rows = zip(*(cells for _, cells in fields))
+        return (header + "".join(map(template.__mod__, rows))).encode("utf-8")
+    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
+    template = "  {\n" + ",\n".join(keys) + "\n  }"
+    rows = zip(*(_json_column(column, precision) for column in table.values()))
+    body = ",\n".join(map(template.__mod__, rows))
+    return ("[\n" + body + "\n]\n" if body else "[]\n").encode("utf-8")
 
 
 _PLOT_HEADER = """\

@@ -128,17 +128,26 @@ def couplings_at(params: ModelParams, theta: float | np.ndarray) -> Couplings:
     splitting is ``omega21 - 2*nbar**2*chi``. The TRADITIONAL variant
     evaluates both at ``nbar = 0`` regardless of temperature. An array
     ``theta`` (or ``params.chi``) gives array fields, broadcast elementwise;
-    a float ``theta`` with a float ``chi`` gives float fields.
+    a float ``theta`` with a float ``chi`` gives float fields. A coupling past
+    the float range (``theta`` near 1e154 at ``omega_k = 1/2``) raises
+    :class:`DomainError`.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    if params.variant is Variant.TRADITIONAL:
-        _check_temperature(theta_arr)
-        nbar = np.zeros_like(theta_arr)
-    else:
-        nbar = np.asarray(mean_photon_number(theta_arr, params.omega_k))
-    omega = params.omega21 - 2.0 * nbar * nbar * params.chi
-    lam = params.chi * (1.0 + 2.0 * nbar)
-    varpi = omega - lam
+    # Overflow (nbar**2*chi past the float range) shows as a non-finite
+    # coupling below and is rejected there, so its warnings carry no news.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.variant is Variant.TRADITIONAL:
+            _check_temperature(theta_arr)
+            nbar = np.zeros_like(theta_arr)
+        else:
+            nbar = np.asarray(mean_photon_number(theta_arr, params.omega_k))
+        omega = params.omega21 - 2.0 * nbar * nbar * params.chi
+        lam = params.chi * (1.0 + 2.0 * nbar)
+        varpi = omega - lam
+    finite = np.isfinite(nbar) & np.isfinite(lam) & np.isfinite(varpi)
+    if not finite.all():
+        lowest = np.broadcast_to(theta_arr, finite.shape)[~finite].min()
+        raise DomainError(f"couplings overflow at theta = {lowest:g}; lower the temperature range")
     if np.ndim(varpi) == 0:
         return Couplings(
             theta=theta, nbar=float(nbar), omega=float(omega), lam=float(lam), varpi=float(varpi)

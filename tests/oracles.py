@@ -4,9 +4,13 @@ Everything here recomputes the physics from scratch: plain textbook
 formulas, dense grid search, golden-section refinement, and the scalar
 bisection gap solver that the package's array core replaced. No code is
 shared with the package, so agreement is a real cross-check rather than a
-tautology.
+tautology. The serializer at the end is the package's writer before column
+tables: one dict per row, written by ``csv.writer`` or ``json.dumps``.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -148,3 +152,69 @@ def bisection_solution(lam: float, varpi: float, theta: float) -> dict:
         "f_per_atom": f_per_atom,
         "rz_eq10": rz_eq10,
     }
+
+
+# Columns of a sweep row, in order.
+THERMO_FIELDS = (
+    "theta", "nbar", "lambda", "varpi", "c_abs", "f_per_atom", "rz_eq10", "rz_eq4",
+    "phase", "variant",
+)
+
+
+def thermo_record(point) -> dict:
+    """Row dict of one solved sweep point, in the fixed sweep schema."""
+    return {
+        "theta": point.theta,
+        "nbar": point.nbar,
+        "lambda": point.lam,
+        "varpi": point.varpi,
+        "c_abs": point.c_abs,
+        "f_per_atom": point.f_per_atom,
+        "rz_eq10": point.rz_eq10,
+        "rz_eq4": point.rz_eq4,
+        "phase": point.phase.value,
+        "variant": point.variant.value,
+    }
+
+
+def table_records(table: dict) -> list[dict]:
+    """One dict per row of a column table."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def _csv_cell(value, precision: int):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, f".{precision}g")
+    return value
+
+
+def _json_value(value, precision: int):
+    if isinstance(value, float):
+        return float(format(value, f".{precision}g"))
+    return value
+
+
+def _csv_line(cells) -> str:
+    # A CRLF writer quotes a cell holding CR as well as LF (RFC 4180); the
+    # row's own CRLF is then cut back to LF.
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
+def serialize_records(records, output_format: str = "csv", precision: int = 9,
+                      fieldnames=None) -> bytes:
+    """CSV or JSON bytes of row dicts; ``fieldnames`` default to the first row's keys."""
+    if fieldnames is None:
+        fieldnames = list(records[0])
+    if output_format == "csv":
+        lines = [_csv_line(fieldnames)]
+        for record in records:
+            lines.append(_csv_line([_csv_cell(record[name], precision) for name in fieldnames]))
+        return "".join(lines).encode("utf-8")
+    payload = [
+        {name: _json_value(record[name], precision) for name in fieldnames} for record in records
+    ]
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")

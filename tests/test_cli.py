@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import pytest
 
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from quasispin.sweep import THERMO_COLUMNS
+from quasispin.sweep import THERMO_COLUMNS, figure1_series, figure2_series
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 
@@ -153,6 +154,31 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", "--chi-ratio", "0.6", "--config", str(config)])
         assert code == EXIT_USAGE
 
+    def test_overflowing_couplings_are_a_domain_failure(self, capsys):
+        argv = ["sweep", "--chi-ratio", "0.6", "--theta-max", "1e308", "--points", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "overflow at theta = 5e+307" in err
+        assert "Warning" not in err and not caught
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--chi-ratio", "0.6", "--points", "4"],
+            ["critical", "--chi-ratio", "0.6", "--points", "64"],
+            ["phase", "--nx", "3", "--ny", "4"],
+        ],
+    )
+    def test_grids_with_repeated_nodes_are_a_domain_failure(self, capsys, argv):
+        code, out, err = run(
+            capsys, [*argv, "--theta-min", "0.5", "--theta-max", "0.5000000000000001"]
+        )
+        assert code == EXIT_DOMAIN
+        assert out == "" and "not all distinct" in err
+
     def test_precision_is_honored(self, capsys):
         argv = ["sweep", "--chi-ratio", "0.6", "--points", "3"]
         _, default, _ = run(capsys, argv)
@@ -278,6 +304,15 @@ class TestFigures:
         lines = out.splitlines()
         assert lines[0] == "theta,rz_eq10,rz_eq4,variant"
         assert len(lines) == 11
+
+    def test_default_grid_sizes_match_the_library(self, capsys):
+        code, out, _ = run(capsys, ["fig1", "--ratios", "0.6"])
+        assert code == EXIT_OK
+        series = figure1_series([0.6])[0]
+        assert len(out.splitlines()) - 1 == len(series.proposed) + len(series.traditional)
+        code, out, _ = run(capsys, ["fig2", "--chi-ratio", "0.6"])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) - 1 == len(figure2_series(0.6)) == 200
 
     def test_fig2_without_transition_is_a_domain_failure(self, capsys):
         code, _, _ = run(

@@ -429,3 +429,12 @@ class TestArrayCore:
     def test_rejects_non_finite_scan_range(self):
         with pytest.raises(DomainError):
             critical_temperatures(trad(0.6), (1e-4, math.inf))
+
+    def test_rejects_grids_with_repeated_nodes(self):
+        ulp_above = math.nextafter(0.5, 1.0)
+        for points in (3, 4, 1000):
+            with pytest.raises(DomainError, match="not all distinct"):
+                meanfield._uniform_grid(0.5, ulp_above, points)
+        assert meanfield._uniform_grid(0.5, ulp_above, 2).tolist() == [0.5, ulp_above]
+        with pytest.raises(DomainError):
+            critical_temperatures(trad(0.6), (0.5, ulp_above), grid_points=64)

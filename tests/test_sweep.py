@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,18 +11,19 @@ from quasispin.sweep import (
     THERMO_COLUMNS,
     OutputFormat,
     SweepConfig,
-    boundary_records,
+    boundary_table,
+    concat_tables,
     default_theta_max,
-    figure1_records,
     figure1_series,
-    figure2_records,
+    figure1_table,
     figure2_series,
+    figure2_table,
     phase_map,
-    phase_map_records,
+    phase_map_table,
     plot_script,
     proposed_normalizer,
     serialize,
-    sweep_records,
+    sweep_table,
     temperature_sweep,
     thermo_point,
 )
@@ -49,10 +51,15 @@ class TestThermoPoint:
         assert point.nbar == 0.0
 
     def test_record_follows_fixed_schema(self):
-        record = thermo_point(prop(0.6), 0.3).record()
-        assert list(record.keys()) == list(THERMO_COLUMNS)
-        assert record["variant"] == "proposed"
-        assert record["phase"] in ("ordered", "disordered")
+        table = sweep_table(SweepConfig(params=prop(0.6), theta_min=0.0, theta_max=0.3, points=2))
+        assert list(table) == list(THERMO_COLUMNS)
+        assert table["variant"] == ["proposed", "proposed"]
+        assert table["phase"][-1] in ("ordered", "disordered")
+        # the last row is the point at theta = 0.3, with plain string cells
+        assert [column[-1] for column in table.values()] == list(
+            astuple(thermo_point(prop(0.6), 0.3))
+        )
+        assert type(table["phase"][-1]) is str and type(table["variant"][-1]) is str
 
     def test_proposed_point_carries_occupation(self):
         point = thermo_point(prop(0.6), 0.4)
@@ -93,10 +100,12 @@ class TestTemperatureSweep:
 
     def test_records_match_points(self):
         cfg = SweepConfig(params=prop(0.5), theta_min=0.0, theta_max=0.6, points=80)
-        assert sweep_records(cfg) == [p.record() for p in temperature_sweep(cfg)]
-        normalized = sweep_records(cfg, theta_cr=0.3)
-        assert list(normalized[0]) == ["theta_norm", *THERMO_COLUMNS]
-        assert normalized[-1]["theta_norm"] == 0.6 / 0.3
+        rows = list(zip(*sweep_table(cfg).values()))
+        assert rows == [astuple(p) for p in temperature_sweep(cfg)]
+        normalized = sweep_table(cfg, theta_cr=0.3)
+        assert list(normalized) == ["theta_norm", *THERMO_COLUMNS]
+        assert normalized["theta_norm"][-1] == 0.6 / 0.3
+        assert normalized["theta_norm"] == [theta / 0.3 for theta in normalized["theta"]]
 
     def test_masked_branches_raise_no_runtime_warnings(self):
         # theta = 0 lanes, subnormal-scale temperatures and varpi = 0 (ratio 0.5
@@ -159,13 +168,16 @@ class TestFigure1:
         assert below and all(p.c_abs > 0.0 for p in below)
 
     def test_records_schema(self):
-        series = figure1_series([0.6], points=8)
-        records = figure1_records(series)
-        assert len(records) == 2 * 8
-        assert list(records[0].keys()) == ["chi_ratio", "theta_norm"] + list(THERMO_COLUMNS)
-        assert records[7]["theta_norm"] == pytest.approx(1.05, rel=1e-12)
+        table = figure1_table([0.6], points=8)
+        assert all(len(column) == 2 * 8 for column in table.values())
+        assert list(table) == ["chi_ratio", "theta_norm"] + list(THERMO_COLUMNS)
+        assert table["theta_norm"][7] == pytest.approx(1.05, rel=1e-12)
         # proposed block first, then traditional
-        assert [r["variant"] for r in records] == ["proposed"] * 8 + ["traditional"] * 8
+        assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
+        series = figure1_series([0.6], points=8)[0]
+        points = series.proposed + series.traditional
+        assert list(zip(*list(table.values())[2:])) == [astuple(p) for p in points]
+        assert table["theta_norm"] == [p.theta / series.theta_cr_max for p in points]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -195,8 +207,9 @@ class TestFigure2:
         assert all(p.variant is Variant.TRADITIONAL for p in points)
 
     def test_records_schema(self):
-        records = figure2_records(figure2_series(0.6, points=5))
-        assert list(records[0].keys()) == ["theta", "rz_eq10", "rz_eq4", "variant"]
+        table = figure2_table(0.6, points=5)
+        assert list(table) == ["theta", "rz_eq10", "rz_eq4", "variant"]
+        assert list(zip(*table.values())) == [astuple(p) for p in figure2_series(0.6, points=5)]
 
     def test_missing_transition_is_reported(self):
         with pytest.raises(NoCriticalPointError):
@@ -226,18 +239,23 @@ class TestPhaseMap:
 
     def test_records_are_row_major(self):
         pmap = phase_map(Variant.PROPOSED, (0.4, 0.6), (0.1, 0.3), nx=3, ny=2)
-        records = phase_map_records(pmap)
-        assert len(records) == 6
-        assert [r["chi_ratio"] for r in records[:3]] == [0.4, 0.5, 0.6]
-        assert records[0]["theta"] == 0.1
-        assert records[3]["theta"] == 0.3
-        assert all(r["variant"] == "proposed" for r in records)
-        assert set(r["phase"] for r in records) <= {"ordered", "disordered"}
+        table = phase_map_table(pmap)
+        assert list(table) == ["chi_ratio", "theta", "phase", "variant"]
+        assert all(len(column) == 6 for column in table.values())
+        assert table["chi_ratio"][:3] == [0.4, 0.5, 0.6]
+        assert table["theta"][0] == 0.1
+        assert table["theta"][3] == 0.3
+        assert table["variant"] == ["proposed"] * 6
+        assert table["phase"] == [
+            "ordered" if flag else "disordered" for flag in pmap.ordered.ravel()
+        ]
 
     def test_boundary_records_schema(self):
         pmap = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
-        records = boundary_records(pmap)
-        assert list(records[0].keys()) == ["chi_ratio", "theta_cr", "kind", "variant"]
+        table = boundary_table(pmap)
+        assert list(table) == ["chi_ratio", "theta_cr", "kind", "variant"]
+        assert table["theta_cr"] == [point.theta_cr for point in pmap.boundary]
+        assert table["kind"] == ["vanishing"] * 5
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_boundary_roots_lie_between_opposite_cells(self, variant):
@@ -270,23 +288,24 @@ class TestPhaseMap:
 
 class TestSerialize:
     def test_csv_is_rfc4180(self):
-        records = [{"a": 1.0 / 3.0, "b": "x,y", "c": 'he said "hi"', "d": 7}]
-        data = serialize(records)
+        table = {"a": [1.0 / 3.0], "b": ["x,y"], "c": ['he said "hi"'], "d": [7]}
+        data = serialize(table)
         assert data == b'a,b,c,d\n0.333333333,"x,y","he said ""hi""",7\n'
 
     def test_csv_uses_lf_only(self):
-        records = [{"a": 1.0}, {"a": 2.0}]
-        assert b"\r" not in serialize(records)
+        assert b"\r" not in serialize({"a": [1.0, 2.0]})
+        # a CR inside a cell is quoted, so it cannot end a row
+        assert serialize({"a": ["x\ry", "z"]}) == b'a\n"x\ry"\nz\n'
 
     def test_precision_controls_significant_digits(self):
-        low = serialize([{"x": math.pi}], precision=6)
-        high = serialize([{"x": math.pi}], precision=17)
+        low = serialize({"x": [math.pi]}, precision=6)
+        high = serialize({"x": [math.pi]}, precision=17)
         assert low == b"x\n3.14159\n"
         assert float(high.decode().splitlines()[1]) == math.pi
 
     def test_json_round_trip(self):
-        records = [{"theta": 0.1234567891234, "phase": "ordered", "n": 3}]
-        data = serialize(records, OutputFormat.JSON, precision=9)
+        table = {"theta": [0.1234567891234], "phase": ["ordered"], "n": [3]}
+        data = serialize(table, OutputFormat.JSON, precision=9)
         assert data.endswith(b"\n")
         parsed = json.loads(data)
         assert parsed == [{"theta": 0.123456789, "phase": "ordered", "n": 3}]
@@ -294,27 +313,39 @@ class TestSerialize:
         assert data.index(b"theta") < data.index(b"phase") < data.index(b'"n"')
 
     def test_booleans_serialize_lowercase_in_csv(self):
-        assert serialize([{"flag": True}]) == b"flag\ntrue\n"
+        assert serialize({"flag": [True]}) == b"flag\ntrue\n"
+        assert serialize({"flag": [False, 1.5]}) == b"flag\nfalse\n1.5\n"
 
-    def test_empty_records_need_fieldnames(self):
-        assert serialize([], fieldnames=["a", "b"]) == b"a,b\n"
-        assert serialize([], OutputFormat.JSON, fieldnames=["a"]) == b"[]\n"
-        with pytest.raises(DomainError):
-            serialize([])
+    def test_empty_tables_keep_their_columns(self):
+        assert serialize({"a": [], "b": []}) == b"a,b\n"
+        assert serialize({"a": []}, OutputFormat.JSON) == b"[]\n"
+        assert serialize({}) == b"\n"
 
-    def test_fieldnames_select_and_order_columns(self):
-        records = [{"b": 2.0, "a": 1.0}]
-        assert serialize(records, fieldnames=["a", "b"]) == b"a,b\n1,2\n"
+    def test_key_order_is_column_order(self):
+        assert serialize({"b": [2.0], "a": [1.0]}) == b"b,a\n2,1\n"
+        assert serialize({"a": [1.0], "b": [2.0]}) == b"a,b\n1,2\n"
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError):
+            serialize({"a": [1.0, 2.0], "b": [1.0]})
 
     def test_precision_bounds(self):
         for bad in (5, 18, 9.5):
             with pytest.raises(DomainError):
-                serialize([{"x": 1.0}], precision=bad)
+                serialize({"x": [1.0]}, precision=bad)
 
     def test_byte_identical_across_calls(self):
-        records = [{"x": 0.1 * i, "tag": f"r{i}"} for i in range(20)]
-        assert serialize(records) == serialize(records)
-        assert serialize(records, OutputFormat.JSON) == serialize(records, OutputFormat.JSON)
+        table = {"x": [0.1 * i for i in range(20)], "tag": [f"r{i}" for i in range(20)]}
+        assert serialize(table) == serialize(table)
+        assert serialize(table, OutputFormat.JSON) == serialize(table, OutputFormat.JSON)
+
+    def test_concat_stacks_row_blocks(self):
+        first = {"a": [1.0], "b": ["x"]}
+        second = {"a": [2.0, 3.0], "b": ["y", "z"]}
+        assert concat_tables([first, second]) == {"a": [1.0, 2.0, 3.0], "b": ["x", "y", "z"]}
+        assert concat_tables([{"a": []}]) == {"a": []}
+        with pytest.raises(ValueError):
+            concat_tables([first, {"b": ["y"], "a": [2.0]}])
 
 
 class TestPlotScript:

@@ -150,6 +150,18 @@ class TestCouplingsAt:
         params = ModelParams(omega21=1.0, chi=0.6)
         assert couplings_at(params, 0.25).theta == 0.25
 
+    def test_overflowing_couplings_raise_without_warnings(self):
+        # 2*nbar**2*chi passes the float range near theta ~ 1e154 at omega_k = 1/2
+        params = ModelParams(omega21=1.0, chi=0.6)
+        wide = ModelParams(omega21=1.0, chi=np.array([0.3, 0.6]))
+        for args in ((params, 1e308), (params, np.array([0.0, 1.0, 1e200, 1e300])),
+                     (wide, np.array([[1.0], [1e250]]))):
+            with pytest.raises(DomainError, match="overflow at theta = 1e\\+(308|200|250)"):
+                couplings_at(*args)
+        assert math.isfinite(couplings_at(params, 1e150).varpi)
+        traditional = ModelParams(omega21=1.0, chi=0.6, variant=Variant.TRADITIONAL)
+        assert couplings_at(traditional, 1e308).lam == 0.6
+
 
 class TestMicroscopic:
     def test_single_level_amplitude(self):
