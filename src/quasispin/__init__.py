@@ -6,139 +6,60 @@ package solves the resulting self-consistent mean-field problem, locates
 the order/disorder transitions (including reentrant ones), cross-checks
 the polarization against exact fixed-spin diagonalization at finite atom
 number, and derives the coupling constants from a microscopic level table.
-"""
 
-from .thermal import (
-    Couplings,
-    DomainError,
-    MicroscopicLevels,
-    ModelParams,
-    SingularLevelError,
-    SINGULARITY_RTOL,
-    TransitionLevel,
-    Variant,
-    coupling_constants,
-    couplings_at,
-    mean_photon_number,
-    transition_amplitude,
-)
-from .meanfield import (
-    CriticalPoint,
-    GapSolution,
-    NoCriticalPointError,
-    Phase,
-    TransitionKind,
-    ValidityReport,
-    critical_temperatures,
-    free_energy_per_atom,
-    gap_solve,
-    is_ordered,
-    ordering_measure,
-    population_inversion,
-    rz_relaxation,
-    validity_report,
-    zero_temperature_solution,
-)
-from .exact import (
-    DickeSpectrum,
-    FiniteSizeComparison,
-    GibbsObservables,
-    MAX_LADDER_ATOMS,
-    compare_meanfield,
-    dicke_spectrum,
-    gibbs_observables,
-    ground_state_m,
-)
-from .sweep import (
-    BoundaryPoint,
-    OutputFormat,
-    PhaseMap,
-    PopulationPoint,
-    RatioSeries,
-    SweepConfig,
-    THERMO_COLUMNS,
-    ThermoPoint,
-    boundary_table,
-    critical_point_table,
-    default_theta_max,
-    figure1_table,
-    figure1_series,
-    figure2_table,
-    figure2_series,
-    phase_map,
-    phase_map_table,
-    plot_script,
-    proposed_normalizer,
-    serialize,
-    sweep_table,
-    temperature_sweep,
-    thermo_point,
-)
+The public names below load their submodule (and numpy) on first use, so
+``import quasispin`` alone imports nothing else; ``python -m quasispin``
+relies on that to configure the process before numpy loads.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # thermal
-    "Couplings",
-    "DomainError",
-    "MicroscopicLevels",
-    "ModelParams",
-    "SingularLevelError",
-    "SINGULARITY_RTOL",
-    "TransitionLevel",
-    "Variant",
-    "coupling_constants",
-    "couplings_at",
-    "mean_photon_number",
-    "transition_amplitude",
-    # meanfield
-    "CriticalPoint",
-    "GapSolution",
-    "NoCriticalPointError",
-    "Phase",
-    "TransitionKind",
-    "ValidityReport",
-    "critical_temperatures",
-    "free_energy_per_atom",
-    "gap_solve",
-    "is_ordered",
-    "ordering_measure",
-    "population_inversion",
-    "rz_relaxation",
-    "validity_report",
-    "zero_temperature_solution",
-    # exact
-    "DickeSpectrum",
-    "FiniteSizeComparison",
-    "GibbsObservables",
-    "MAX_LADDER_ATOMS",
-    "compare_meanfield",
-    "dicke_spectrum",
-    "gibbs_observables",
-    "ground_state_m",
-    # sweep
-    "BoundaryPoint",
-    "OutputFormat",
-    "PhaseMap",
-    "PopulationPoint",
-    "RatioSeries",
-    "SweepConfig",
-    "THERMO_COLUMNS",
-    "ThermoPoint",
-    "boundary_table",
-    "critical_point_table",
-    "default_theta_max",
-    "figure1_table",
-    "figure1_series",
-    "figure2_table",
-    "figure2_series",
-    "phase_map",
-    "phase_map_table",
-    "plot_script",
-    "proposed_normalizer",
-    "serialize",
-    "sweep_table",
-    "temperature_sweep",
-    "thermo_point",
-]
+# Public name -> the submodule that defines it, grouped by submodule.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "thermal": (
+            "Couplings", "DomainError", "MicroscopicLevels", "ModelParams",
+            "SingularLevelError", "SINGULARITY_RTOL", "TransitionLevel", "Variant",
+            "coupling_constants", "couplings_at", "mean_photon_number",
+            "transition_amplitude",
+        ),
+        "meanfield": (
+            "CriticalPoint", "GapSolution", "NoCriticalPointError", "Phase",
+            "TransitionKind", "ValidityReport", "critical_temperatures",
+            "free_energy_per_atom", "gap_solve", "is_ordered", "ordering_measure",
+            "population_inversion", "rz_relaxation", "validity_report",
+            "zero_temperature_solution",
+        ),
+        "exact": (
+            "DickeSpectrum", "FiniteSizeComparison", "GibbsObservables",
+            "MAX_LADDER_ATOMS", "compare_meanfield", "dicke_spectrum",
+            "gibbs_observables", "ground_state_m",
+        ),
+        "sweep": (
+            "BoundaryPoint", "OutputFormat", "PhaseMap", "PopulationPoint", "RatioSeries",
+            "SweepConfig", "THERMO_COLUMNS", "ThermoPoint", "boundary_table",
+            "critical_point_table", "default_theta_max", "figure1_table",
+            "figure1_series", "figure2_table", "figure2_series", "phase_map",
+            "phase_map_table", "plot_script", "proposed_normalizer", "serialize",
+            "sweep_table", "temperature_sweep", "thermo_point",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> object:
+    from importlib import import_module
+
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+from . import __version__
 from .exact import compare_meanfield
 from .sweep import (
     FIG1_POINTS,
@@ -51,13 +52,11 @@ from .thermal import (
     transition_amplitude,
 )
 
-__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main", "entrypoint"]
+__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_VERSION = "quasispin 0.1.0"
 
 
 class UsageError(Exception):
@@ -419,7 +418,7 @@ def _add_common_output(sub: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quasispin", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--version", action="version", version=_VERSION)
+    parser.add_argument("--version", action="version", version=f"quasispin {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
     def register(
@@ -580,10 +579,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -156,14 +156,25 @@ def _solve(theta, lam, varpi, caller: str) -> GapSolution:
     rooted = ~cold & (theta < 0.5 * lam)
     splitting = np.array(lam)
     splitting[rooted] = _newton_splitting(lam[rooted], theta[rooted])
-    c_abs = np.sqrt(np.maximum(splitting * splitting - varpi * varpi, 0.0)) / (2.0 * lam)
     # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
-    ordered = (cold | rooted) & (splitting > abs_varpi) & (c_abs > 0.0)
+    candidate = (cold | rooted) & (splitting > abs_varpi)
+    # The squares pass the float range where |varpi| or lam exceeds ~1e154
+    # (|varpi| ~ nbar**2*chi does so first as theta grows). A candidate lane
+    # has |varpi| < splitting <= lam, so its squares overflow only together
+    # with lam**2 + varpi**2, which is rejected here; every other overflow
+    # sits on a lane that the masks below discard.
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = splitting * splitting - varpi * varpi
+        cold_square = lam * lam + varpi * varpi
+    if not np.all(np.isfinite(cold_square[candidate])):
+        raise DomainError(f"{caller}: lam = {lam[candidate].max():g} overflows its square")
+    c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
+    ordered = candidate & (c_abs > 0.0)
     c_abs = np.where(ordered, c_abs, 0.0)
     recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
     with np.errstate(over="ignore"):
         gap = lam * c_abs * np.tanh(recomputed / (2.0 * warm_theta)) / recomputed
-    cold_energy = np.where(ordered, -(lam * lam + varpi * varpi) / (4.0 * lam), -0.5 * abs_varpi)
+    cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
     fields = {
         "c_abs": c_abs,
         "splitting": np.where(ordered, splitting, abs_varpi),

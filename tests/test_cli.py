@@ -164,6 +164,35 @@ class TestSweep:
         assert "overflow at theta = 5e+307" in err
         assert "Warning" not in err and not caught
 
+    def test_couplings_whose_squares_overflow_solve_silently(self, capsys):
+        # varpi ~ -1e300 squares past the float range, only on lanes that
+        # are disordered anyway
+        argv = ["sweep", "--chi-ratio", "0.6", "--theta-max", "1e150", "--points", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv + ["--variant", "both", "--precision", "17"])
+        assert (code, err, caught) == (EXIT_OK, "", [])
+        cold = "0,0,0.59999999999999998,0.40000000000000002,0.37267799624996489,"
+        cold += "-0.21666666666666667,-0.33333333333333337,-0.33333333333333337,ordered"
+        assert out.splitlines()[1:] == [
+            f"{cold},proposed",
+            "4.9999999999999999e+149,9.9999999999999998e+149,1.2e+150,"
+            "-1.1999999999999999e+300,0,-5.9999999999999996e+299,0.5,"
+            "4.9999999999999999e+149,disordered,proposed",
+            "9.9999999999999998e+149,2e+150,2.4e+150,-4.7999999999999997e+300,0,"
+            "-2.3999999999999998e+300,0.5,9.9999999999999998e+149,disordered,proposed",
+            f"{cold},traditional",
+            "4.9999999999999999e+149,0,0.59999999999999998,0.40000000000000002,0,"
+            "-3.4657359027997266e+149,-2.0000000000000002e-151,-0.33333333333333337,"
+            "disordered,traditional",
+            "9.9999999999999998e+149,0,0.59999999999999998,0.40000000000000002,0,"
+            "-6.9314718055994531e+149,-1.0000000000000001e-151,-0.33333333333333337,"
+            "disordered,traditional",
+        ]
+        for variant in ("proposed", "traditional"):
+            code, out, err = run(capsys, argv + ["--variant", variant])
+            assert (code, err, len(out.splitlines())) == (EXIT_OK, "", 4)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -20,6 +20,7 @@ from quasispin.meanfield import (
     validity_report,
     zero_temperature_solution,
 )
+from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, proposed_normalizer
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
 
 from oracles import bisection_solution
@@ -144,6 +145,19 @@ class TestGapSolve:
             scale * sol.free_energy_per_atom, rel=1e-9
         )
 
+    def test_an_ordered_lane_whose_square_overflows_is_rejected(self):
+        # lam > |varpi| at 1e200: ordered, but lam**2 is past the float range
+        huge = ModelParams(omega21=1.5e200, chi=1e200, variant=Variant.TRADITIONAL)
+        cpl = couplings_at(huge, 0.1)
+        with pytest.raises(DomainError, match="lam = 1e\\+200 overflows its square"):
+            gap_solve(cpl)
+        # a lane disordered by a wide margin solves without a warning
+        lanes = Couplings(
+            theta=np.full(2, 0.1), nbar=np.zeros(2), omega=np.ones(2),
+            lam=np.array([0.6, 1.0]), varpi=np.array([0.4, -1e300]),
+        )
+        assert list(gap_solve(lanes).phase) == ["ordered", "disordered"]
+
     def test_rejects_bad_arguments(self):
         good = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
         with pytest.raises(DomainError):
@@ -231,6 +245,20 @@ class TestCriticalTemperatures:
             assert len(coarse) == len(fine)
             for a, b in zip(coarse, fine):
                 assert b.theta_cr == pytest.approx(a.theta_cr, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(R_STAR + 1e-3, 0.999))
+    def test_scan_ceiling_lies_above_every_proposed_root(self, ratio):
+        # The normalizer and fig2 scan only up to _SCAN_CEIL*omega21; a scan
+        # five times wider finds the same last root and nothing above it.
+        wide = critical_temperatures(prop(ratio), (_SCAN_FLOOR, 10.0), grid_points=4096)
+        assert wide and wide[-1].theta_cr < _SCAN_CEIL
+        normalizer = proposed_normalizer(prop(ratio))
+        assert normalizer.theta_cr == pytest.approx(wide[-1].theta_cr, rel=1e-9)
+
+    def test_last_root_near_unit_ratio(self):
+        root = proposed_normalizer(prop(0.999)).theta_cr
+        assert root == pytest.approx(0.5530967, abs=1e-7)
 
     def test_couplings_attached_to_each_root(self):
         point = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=512)[0]
