@@ -4,7 +4,14 @@ Subcommands cover temperature sweeps, critical-point scans, phase maps,
 the two standard figure datasets, finite-size comparison, and the
 microscopic coupling constants. Exit codes: 0 on success, 2 for usage
 errors (bad flags, bad config, invalid parameter values), 3 for domain
-failures (no solution in range, resonant level, unwritable output).
+failures (no solution in range, resonant level, oversized grid, a result
+past the float range, unwritable output). Any other exception is a bug and
+ends in a traceback.
+
+Two tables drive the parser, the help text and the config-file merge:
+``_FLAGS`` declares each flag once, ``_COMMANDS`` gives each subcommand its
+handler and the default of each flag it takes. A value comes from its flag,
+else from the ``--config`` file, else from the subcommand's default.
 
 Every run is deterministic: identical inputs produce byte-identical
 output. Each grid is solved in one vectorized pass on a single thread;
@@ -16,39 +23,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .exact import compare_meanfield
-from .sweep import (
-    FIG1_POINTS,
-    FIG2_POINTS,
-    OutputFormat,
-    SweepConfig,
-    boundary_table,
-    comparison_table,
-    concat_tables,
-    critical_point_table,
-    default_theta_max,
-    figure1_table,
-    figure2_table,
-    phase_map,
-    phase_map_table,
-    plot_script,
-    proposed_normalizer,
-    serialize,
-    sweep_table,
-)
 from .meanfield import critical_temperatures
+from .sweep import (
+    FIG1_POINTS, FIG2_POINTS, SweepConfig, Table, boundary_table, comparison_table,
+    concat_tables, critical_point_table, default_theta_max, figure1_table, figure2_table,
+    phase_map, phase_map_table, plot_script, proposed_normalizer, serialize, sweep_table,
+)
 from .thermal import (
-    DomainError,
-    MicroscopicLevels,
-    ModelParams,
-    TransitionLevel,
-    Variant,
-    coupling_constants,
+    DomainError, MicroscopicLevels, ModelParams, TransitionLevel, Variant, coupling_constants,
     transition_amplitude,
 )
 
@@ -88,36 +76,24 @@ def _real(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> list[float]:
-    items = [chunk for chunk in text.split(",") if chunk.strip()]
-    if not items:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
-    return [_real(chunk) for chunk in items]
+def _list(parse_item: Callable[[str], object], sep: str = ",") -> Callable[[str], list]:
+    """Parser of a ``sep``-separated list whose items ``parse_item`` parses."""
 
+    def parse_list(text: str) -> list:
+        items = [chunk for chunk in text.split(sep) if chunk.strip()]
+        if not items:
+            raise ValueError(f"expected {sep!r}-separated values, got {text!r}")
+        return [parse_item(chunk) for chunk in items]
 
-def _parse_int_list(text: str) -> list[int]:
-    items = [chunk for chunk in text.split(",") if chunk.strip()]
-    if not items:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
-    return [int(chunk) for chunk in items]
+    return parse_list
 
 
 def _parse_level(text: str) -> TransitionLevel:
     parts = [chunk.strip() for chunk in text.split(",")]
     if len(parts) != 4:
-        raise ValueError(
-            f"expected proj1,proj2,omega_a1,omega_2a (4 numbers), got {text!r}"
-        )
+        raise ValueError(f"expected proj1,proj2,omega_a1,omega_2a (4 numbers), got {text!r}")
     proj1, proj2, omega_a1, omega_2a = (_real(part) for part in parts)
     return TransitionLevel(proj1=proj1, proj2=proj2, omega_a1=omega_a1, omega_2a=omega_2a)
-
-
-def _parse_level_list(text: str) -> list[TransitionLevel]:
-    # Config form: semicolon-separated quadruples.
-    items = [chunk for chunk in text.split(";") if chunk.strip()]
-    if not items:
-        raise ValueError(f"expected semicolon-separated level quadruples, got {text!r}")
-    return [_parse_level(chunk) for chunk in items]
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -139,55 +115,91 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill flag values from the config file; explicit flags win."""
-    if getattr(args, "config", None) is None:
-        return
-    converters: dict[str, Callable[[str], object]] = args._converters
-    for key, raw in _load_config(args.config).items():
-        if key == "config":
-            raise UsageError("config files cannot set 'config'")
-        if key not in converters:
-            raise UsageError(f"unknown config key {key!r} for '{args.command}'")
-        if getattr(args, key) is None:
-            try:
-                setattr(args, key, converters[key](raw))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-
-
-def _fill_defaults(args: argparse.Namespace, **defaults: object) -> None:
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required")
-
-
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
 
 
-def _validate_common(args: argparse.Namespace) -> None:
-    if getattr(args, "omega_k", None) is not None:
-        _check(args.omega_k > 0.0, f"--omega-k must be positive, got {args.omega_k}")
-    if getattr(args, "precision", None) is not None:
-        _check(6 <= args.precision <= 17, f"--precision must be in [6, 17], got {args.precision}")
-    if getattr(args, "tol", None) is not None:
-        _check(0.0 < args.tol <= 1e-3, f"--tol must be in (0, 1e-3], got {args.tol}")
-    if getattr(args, "threads", None) is not None:
-        _check(args.threads >= 0, f"--threads must be >= 0, got {args.threads}")
+# ---------------------------------------------------------------------------
+# the flag table
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag. Its dest (the key in ``_FLAGS``) is also its config-file key."""
+
+    help: str  # never names a default: each subcommand's default is appended
+    parse: Callable[[str], object] | None = None  # argparse type; None keeps the string
+    config: Callable[[str], object] | None = None  # a config value's parser, if not parse
+    check: tuple[str, Callable[[object], bool]] | None = None  # ("must be" text, predicate)
+    option: str | None = None  # the option string, if not --dest-with-dashes
+    extras: dict = field(default_factory=dict)  # further add_argument keywords
+
+
+_POSITIVE = ("positive", lambda value: value > 0.0)
+_AT_LEAST_2 = (">= 2", lambda value: value >= 2)
+_PATH = {"metavar": "PATH"}
+
+_FLAGS: dict[str, _Flag] = {
+    "variant": _Flag(
+        "coupling variant (phase and exact-compare take one)",
+        extras={"choices": ("proposed", "traditional", "both")},
+    ),
+    "chi_ratio": _Flag("chi / omega21", _real, check=_POSITIVE),
+    "ratios": _Flag(
+        "coupling ratios chi / omega21", _list(_real), extras={"metavar": "R1,..."},
+        check=("all in (0, 1)", lambda ratios: 0.0 < min(ratios) and max(ratios) < 1.0),
+    ),
+    "levels": _Flag(
+        "one intermediate level: proj1,proj2,omega_a1,omega_2a (repeatable; a config file"
+        " gives levels = quadruples separated by ';')",
+        _parse_level, config=_list(_parse_level, ";"), option="--level",
+        extras={"action": "append", "metavar": "P1,P2,WA1,W2A"},
+    ),
+    "gamma_cav": _Flag("cavity half-linewidth", _real, check=_POSITIVE),
+    "omega21": _Flag("bare splitting", _real, check=_POSITIVE),
+    "omega_k": _Flag("cavity mode energy", _real, check=_POSITIVE),
+    "theta": _Flag("temperature", _real, check=_POSITIVE),
+    "theta_min": _Flag("first temperature of the grid", _real),
+    "theta_max": _Flag("last temperature of the grid", _real),
+    "chi_min": _Flag("first ratio of the ratio axis", _real),
+    "chi_max": _Flag("last ratio of the ratio axis", _real),
+    "points": _Flag("temperature grid size", int, check=_AT_LEAST_2),
+    "nx": _Flag("ratio axis cells", int, check=_AT_LEAST_2),
+    "ny": _Flag("temperature axis cells", int, check=_AT_LEAST_2),
+    "n_list": _Flag(
+        "atom counts", _list(int), check=("all >= 2", lambda counts: min(counts) >= 2),
+        extras={"metavar": "N1,..."},
+    ),
+    "normalize": _Flag(
+        "prepend theta_norm = theta / theta_cr (largest proposed-variant root)",
+        config=_parse_bool, extras={"action": "store_const", "const": True},
+    ),
+    "tol": _Flag("relative root tolerance", _real, check=("in (0, 1e-3]", lambda v: 0 < v <= 1e-3)),
+    "threads": _Flag("accepted and ignored", int, check=(">= 0", lambda value: value >= 0)),
+    "format": _Flag("output format", extras={"choices": ("csv", "json")}),
+    "precision": _Flag("significant digits", int, check=("in [6, 17]", lambda v: 6 <= v <= 17)),
+    "out": _Flag("output file", extras=_PATH),
+    "boundary_out": _Flag("also write the refined boundary points to this file", extras=_PATH),
+    "plot_script": _Flag("write a matplotlib script that plots the --out CSV", extras=_PATH),
+    "config": _Flag(
+        "key = value file of options; a key is a flag without its dashes (levels for --level)",
+        extras=_PATH,
+    ),
+}
+
+
+def _option(dest: str) -> str:
+    return _FLAGS[dest].option or "--" + dest.replace("_", "-")
 
 
 def _variant_list(value: str) -> list[Variant]:
-    if value == "both":
-        return [Variant.PROPOSED, Variant.TRADITIONAL]
-    return [Variant(value)]
+    return [Variant.PROPOSED, Variant.TRADITIONAL] if value == "both" else [Variant(value)]
+
+
+def _one_variant(args: argparse.Namespace) -> Variant:
+    _check(args.variant != "both", f"'{args.command}' takes one variant: proposed or traditional")
+    return Variant(args.variant)
 
 
 def _write_bytes(out: str | None, data: bytes) -> None:
@@ -200,47 +212,31 @@ def _write_bytes(out: str | None, data: bytes) -> None:
         raise DomainError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot write output file {path}: {exc}") from exc
+def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:
+    """Check 0 < axis-min < axis-max; with floor "<=", axis-min may be 0."""
+    lo, hi = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
+    ok = (0.0 <= lo if floor == "<=" else 0.0 < lo) and lo < hi
+    _check(ok, f"need 0 {floor} {axis}-min < {axis}-max, got [{lo}, {hi}]")
 
 
-def _check_plot_script(args: argparse.Namespace) -> None:
-    if args.plot_script is None:
-        return
-    _check(args.out is not None, "--plot-script requires --out (the script reads that CSV)")
-    _check(
-        OutputFormat(args.format) is OutputFormat.CSV,
-        "--plot-script requires --format csv",
-    )
+def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
+    """Write each table to the file its output flag names; no --out means stdout."""
+    for dest, table in tables.items():
+        if dest == "out" or getattr(args, dest) is not None:
+            _write_bytes(getattr(args, dest), serialize(table, args.format, args.precision))
+    if getattr(args, "plot_script", None) is not None:
+        _write_bytes(args.plot_script, plot_script(args.command, args.out).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each gets every option of its subcommand resolved and
+# returns its tables, keyed by the dest of the flag that names their file
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, "chi_ratio")
-    _check(args.chi_ratio > 0.0, f"--chi-ratio must be positive, got {args.chi_ratio}")
-    _fill_defaults(
-        args,
-        variant="proposed",
-        theta_min=0.0,
-        theta_max=default_theta_max(args.chi_ratio),
-        points=200,
-        normalize=False,
-        format="csv",
-        precision=9,
-        tol=1e-10,
-    )
-    _validate_common(args)
-    _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
-    _check(
-        0.0 <= args.theta_min < args.theta_max,
-        f"need 0 <= theta-min < theta-max, got [{args.theta_min}, {args.theta_max}]",
-    )
+def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
+    if args.theta_max is None:
+        args.theta_max = default_theta_max(args.chi_ratio)
+    _check_range(args, "theta", "<=")
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
     theta_cr = proposed_normalizer(base, tol=args.tol).theta_cr if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
@@ -248,324 +244,200 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_table(SweepConfig(replace(base, variant=variant), *grid), theta_cr)
         for variant in _variant_list(args.variant)
     ]
-    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
-    return EXIT_OK
+    return {"out": concat_tables(tables)}
 
 
-def _cmd_critical(args: argparse.Namespace) -> int:
-    _require(args, "chi_ratio")
-    _check(args.chi_ratio > 0.0, f"--chi-ratio must be positive, got {args.chi_ratio}")
-    _fill_defaults(
-        args,
-        variant="proposed",
-        theta_min=1e-4,
-        theta_max=2.0,
-        points=512,
-        format="json",
-        precision=9,
-        tol=1e-10,
-    )
-    _validate_common(args)
+def _cmd_critical(args: argparse.Namespace) -> dict[str, Table]:
     _check(args.points >= 64, f"--points must be >= 64 for a critical scan, got {args.points}")
-    _check(
-        0.0 < args.theta_min < args.theta_max,
-        f"need 0 < theta-min < theta-max, got [{args.theta_min}, {args.theta_max}]",
-    )
+    _check_range(args, "theta")
     tables = []
     for variant in _variant_list(args.variant):
-        params = ModelParams(
-            omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant
-        )
+        params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
         points = critical_temperatures(
             params, (args.theta_min, args.theta_max), grid_points=args.points, tol=args.tol
         )
         tables.append(critical_point_table(points, variant))
-    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
-    return EXIT_OK
+    return {"out": concat_tables(tables)}
 
 
-def _cmd_phase(args: argparse.Namespace) -> int:
-    _fill_defaults(
-        args,
-        variant="proposed",
-        chi_min=0.05,
-        chi_max=0.95,
-        theta_min=0.01,
-        theta_max=1.0,
-        nx=64,
-        ny=64,
-        format="csv",
-        precision=9,
-        tol=1e-10,
-    )
-    _check(args.variant != "both", "phase maps are per-variant; pick proposed or traditional")
-    _validate_common(args)
-    _check(
-        0.0 < args.chi_min < args.chi_max,
-        f"need 0 < chi-min < chi-max, got [{args.chi_min}, {args.chi_max}]",
-    )
-    _check(
-        0.0 < args.theta_min < args.theta_max,
-        f"need 0 < theta-min < theta-max, got [{args.theta_min}, {args.theta_max}]",
-    )
-    _check(args.nx >= 2 and args.ny >= 2, f"--nx and --ny must be >= 2, got {args.nx}, {args.ny}")
+def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
+    variant = _one_variant(args)
+    _check_range(args, "chi")
+    _check_range(args, "theta")
     pmap = phase_map(
-        Variant(args.variant),
-        (args.chi_min, args.chi_max),
-        (args.theta_min, args.theta_max),
-        nx=args.nx,
-        ny=args.ny,
-        omega_k=args.omega_k,
-        tol=args.tol,
+        variant, (args.chi_min, args.chi_max), (args.theta_min, args.theta_max),
+        nx=args.nx, ny=args.ny, omega_k=args.omega_k, tol=args.tol,
     )
-    _write_bytes(args.out, serialize(phase_map_table(pmap), args.format, args.precision))
-    if args.boundary_out is not None:
-        _write_bytes(
-            args.boundary_out, serialize(boundary_table(pmap), args.format, args.precision)
-        )
-    return EXIT_OK
+    return {"out": phase_map_table(pmap), "boundary_out": boundary_table(pmap)}
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    _require(args, "ratios")
-    _fill_defaults(args, points=FIG1_POINTS, format="csv", precision=9, tol=1e-10)
-    _validate_common(args)
-    _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
-    for ratio in args.ratios:
-        _check(0.0 < ratio < 1.0, f"each ratio must lie in (0, 1), got {ratio}")
-    _check_plot_script(args)
+def _cmd_fig1(args: argparse.Namespace) -> dict[str, Table]:
     table = figure1_table(args.ratios, points=args.points, omega_k=args.omega_k, tol=args.tol)
-    _write_bytes(args.out, serialize(table, args.format, args.precision))
-    if args.plot_script is not None:
-        _write_text(args.plot_script, plot_script("fig1", args.out))
-    return EXIT_OK
+    return {"out": table}
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    _require(args, "chi_ratio")
-    _fill_defaults(
-        args, variant="proposed", points=FIG2_POINTS, format="csv", precision=9, tol=1e-10
-    )
-    _validate_common(args)
-    _check(
-        0.0 < args.chi_ratio < 1.0, f"--chi-ratio must lie in (0, 1), got {args.chi_ratio}"
-    )
-    _check(args.points >= 2, f"--points must be >= 2, got {args.points}")
-    _check_plot_script(args)
+def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
+    _check(args.chi_ratio < 1.0, f"--chi-ratio must lie in (0, 1), got {args.chi_ratio}")
     tables = [
         figure2_table(
             args.chi_ratio, points=args.points, variant=variant, omega_k=args.omega_k, tol=args.tol
         )
         for variant in _variant_list(args.variant)
     ]
-    _write_bytes(args.out, serialize(concat_tables(tables), args.format, args.precision))
-    if args.plot_script is not None:
-        _write_text(args.plot_script, plot_script("fig2", args.out))
-    return EXIT_OK
+    return {"out": concat_tables(tables)}
 
 
-def _cmd_exact_compare(args: argparse.Namespace) -> int:
-    _require(args, "chi_ratio", "theta")
-    _fill_defaults(args, variant="proposed", n_list=[8, 32, 128, 512], format="json", precision=9)
-    _validate_common(args)
-    _check(args.chi_ratio > 0.0, f"--chi-ratio must be positive, got {args.chi_ratio}")
-    _check(args.theta > 0.0, f"--theta must be positive, got {args.theta}")
-    for n_atoms in args.n_list:
-        _check(n_atoms >= 2, f"each atom count must be >= 2, got {n_atoms}")
-    variant = Variant(args.variant)
+def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
+    variant = _one_variant(args)
     params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-    comparisons = compare_meanfield(params, args.theta, args.n_list)
-    _write_bytes(
-        args.out, serialize(comparison_table(comparisons, variant), args.format, args.precision)
-    )
-    return EXIT_OK
+    return {"out": comparison_table(compare_meanfield(params, args.theta, args.n_list), variant)}
 
 
-def _cmd_micro(args: argparse.Namespace) -> int:
-    _require(args, "levels", "gamma_cav")
-    _fill_defaults(args, omega21=1.0, format="json", precision=9)
-    _check(args.omega21 > 0.0, f"--omega21 must be positive, got {args.omega21}")
-    _check(args.gamma_cav > 0.0, f"--gamma-cav must be positive, got {args.gamma_cav}")
-    _fill_defaults(args, omega_k=0.5 * args.omega21)
-    _validate_common(args)
-    table = MicroscopicLevels(levels=tuple(args.levels), gamma_cav=args.gamma_cav)
-    amplitude = transition_amplitude(table, args.omega_k)
-    chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, args.omega_k)
-    delta = 2.0 * args.omega_k - args.omega21
-    table = {
-        "amplitude": [amplitude],
-        "chi": [chi],
-        "gamma": [gamma],
-        # analytic ratio: finite even when the amplitude vanishes
-        "chi_over_gamma": [delta / (2.0 * args.gamma_cav)],
-    }
-    _write_bytes(args.out, serialize(table, args.format, args.precision))
-    return EXIT_OK
+def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:
+    omega_k = 0.5 * args.omega21 if args.omega_k is None else args.omega_k
+    _check(omega_k > 0.0, f"--omega-k must be positive, got {omega_k}")
+    levels = MicroscopicLevels(levels=tuple(args.levels), gamma_cav=args.gamma_cav)
+    amplitude = transition_amplitude(levels, omega_k)
+    chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, omega_k)
+    # analytic ratio: finite even when the amplitude vanishes
+    ratio = (2.0 * omega_k - args.omega21) / (2.0 * args.gamma_cav)
+    if not math.isfinite(ratio):
+        raise DomainError(f"chi/gamma = {ratio} is past the float range; widen --gamma-cav")
+    table = {"amplitude": [amplitude], "chi": [chi], "gamma": [gamma], "chi_over_gamma": [ratio]}
+    return {"out": table}
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# the subcommand table
 
 
-def _add_common_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=["csv", "json"], default=None, help="output format")
-    sub.add_argument(
-        "--precision", type=int, default=None, help="significant digits for floats (6..17)"
-    )
-    sub.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    sub.add_argument("--config", default=None, metavar="PATH", help="key=value config file")
+class _Implicit(str):
+    """A default the handler or ModelParams works out; the text says how."""
+
+
+_REQUIRED = object()
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], dict[str, Table]]
+    description: str
+    defaults: dict[str, object]  # dest -> default, _REQUIRED or an _Implicit
+
+
+def _command(handler, description: str, output_format: str, **defaults: object) -> _Command:
+    # Every subcommand also takes --omega-k and the output flags.
+    shared = {"omega_k": _Implicit("omega21/2"), "format": output_format, "precision": 9}
+    shared.update(out=_Implicit("stdout"), config=None)
+    return _Command(handler, description, {**defaults, **shared})
+
+
+_COMMANDS = {
+    "sweep": _command(
+        _cmd_sweep, "equilibrium observables on a temperature grid", "csv",
+        variant="proposed", chi_ratio=_REQUIRED, theta_min=0.0,
+        theta_max=_Implicit("3x the constant-coupling transition if there is one, else 2"),
+        points=200, normalize=False, tol=1e-10, threads=None,
+    ),
+    "critical": _command(
+        _cmd_critical, "scan for order/disorder transition temperatures", "json",
+        variant="proposed", chi_ratio=_REQUIRED, theta_min=1e-4, theta_max=2.0, points=512,
+        tol=1e-10,
+    ),
+    "phase": _command(
+        _cmd_phase, "phase classification on a ratio x temperature grid", "csv",
+        variant="proposed", chi_min=0.05, chi_max=0.95, theta_min=0.01, theta_max=1.0,
+        nx=64, ny=64, tol=1e-10, threads=None, boundary_out=None,
+    ),
+    "fig1": _command(
+        _cmd_fig1, "order-parameter curves for both variants on a normalized axis", "csv",
+        ratios=_REQUIRED, points=FIG1_POINTS, tol=1e-10, threads=None, plot_script=None,
+    ),
+    "fig2": _command(
+        _cmd_fig2, "equilibrium vs relaxation polarization across the transition", "csv",
+        chi_ratio=_REQUIRED, variant="proposed", points=FIG2_POINTS, tol=1e-10, threads=None,
+        plot_script=None,
+    ),
+    "exact-compare": _command(
+        _cmd_exact_compare, "finite-size polarization vs the mean-field value", "json",
+        chi_ratio=_REQUIRED, variant="proposed", theta=_REQUIRED, n_list=[8, 32, 128, 512],
+    ),
+    "micro": _command(
+        _cmd_micro, "coupling constants from an intermediate-level table", "json",
+        levels=_REQUIRED, gamma_cav=_REQUIRED, omega21=1.0,
+    ),
+}
+
+
+def _help(dest: str, default: object) -> str:
+    text = _FLAGS[dest].help
+    if default is _REQUIRED:
+        return f"{text} (required)"
+    if default is None or isinstance(default, bool):
+        return text
+    shown = ",".join(map(str, default)) if isinstance(default, list) else default
+    return f"{text} (default: {shown})"
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quasispin", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"quasispin {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def register(
-        name: str,
-        handler: Callable[[argparse.Namespace], int],
-        help_text: str,
-    ) -> argparse.ArgumentParser:
-        sub = subparsers.add_parser(name, help=help_text, description=help_text)
-        sub.set_defaults(handler=handler)
-        return sub
-
-    def finish(sub: argparse.ArgumentParser, **overrides: Callable[[str], object]) -> None:
-        # A config value parses like its flag's value, unless overridden (a
-        # switch, or a repeatable flag given as one list).
-        _add_common_output(sub)
-        converters = {
-            action.dest: action.type or str
-            for action in sub._actions
-            if action.dest not in ("help", "config")
-        }
-        sub.set_defaults(_converters={**converters, **overrides})
-
-    sub = register("sweep", _cmd_sweep, "equilibrium observables on a temperature grid")
-    sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--theta-min", type=_real, default=None, help="grid start (default 0)")
-    sub.add_argument(
-        "--theta-max",
-        type=_real,
-        default=None,
-        help="grid end (default: 3x the constant-coupling transition)",
-    )
-    sub.add_argument("--points", type=int, default=None, help="grid size (default 200)")
-    sub.add_argument(
-        "--normalize",
-        action="store_const",
-        const=True,
-        default=None,
-        help="prepend theta_norm = theta / theta_cr (largest proposed-variant root)",
-    )
-    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
-    finish(sub, normalize=_parse_bool)
-
-    sub = register("critical", _cmd_critical, "scan for order/disorder transition temperatures")
-    sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--theta-min", type=_real, default=None, help="scan start (default 1e-4)")
-    sub.add_argument("--theta-max", type=_real, default=None, help="scan end (default 2.0)")
-    sub.add_argument("--points", type=int, default=None, help="scan grid size (default 512)")
-    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
-    finish(sub)
-
-    sub = register("phase", _cmd_phase, "phase classification on a ratio x temperature grid")
-    sub.add_argument("--variant", choices=["proposed", "traditional"], default=None)
-    sub.add_argument("--chi-min", type=_real, default=None, help="ratio axis start (default 0.05)")
-    sub.add_argument("--chi-max", type=_real, default=None, help="ratio axis end (default 0.95)")
-    sub.add_argument("--theta-min", type=_real, default=None, help="theta axis start (default 0.01)")
-    sub.add_argument("--theta-max", type=_real, default=None, help="theta axis end (default 1.0)")
-    sub.add_argument("--nx", type=int, default=None, help="ratio axis cells (default 64)")
-    sub.add_argument("--ny", type=int, default=None, help="theta axis cells (default 64)")
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=_real, default=None, help="boundary tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
-    sub.add_argument(
-        "--boundary-out", default=None, metavar="PATH", help="also write refined boundary points"
-    )
-    finish(sub)
-
-    sub = register(
-        "fig1", _cmd_fig1, "order-parameter curves for both variants on a normalized axis"
-    )
-    sub.add_argument(
-        "--ratios",
-        type=_parse_float_list,
-        default=None,
-        metavar="R1,R2,...",
-        help="coupling ratios chi / omega21, each in (0, 1)",
-    )
-    sub.add_argument(
-        "--points", type=int, default=None, help=f"grid size per curve (default {FIG1_POINTS})"
-    )
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=_real, default=None, help="normalizer tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
-    sub.add_argument(
-        "--plot-script", default=None, metavar="PATH", help="write a matplotlib script for the CSV"
-    )
-    finish(sub)
-
-    sub = register(
-        "fig2", _cmd_fig2, "equilibrium vs relaxation polarization across the transition"
-    )
-    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, in (0, 1)")
-    sub.add_argument("--variant", choices=["proposed", "traditional", "both"], default=None)
-    sub.add_argument("--points", type=int, default=None, help=f"grid size (default {FIG2_POINTS})")
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    sub.add_argument("--tol", type=_real, default=None, help="root tolerance (default 1e-10)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 0)")
-    sub.add_argument(
-        "--plot-script", default=None, metavar="PATH", help="write a matplotlib script for the CSV"
-    )
-    finish(sub)
-
-    sub = register(
-        "exact-compare", _cmd_exact_compare, "finite-size polarization vs the mean-field value"
-    )
-    sub.add_argument("--chi-ratio", type=_real, default=None, help="chi / omega21, > 0")
-    sub.add_argument("--variant", choices=["proposed", "traditional"], default=None)
-    sub.add_argument("--theta", type=_real, default=None, help="temperature, > 0")
-    sub.add_argument(
-        "--n-list",
-        type=_parse_int_list,
-        default=None,
-        metavar="N1,N2,...",
-        help="atom counts (default 8,32,128,512)",
-    )
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    finish(sub)
-
-    sub = register("micro", _cmd_micro, "coupling constants from an intermediate-level table")
-    sub.add_argument(
-        "--level",
-        dest="levels",
-        action="append",
-        type=_parse_level,
-        default=None,
-        metavar="P1,P2,WA1,W2A",
-        help="one intermediate level: proj1,proj2,omega_a1,omega_2a (repeatable)",
-    )
-    sub.add_argument("--gamma-cav", type=_real, default=None, help="cavity half-linewidth, > 0")
-    sub.add_argument("--omega21", type=_real, default=None, help="bare splitting (default 1.0)")
-    sub.add_argument("--omega-k", type=_real, default=None, help="mode energy (default omega21/2)")
-    finish(sub, levels=_parse_level_list)
-
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.description, description=command.description)
+        sub.set_defaults(handler=command.handler)
+        for dest, default in command.defaults.items():
+            spec = _FLAGS[dest]
+            typed = {} if spec.parse is None else {"type": spec.parse}
+            sub.add_argument(
+                _option(dest), dest=dest, default=None, help=_help(dest, default),
+                **typed, **spec.extras,
+            )
     return parser
 
 
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each option from its flag, else the config file, else its default; check it.
+
+    An _Implicit default leaves None, for the handler or ModelParams to work out.
+    """
+    defaults = _COMMANDS[args.command].defaults
+    config = {} if args.config is None else _load_config(args.config)
+    for key, raw in config.items():
+        _check(key != "config", "config files cannot set 'config'")
+        _check(key in defaults, f"unknown config key {key!r} for '{args.command}'")
+        if getattr(args, key) is not None:
+            continue  # the flag wins; its config value is not even parsed
+        spec = _FLAGS[key]
+        try:
+            value = (spec.config or spec.parse or str)(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
+        choices = spec.extras.get("choices", (value,))
+        _check(value in choices, f"config key {key!r}: expected one of {choices}, got {raw!r}")
+        setattr(args, key, value)
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            _check(default is not _REQUIRED, f"{_option(dest)} is required")
+            setattr(args, dest, None if isinstance(default, _Implicit) else default)
+        value, check = getattr(args, dest), _FLAGS[dest].check
+        if check is not None and value is not None:
+            _check(check[1](value), f"{_option(dest)} must be {check[0]}, got {value}")
+    if getattr(args, "plot_script", None) is not None:
+        _check(args.out is not None, "--plot-script requires --out (the script reads that CSV)")
+        _check(args.format == "csv", "--plot-script requires --format csv")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI; returns the exit code instead of raising SystemExit."""
+    """Run the CLI; returns the exit code instead of raising SystemExit.
+
+    Only a UsageError (2) or a DomainError (3) is caught; any other exception propagates.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args)
-        return args.handler(args)
+        _resolve(args)
+        _write_outputs(args, args.handler(args))
+        return EXIT_OK
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return code if isinstance(code, int) else EXIT_OK if code is None else EXIT_USAGE
@@ -575,7 +447,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-

@@ -72,16 +72,20 @@ class FiniteSizeComparison:
     deviation: float
 
 
+def _check_atoms(n_atoms: int) -> None:
+    if int(n_atoms) != n_atoms or n_atoms < 2:
+        raise DomainError(f"n_atoms must be an integer >= 2, got {n_atoms}")
+    if n_atoms > MAX_LADDER_ATOMS:
+        raise DomainError(f"n_atoms = {n_atoms} exceeds the ladder size cap {MAX_LADDER_ATOMS}")
+
+
 def dicke_spectrum(n_atoms: int, lambda_n: float, varpi: float) -> DickeSpectrum:
     """Exact ladder spectrum ``E(m) = varpi*m + lambda_n*m**2 - lambda_n*j*(j+1)``.
 
     ``j = n_atoms/2`` and m runs from -j to j in unit steps, so the spectrum
     is a convex discrete parabola with second difference ``2*lambda_n``.
     """
-    if int(n_atoms) != n_atoms or n_atoms < 2:
-        raise DomainError(f"n_atoms must be an integer >= 2, got {n_atoms}")
-    if n_atoms > MAX_LADDER_ATOMS:
-        raise DomainError(f"n_atoms = {n_atoms} exceeds the ladder size cap {MAX_LADDER_ATOMS}")
+    _check_atoms(n_atoms)
     if lambda_n <= 0.0:
         raise DomainError(f"lambda_n must be positive, got {lambda_n}")
     n_atoms = int(n_atoms)
@@ -139,6 +143,7 @@ def compare_meanfield(
     rz_meanfield = population_inversion(cpl, gap_solve(cpl))
     comparisons = []
     for n_atoms in n_list:
+        _check_atoms(n_atoms)  # before lam / n_atoms, which a huge integer overflows
         spectrum = dicke_spectrum(int(n_atoms), cpl.lam / n_atoms, cpl.varpi)
         rz_exact = gibbs_observables(spectrum, theta).rz_per_atom
         comparisons.append(

@@ -38,6 +38,9 @@ __all__ = [
 
 # Hard cap on the Newton steps of one gap solve.
 _NEWTON_CAP = 100
+# Cap on the nodes of one grid, and on the cells of a phase map; checked
+# before any array is allocated.
+MAX_PHASE_CELLS = 10_000_000
 
 
 class NoCriticalPointError(DomainError):
@@ -261,6 +264,8 @@ def is_ordered(cpl: Couplings) -> bool:
 def _uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
+    if points > MAX_PHASE_CELLS:
+        raise DomainError(f"a grid of {points} points exceeds the cap of {MAX_PHASE_CELLS}")
     step = (hi - lo) / (points - 1)
     grid = lo + np.arange(points) * step
     grid[-1] = hi  # keep the endpoint exact

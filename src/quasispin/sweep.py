@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .meanfield import (
+    MAX_PHASE_CELLS,
     CriticalPoint,
     NoCriticalPointError,
     Phase,
@@ -73,7 +74,6 @@ __all__ = [
 # A column table: column name -> one cell per row; key order is column order.
 Table = dict[str, list]
 
-MAX_PHASE_CELLS = 10_000_000
 # Phase maps are classified in blocks of whole columns holding about this
 # many cells, so each float temporary stays near 0.5 MB whatever the grid size.
 _BLOCK_CELLS = 1 << 16
@@ -334,10 +334,12 @@ def figure1_table(
     Columns ``chi_ratio``, ``theta_norm``, then :data:`THERMO_COLUMNS`; rows
     run per ratio, the Proposed block before the Traditional one.
     """
+    # Each sweep table is built first: it checks the grid size before the
+    # ratio column repeats anything that many times.
     tables = [
-        {"chi_ratio": [ratio] * points, **sweep_table(cfg, theta_cr)}
+        {"chi_ratio": [ratio] * points, **table}
         for ratio, theta_cr, cfgs in _figure1_sweeps(chi_ratios, points, omega_k, tol)
-        for cfg in cfgs
+        for table in [sweep_table(cfg, theta_cr) for cfg in cfgs]
     ]
     return concat_tables(tables)
 

@@ -191,6 +191,9 @@ def transition_amplitude(levels: MicroscopicLevels, omega_k: float) -> float:
     SingularLevelError
         If ``omega_k`` is resonant with either denominator of some level,
         within relative tolerance 1e-12.
+    DomainError
+        If a level's denominator underflows to 0, or the amplitude is not
+        finite (it overflowed the float range).
     """
     total = 0.0
     for index, level in enumerate(levels.levels):
@@ -199,13 +202,14 @@ def transition_amplitude(levels: MicroscopicLevels, omega_k: float) -> float:
                 raise SingularLevelError(
                     f"level {index}: {name} = {freq} is resonant with omega_k = {omega_k}"
                 )
-        total += (
-            level.proj1
-            * level.proj2
-            * (level.omega_a1 - level.omega_2a)
-            / ((level.omega_2a - omega_k) * (level.omega_a1 - omega_k))
-        )
-    return total * total
+        denominator = (level.omega_2a - omega_k) * (level.omega_a1 - omega_k)
+        if denominator == 0.0:
+            raise DomainError(f"level {index}: the denominator underflows to 0 at omega_k = {omega_k}")
+        total += level.proj1 * level.proj2 * (level.omega_a1 - level.omega_2a) / denominator
+    amplitude = total * total
+    if not math.isfinite(amplitude):
+        raise DomainError(f"the two-photon amplitude is {amplitude}: past the float range")
+    return amplitude
 
 
 def coupling_constants(
@@ -217,7 +221,9 @@ def coupling_constants(
     two-photon decay rate, sharing the Lorentzian denominator
     ``delta**2 + 4*gamma_cav**2`` with ``delta = 2*omega_k - omega21``.
     ``chi`` carries the sign of the detuning ``delta`` while ``gamma`` is
-    always >= 0; their ratio is ``delta / (2*gamma_cav)``.
+    always >= 0; their ratio is ``delta / (2*gamma_cav)``. Raises
+    :class:`DomainError` when the denominator underflows to 0 or a result is
+    not finite.
     """
     if amplitude < 0.0:
         raise DomainError(f"amplitude must be non-negative, got {amplitude}")
@@ -225,4 +231,9 @@ def coupling_constants(
         raise DomainError(f"gamma_cav must be positive, got {gamma_cav}")
     delta = 2.0 * omega_k - omega21
     denom = delta * delta + 4.0 * gamma_cav * gamma_cav
-    return amplitude * delta / denom, amplitude * 2.0 * gamma_cav / denom
+    if denom == 0.0:
+        raise DomainError(f"delta**2 + 4*gamma_cav**2 underflows to 0 at gamma_cav = {gamma_cav}")
+    chi, gamma = amplitude * delta / denom, amplitude * 2.0 * gamma_cav / denom
+    if not (math.isfinite(chi) and math.isfinite(gamma)):
+        raise DomainError(f"coupling constants past the float range: chi = {chi}, gamma = {gamma}")
+    return chi, gamma

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 import warnings
 
 import pytest
 
+from quasispin import cli
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from quasispin.sweep import THERMO_COLUMNS, figure1_series, figure2_series
 
@@ -41,6 +43,46 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["florp"])
         assert code == EXIT_USAGE
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        # only UsageError and DomainError have exit codes; anything else is a bug
+        def broken(*args):
+            raise ValueError("a bug, not a domain failure")
+
+        monkeypatch.setattr(cli, "transition_amplitude", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["micro", "--level", "1,1,3,2", "--gamma-cav", "0.5"])
+
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("sweep", ["--chi-ratio", "0.6"]),
+            ("critical", ["--chi-ratio", "0.45"]),
+            ("phase", []),
+            ("fig1", ["--ratios", "0.6"]),
+            ("fig2", ["--chi-ratio", "0.6"]),
+            ("exact-compare", ["--chi-ratio", "0.6", "--theta", "0.1"]),
+            ("micro", ["--level", "1,1,3,2", "--gamma-cav", "0.5"]),
+        ],
+    )
+    def test_help_shows_the_defaults_in_use(self, capsys, command, required):
+        code, text, _ = run(capsys, [command, "--help"])
+        assert code == EXIT_OK
+        # "--flag [METAVAR] help ... (default: VALUE)", with no other flag in between
+        shown = re.findall(
+            r"(--[\w-]+)(?: (\{[^}]*\}|[A-Z][\w,.]*))?((?:(?!--).)*?)\(default: ([^)]*)\)",
+            " ".join(text.split()),
+        )
+        explicit = []
+        for flag, metavar, _, value in shown:
+            choices = metavar[1:-1].split(",") if metavar.startswith("{") else []
+            if value in choices or all(re.fullmatch(r"[-+.\de]+", x) for x in value.split(",")):
+                explicit += [flag, value]
+        assert {"--format", "--precision"} <= set(explicit[::2])
+        _, bare, _ = run(capsys, [command, *required])
+        code, spelled_out, _ = run(capsys, [command, *required, *explicit])
+        assert code == EXIT_OK
+        assert spelled_out == bare
 
 
 class TestSweep:
@@ -207,6 +249,20 @@ class TestSweep:
         )
         assert code == EXIT_DOMAIN
         assert out == "" and "not all distinct" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--chi-ratio", "0.6"],
+            ["critical", "--chi-ratio", "0.6"],
+            ["fig1", "--ratios", "0.6"],
+            ["fig2", "--chi-ratio", "0.6"],
+        ],
+    )
+    def test_oversized_grid_is_a_domain_failure(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--points", "100000000000000000000"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "exceeds the cap of 10000000" in err
 
     def test_precision_is_honored(self, capsys):
         argv = ["sweep", "--chi-ratio", "0.6", "--points", "3"]
@@ -379,8 +435,31 @@ class TestExactCompare:
         )
         assert code == EXIT_USAGE
 
+    def test_atom_count_past_the_float_range_is_a_domain_failure(self, capsys):
+        # lam / N would overflow converting N to a float; the ladder cap comes first
+        argv = ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--n-list", "1" + "0" * 400]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "exceeds the ladder size cap" in err
+
 
 class TestMicro:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--level", "1,1,1e-200,3e-200", "--omega-k", "2e-200"], "underflows to 0"),
+            (["--level", "1,1,3,2", "--gamma-cav", "1e-200", "--omega-k", "0.5"], "underflows to 0"),
+            (["--level", "1e200,1e200,3,2", "--omega-k", "1"], "amplitude is inf"),
+            (["--level", "1,1,3,2", "--omega-k", "1.7e308"], "chi = nan"),
+            (["--level", "1,1,3,2", "--gamma-cav", "1e-308", "--omega-k", "1e10"], "chi/gamma = inf"),
+        ],
+    )
+    def test_results_past_the_float_range_are_domain_failures(self, capsys, argv, message):
+        gamma_cav = [] if "--gamma-cav" in argv else ["--gamma-cav", "0.5"]
+        code, out, err = run(capsys, ["micro", *argv, *gamma_cav])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and message in err
+
     def test_worked_example(self, capsys):
         code, out, _ = run(
             capsys,
@@ -470,6 +549,21 @@ class TestConfigFiles:
         code, _, err = run(capsys, ["sweep", "--config", str(config)])
         assert code == EXIT_USAGE
         assert "key=value" in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["sweep"], "variant = bogus"),
+            (["sweep"], "format = xml"),
+            (["exact-compare", "--theta", "0.1"], "variant = both"),
+        ],
+    )
+    def test_config_value_outside_the_choices(self, capsys, tmp_path, argv, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"chi_ratio = 0.6\n{line}\n")
+        code, out, err = run(capsys, [*argv, "--config", str(config)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert line.split()[0] in err
 
     def test_config_cannot_nest(self, capsys, tmp_path):
         config = tmp_path / "loop.cfg"
