@@ -7,9 +7,10 @@ the order/disorder transitions (including reentrant ones), cross-checks
 the polarization against exact fixed-spin diagonalization at finite atom
 number, and derives the coupling constants from a microscopic level table.
 
-The public names below load their submodule (and numpy) on first use, so
-``import quasispin`` alone imports nothing else; ``python -m quasispin``
-relies on that to configure the process before numpy loads.
+The public names below load their submodule on first use (numpy with it,
+except for the two numpy-free names of ``base``), so ``import quasispin``
+alone imports nothing else; ``python -m quasispin`` relies on that to
+configure the process before numpy loads.
 """
 
 __version__ = "0.1.0"
@@ -18,11 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "base": ("DomainError", "TransitionLevel"),
         "thermal": (
-            "Couplings", "DomainError", "MicroscopicLevels", "ModelParams",
-            "SingularLevelError", "SINGULARITY_RTOL", "TransitionLevel", "Variant",
-            "coupling_constants", "couplings_at", "mean_photon_number",
-            "transition_amplitude",
+            "Couplings", "MicroscopicLevels", "ModelParams", "SingularLevelError",
+            "SINGULARITY_RTOL", "Variant", "coupling_constants", "couplings_at",
+            "mean_photon_number", "transition_amplitude",
         ),
         "meanfield": (
             "CriticalPoint", "GapSolution", "NoCriticalPointError", "Phase",

@@ -16,6 +16,14 @@ else from the ``--config`` file, else from the subcommand's default.
 Every run is deterministic: identical inputs produce byte-identical
 output. Each grid is solved in one vectorized pass on a single thread;
 ``--threads`` is still accepted (it must be >= 0) and ignored.
+
+The front end (this module's load, parsing, the config merge, the checks
+and the error mapping) imports no numpy and no physics module: it needs
+only the names of :mod:`quasispin.base`. Each handler imports the modules
+it runs after its own checks, so ``--version``, ``--help`` and the usage
+errors exit before numpy loads (all but a ``sweep --theta-min`` above the
+default ``--theta-max``, which :mod:`quasispin.sweep` works out), and only
+``exact-compare`` loads the exact ladder.
 """
 
 from __future__ import annotations
@@ -25,20 +33,13 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .exact import compare_meanfield
-from .meanfield import critical_temperatures
-from .sweep import (
-    FIG1_POINTS, FIG2_POINTS, SweepConfig, Table, boundary_table, comparison_table,
-    concat_tables, critical_point_table, default_theta_max, figure1_table, figure2_table,
-    phase_map, phase_map_table, plot_script, proposed_normalizer, serialize, sweep_table,
-)
-from .thermal import (
-    DomainError, MicroscopicLevels, ModelParams, TransitionLevel, Variant, coupling_constants,
-    transition_amplitude,
-)
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError, TransitionLevel
+
+if TYPE_CHECKING:
+    from .sweep import Table
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main"]
 
@@ -193,13 +194,14 @@ def _option(dest: str) -> str:
     return _FLAGS[dest].option or "--" + dest.replace("_", "-")
 
 
-def _variant_list(value: str) -> list[Variant]:
-    return [Variant.PROPOSED, Variant.TRADITIONAL] if value == "both" else [Variant(value)]
+def _variant_list(value: str) -> list[str]:
+    # Variant values as strings: the physics takes either, and the CLI never imports Variant
+    return ["proposed", "traditional"] if value == "both" else [value]
 
 
-def _one_variant(args: argparse.Namespace) -> Variant:
+def _one_variant(args: argparse.Namespace) -> str:
     _check(args.variant != "both", f"'{args.command}' takes one variant: proposed or traditional")
-    return Variant(args.variant)
+    return args.variant
 
 
 def _write_bytes(out: str | None, data: bytes) -> None:
@@ -221,6 +223,8 @@ def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:
 
 def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
     """Write each table to the file its output flag names; no --out means stdout."""
+    from .sweep import plot_script, serialize
+
     for dest, table in tables.items():
         if dest == "out" or getattr(args, dest) is not None:
             _write_bytes(getattr(args, dest), serialize(table, args.format, args.precision))
@@ -230,13 +234,19 @@ def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each gets every option of its subcommand resolved and
-# returns its tables, keyed by the dest of the flag that names their file
+# returns its tables, keyed by the dest of the flag that names their file; each
+# imports the physics it runs after its own checks, so a usage error skips numpy
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     if args.theta_max is None:
+        from .sweep import default_theta_max
+
         args.theta_max = default_theta_max(args.chi_ratio)
     _check_range(args, "theta", "<=")
+    from .sweep import SweepConfig, concat_tables, proposed_normalizer, sweep_table
+    from .thermal import ModelParams
+
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
     theta_cr = proposed_normalizer(base, tol=args.tol).theta_cr if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
@@ -250,6 +260,10 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
 def _cmd_critical(args: argparse.Namespace) -> dict[str, Table]:
     _check(args.points >= 64, f"--points must be >= 64 for a critical scan, got {args.points}")
     _check_range(args, "theta")
+    from .meanfield import critical_temperatures
+    from .sweep import concat_tables, critical_point_table
+    from .thermal import ModelParams
+
     tables = []
     for variant in _variant_list(args.variant):
         params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
@@ -264,6 +278,8 @@ def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
     variant = _one_variant(args)
     _check_range(args, "chi")
     _check_range(args, "theta")
+    from .sweep import boundary_table, phase_map, phase_map_table
+
     pmap = phase_map(
         variant, (args.chi_min, args.chi_max), (args.theta_min, args.theta_max),
         nx=args.nx, ny=args.ny, omega_k=args.omega_k, tol=args.tol,
@@ -272,12 +288,16 @@ def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> dict[str, Table]:
+    from .sweep import figure1_table
+
     table = figure1_table(args.ratios, points=args.points, omega_k=args.omega_k, tol=args.tol)
     return {"out": table}
 
 
 def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
     _check(args.chi_ratio < 1.0, f"--chi-ratio must lie in (0, 1), got {args.chi_ratio}")
+    from .sweep import concat_tables, figure2_table
+
     tables = [
         figure2_table(
             args.chi_ratio, points=args.points, variant=variant, omega_k=args.omega_k, tol=args.tol
@@ -289,6 +309,10 @@ def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
 
 def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
     variant = _one_variant(args)
+    from .exact import compare_meanfield
+    from .sweep import comparison_table
+    from .thermal import ModelParams
+
     params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
     return {"out": comparison_table(compare_meanfield(params, args.theta, args.n_list), variant)}
 
@@ -296,6 +320,8 @@ def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
 def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:
     omega_k = 0.5 * args.omega21 if args.omega_k is None else args.omega_k
     _check(omega_k > 0.0, f"--omega-k must be positive, got {omega_k}")
+    from .thermal import MicroscopicLevels, coupling_constants, transition_amplitude
+
     levels = MicroscopicLevels(levels=tuple(args.levels), gamma_cav=args.gamma_cav)
     amplitude = transition_amplitude(levels, omega_k)
     chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, omega_k)

@@ -91,7 +91,13 @@ def dicke_spectrum(n_atoms: int, lambda_n: float, varpi: float) -> DickeSpectrum
     n_atoms = int(n_atoms)
     spin = 0.5 * n_atoms
     m = np.arange(n_atoms + 1) - spin
-    energies = varpi * m + lambda_n * m * m - lambda_n * spin * (spin + 1.0)
+    # Energies past the float range show as inf or nan and are rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = varpi * m + lambda_n * m * m - lambda_n * spin * (spin + 1.0)
+    if not np.all(np.isfinite(energies)):
+        raise DomainError(
+            f"ladder energies past the float range at varpi = {varpi:g}, lambda_n = {lambda_n:g}"
+        )
     return DickeSpectrum(n_atoms=n_atoms, lambda_n=lambda_n, varpi=varpi, energies=energies)
 
 
@@ -117,7 +123,10 @@ def gibbs_observables(spectrum: DickeSpectrum, theta: float) -> GibbsObservables
         raise DomainError(f"gibbs_observables needs theta > 0, got {theta}")
     energies = spectrum.energies
     e_min = float(energies.min())
-    weights = np.exp(-(energies - e_min) / theta)
+    # A tiny theta sends the exponent of a level above the lowest past the
+    # float range to -inf, whose weight 0 is the right limit.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(energies - e_min) / theta)
     z_shifted = float(weights.sum())
     rz_per_atom = float((spectrum.m_values * weights).sum() / (spectrum.n_atoms * z_shifted))
     f_per_atom = (e_min - theta * math.log(z_shifted)) / spectrum.n_atoms

@@ -162,30 +162,36 @@ def _solve(theta, lam, varpi, caller: str) -> GapSolution:
     # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
     candidate = (cold | rooted) & (splitting > abs_varpi)
     # The squares pass the float range where |varpi| or lam exceeds ~1e154
-    # (|varpi| ~ nbar**2*chi does so first as theta grows). A candidate lane
-    # has |varpi| < splitting <= lam, so its squares overflow only together
-    # with lam**2 + varpi**2, which is rejected here; every other overflow
-    # sits on a lane that the masks below discard.
+    # (|varpi| ~ nbar**2*chi does so first as theta grows), 2*lam where lam
+    # exceeds ~9e307, and cold_square/(4*lam) where lam is tiny against |varpi|
+    # (chi = 5e-324). A candidate lane has |varpi| < splitting <= lam, so its
+    # squares overflow only together with lam**2 + varpi**2, which is rejected
+    # here, and its cold energy is at most lam/2; every other overflow sits on
+    # a lane that the masks below discard, or makes a free energy that is not
+    # finite, which is rejected at the end.
     with np.errstate(over="ignore", invalid="ignore"):
         excess = splitting * splitting - varpi * varpi
         cold_square = lam * lam + varpi * varpi
-    if not np.all(np.isfinite(cold_square[candidate])):
-        raise DomainError(f"{caller}: lam = {lam[candidate].max():g} overflows its square")
-    c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
-    ordered = candidate & (c_abs > 0.0)
-    c_abs = np.where(ordered, c_abs, 0.0)
-    recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
-    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(cold_square[candidate])):
+            raise DomainError(f"{caller}: lam = {lam[candidate].max():g} overflows its square")
+        c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
+        ordered = candidate & (c_abs > 0.0)
+        c_abs = np.where(ordered, c_abs, 0.0)
+        recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
         gap = lam * c_abs * np.tanh(recomputed / (2.0 * warm_theta)) / recomputed
-    cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
+        cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
+        free_energy = np.where(cold, cold_energy, _free_energy(c_abs, lam, varpi, warm_theta))
+    finite = np.isfinite(free_energy)
+    if not finite.all():
+        raise DomainError(
+            f"{caller}: the free energy is past the float range at lam = {lam[~finite].max():g}"
+        )
     fields = {
         "c_abs": c_abs,
         "splitting": np.where(ordered, splitting, abs_varpi),
         "phase": _PHASE_NAMES[ordered.astype(np.intp)],
         "residual": np.where(ordered & ~cold, np.abs(c_abs - gap), 0.0),
-        "free_energy_per_atom": np.where(
-            cold, cold_energy, _free_energy(c_abs, lam, varpi, warm_theta)
-        ),
+        "free_energy_per_atom": free_energy,
     }
     if all(value.ndim == 0 for value in values):
         fields = {name: column.tolist()[0] for name, column in fields.items()}
@@ -383,7 +389,16 @@ def rz_relaxation(cpl: Couplings) -> float:
     """
     if not np.all(np.asarray(cpl.lam) > 0.0):
         raise DomainError(f"rz_relaxation needs lam > 0, got {cpl.lam}")
-    rz = -np.asarray(cpl.varpi, dtype=float) / (2.0 * cpl.lam)
+    # 2*lam passes the float range where lam exceeds ~9e307 (the ratio would
+    # read 0), and the ratio itself where lam is tiny against |varpi|
+    # (chi = 5e-324): both are rejected below.
+    with np.errstate(over="ignore"):
+        twice = 2.0 * np.asarray(cpl.lam, dtype=float)
+        rz = -np.asarray(cpl.varpi, dtype=float) / twice
+    finite = np.isfinite(rz) & np.isfinite(twice)
+    if not finite.all():
+        lam = np.broadcast_to(np.asarray(cpl.lam, dtype=float), finite.shape)[~finite][0]
+        raise DomainError(f"rz_relaxation: -varpi/(2*lam) is past the float range at lam = {lam:g}")
     return float(rz) if rz.ndim == 0 else rz
 
 

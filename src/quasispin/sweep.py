@@ -17,10 +17,11 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError
 from .meanfield import (
     MAX_PHASE_CELLS,
     CriticalPoint,
@@ -36,8 +37,10 @@ from .meanfield import (
     population_inversion,
     rz_relaxation,
 )
-from .exact import FiniteSizeComparison
-from .thermal import DomainError, ModelParams, Variant, couplings_at
+from .thermal import ModelParams, Variant, couplings_at
+
+if TYPE_CHECKING:  # only an annotation: sweeps, scans and maps never load the ladder
+    from .exact import FiniteSizeComparison
 
 __all__ = [
     "OutputFormat",
@@ -97,9 +100,6 @@ FIG1_AXIS_MAX = 1.05
 # Figure-2 grids span twice the critical temperature: coincidence below,
 # separation above, with theta_cr exactly on the grid.
 FIG2_AXIS_MAX = 2.0
-# Default grid sizes of the figure datasets, shared with the CLI.
-FIG1_POINTS = 400
-FIG2_POINTS = 200
 
 # Critical-point searches scan (1e-4, 2)*omega21: every transition of either
 # variant with chi/omega21 in (0, 1) and omega_k = omega21/2 lies well below

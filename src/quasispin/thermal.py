@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+from .base import DomainError, TransitionLevel
+
 __all__ = [
     "DomainError",
     "SingularLevelError",
@@ -32,10 +34,6 @@ __all__ = [
 
 # Relative tolerance below which a denominator counts as resonant.
 SINGULARITY_RTOL = 1e-12
-
-
-class DomainError(ValueError):
-    """An input lies outside the physical domain of an operation."""
 
 
 class SingularLevelError(DomainError):
@@ -114,10 +112,12 @@ def mean_photon_number(theta: float | np.ndarray, omega_k: float) -> float | np.
     theta_arr = np.asarray(theta, dtype=float)
     _check_temperature(theta_arr)
     # theta = 0 (or a subnormal theta) sends x to +inf, where the ratio is
-    # exactly 0: the limit, so the divide-by-zero flag carries no news.
+    # exactly 0: the limit. x underflows to 0 only where nbar ~ theta/omega_k
+    # is past the float range (omega_k = 5e-324), and the inf of 1/0 there is
+    # that overflow, which couplings_at rejects. Neither flag carries news.
     with np.errstate(divide="ignore", over="ignore"):
         x = omega_k / theta_arr
-    nbar = np.exp(-x) / -np.expm1(-x)
+        nbar = np.exp(-x) / -np.expm1(-x)
     return float(nbar) if nbar.ndim == 0 else nbar
 
 
@@ -153,16 +153,6 @@ def couplings_at(params: ModelParams, theta: float | np.ndarray) -> Couplings:
             theta=theta, nbar=float(nbar), omega=float(omega), lam=float(lam), varpi=float(varpi)
         )
     return Couplings(theta=theta_arr, nbar=nbar, omega=omega, lam=lam, varpi=varpi)
-
-
-@dataclass(frozen=True)
-class TransitionLevel:
-    """One intermediate level of the two-photon transition chain."""
-
-    proj1: float  # dipole projection linking the level to the lower state
-    proj2: float  # dipole projection linking the upper state to the level
-    omega_a1: float  # level energy measured from the lower state
-    omega_2a: float  # upper-state energy measured from the level
 
 
 @dataclass(frozen=True)

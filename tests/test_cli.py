@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from quasispin import cli
+from quasispin import thermal
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from quasispin.sweep import THERMO_COLUMNS, figure1_series, figure2_series
 
@@ -16,6 +16,15 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_silently(capsys, argv):
+    """run(), and assert that no warning was raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, argv)
+    assert [str(warning.message) for warning in caught] == []
+    return result
 
 
 class TestTopLevel:
@@ -49,7 +58,7 @@ class TestTopLevel:
         def broken(*args):
             raise ValueError("a bug, not a domain failure")
 
-        monkeypatch.setattr(cli, "transition_amplitude", broken)
+        monkeypatch.setattr(thermal, "transition_amplitude", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["micro", "--level", "1,1,3,2", "--gamma-cav", "0.5"])
 
@@ -264,6 +273,21 @@ class TestSweep:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "exceeds the cap of 10000000" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # -varpi/(2*lam) overflows at a subnormal lam: every row read rz_eq4 = -inf
+            (["--chi-ratio", "5e-324"], "rz_relaxation: -varpi/(2*lam) is past the float range"),
+            # 2*lam overflows: f_per_atom read nan and rz_eq4 a silent 0
+            (["--chi-ratio", "1e308", "--theta-max", "0.01"], "the free energy is past the float"),
+        ],
+    )
+    def test_results_past_the_float_range_are_domain_failures(self, capsys, argv, message):
+        argv = ["sweep", *argv, "--points", "3", "--variant", "both"]
+        code, out, err = run_silently(capsys, argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and message in err
+
     def test_precision_is_honored(self, capsys):
         argv = ["sweep", "--chi-ratio", "0.6", "--points", "3"]
         _, default, _ = run(capsys, argv)
@@ -305,6 +329,20 @@ class TestCritical:
     def test_rejects_small_grid(self, capsys):
         code, _, _ = run(capsys, ["critical", "--chi-ratio", "0.6", "--points", "32"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical", "--chi-ratio", "0.6"],
+            ["fig1", "--ratios", "0.6"],
+            ["fig2", "--chi-ratio", "0.6"],
+        ],
+    )
+    def test_subnormal_mode_energy_fails_without_a_warning(self, capsys, argv):
+        # omega_k/theta underflows to 0, so nbar ~ theta/omega_k is past the float range
+        code, out, err = run_silently(capsys, [*argv, "--omega-k", "5e-324"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "couplings overflow at theta = 0.0001" in err
 
 
 class TestPhase:
@@ -441,6 +479,29 @@ class TestExactCompare:
         code, out, err = run(capsys, argv)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "exceeds the ladder size cap" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 2*lam overflows in the mean-field free energy; the ladder read rz_exact = NaN
+            (["--chi-ratio", "1.7e308", "--n-list", "8"], "the free energy is past the float"),
+            (["--chi-ratio", "1e305", "--n-list", "10000"], "ladder energies past the float range"),
+        ],
+    )
+    def test_results_past_the_float_range_are_domain_failures(self, capsys, argv, message):
+        code, out, err = run_silently(capsys, ["exact-compare", *argv, "--theta", "0.1"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_subnormal_temperature_takes_the_cold_limit_without_a_warning(self, capsys):
+        # every level above the lowest gets the weight exp(-inf) = 0
+        argv = ["exact-compare", "--chi-ratio", "0.6", "--precision", "17", "--theta"]
+        code, out, err = run_silently(capsys, [*argv, "5e-324"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == run(capsys, [*argv, "1e-300"])[1]
+        assert [record["rz_exact"] for record in json.loads(out)] == [
+            -0.375, -0.34375, -0.3359375, -0.333984375
+        ]
 
 
 class TestMicro:

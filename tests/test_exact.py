@@ -50,6 +50,8 @@ class TestSpectrum:
             dicke_spectrum(MAX_LADDER_ATOMS + 1, 0.1, 0.5)
         with pytest.raises(DomainError):
             dicke_spectrum(8, 0.0, 0.5)
+        with pytest.raises(DomainError, match="ladder energies past the float range"):
+            dicke_spectrum(8, 1e300, 1e308)
 
 
 class TestGroundState:

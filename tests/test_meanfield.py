@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,12 @@ class TestGapSolve:
             lam=np.array([0.6, 1.0]), varpi=np.array([0.4, -1e300]),
         )
         assert list(gap_solve(lanes).phase) == ["ordered", "disordered"]
+
+    def test_a_free_energy_past_the_float_range_is_rejected(self):
+        # 2*lam overflows on a disordered lane: its free energy read nan
+        cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=1e308, varpi=-1e308)
+        with pytest.raises(DomainError, match=re.escape("past the float range at lam = 1e+308")):
+            gap_solve(cpl)
 
     def test_rejects_bad_arguments(self):
         good = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
@@ -334,6 +341,13 @@ class TestPopulationInversion:
                 cpl = couplings_at(params, theta)
                 rz = population_inversion(cpl, gap_solve(cpl))
                 assert abs(rz) <= 0.5
+
+    @pytest.mark.parametrize("lam, varpi", [(5e-324, 1.0), (1e308, -1e308)])
+    def test_relaxation_value_past_the_float_range_is_rejected(self, lam, varpi):
+        # -varpi/(2*lam) read -inf at a subnormal lam, and 0 (not 0.5) once 2*lam overflowed
+        cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=lam, varpi=varpi)
+        with pytest.raises(DomainError, match=re.escape(f"past the float range at lam = {lam:g}")):
+            rz_relaxation(cpl)
 
     def test_relaxation_requires_positive_lam(self):
         cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.0, varpi=1.0)

@@ -1,4 +1,5 @@
-"""Start-up contract: a cheap ``import quasispin`` and the CLI entry's BLAS cap.
+"""Start-up contract: a cheap ``import quasispin``, the CLI entry's BLAS cap, and a
+CLI front end that loads numpy and the physics only for the subcommand it runs.
 
 Every check runs in a fresh interpreter: what it tests (``sys.modules``, the
 environment, the threads of the process) is fixed by what that process
@@ -34,6 +35,21 @@ def run_code(code, openblas=None):
     return run_python(["-c", code], openblas).decode().split()
 
 
+def cli_loads(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and which of numpy and the
+    quasispin submodules are loaded when it returns."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from quasispin.cli import main\n"
+        "quiet = io.StringIO()\n"
+        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('quasispin.')))"
+    )
+    code, *loaded = run_python(["-c", code, *argv]).decode().split()
+    return int(code), loaded
+
+
 class TestLazyPackage:
     def test_import_loads_no_submodule_and_no_numpy(self):
         loaded = run_code(
@@ -49,7 +65,7 @@ class TestLazyPackage:
             "quasispin.couplings_at\n"
             "print(*sorted(m for m in sys.modules if m.startswith('quasispin')))"
         )
-        assert loaded == ["quasispin", "quasispin.thermal"]
+        assert loaded == ["quasispin", "quasispin.base", "quasispin.thermal"]
 
     def test_every_public_name_resolves(self):
         out = run_code(
@@ -101,3 +117,57 @@ class TestCliEntry:
     def test_version(self):
         out = run_python(["-m", "quasispin", "--version"])
         assert out == f"quasispin {quasispin.__version__}\n".encode() == b"quasispin 0.1.0\n"
+
+
+SUBCOMMANDS = ("sweep", "critical", "phase", "fig1", "fig2", "exact-compare", "micro")
+
+
+class TestCliFrontEnd:
+    """Parsing, help, the config merge and every usage check run without numpy."""
+
+    FRONT_END = ["quasispin.base", "quasispin.cli"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--version"],
+            ["--help"],
+            *([name, "--help"] for name in SUBCOMMANDS),
+            ["sweep", "--chi-ratio", "nan"],  # an argparse error
+            ["exact-compare", "--chi-ratio", "0.6"],  # a missing required flag
+            ["critical", "--chi-ratio", "0.6", "--points", "10"],
+            ["fig2", "--chi-ratio", "1.5"],
+            ["phase", "--variant", "both"],
+        ],
+    )
+    def test_exits_before_numpy_loads(self, argv):
+        code = 0 if {"--help", "--version"} & set(argv) else 2
+        assert cli_loads(argv) == (code, self.FRONT_END)
+
+    def test_a_bad_config_key_exits_before_numpy_loads(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("bogus = 1\n", encoding="utf-8")
+        assert cli_loads(["sweep", "--chi-ratio", "0.6", "--config", str(config)]) == (
+            2, self.FRONT_END
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--chi-ratio", "0.6", "--points", "3"],
+            ["critical", "--chi-ratio", "0.45", "--points", "64"],
+            ["phase", "--nx", "3", "--ny", "3"],
+            ["fig1", "--ratios", "0.6", "--points", "3"],
+            ["fig2", "--chi-ratio", "0.6", "--points", "3"],
+        ],
+    )
+    def test_a_run_without_the_ladder_never_loads_it(self, argv):
+        code, loaded = cli_loads(argv)
+        assert code == 0
+        assert "numpy" in loaded and "quasispin.sweep" in loaded
+        assert "quasispin.exact" not in loaded
+
+    def test_exact_compare_loads_the_ladder(self):
+        argv = ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--n-list", "8"]
+        physics = [f"quasispin.{name}" for name in ("exact", "meanfield", "sweep", "thermal")]
+        assert cli_loads(argv) == (0, ["numpy", *self.FRONT_END, *physics])

@@ -239,3 +239,13 @@ def test_couplings_is_immutable():
     cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
     with pytest.raises(AttributeError):
         cpl.lam = 0.7
+
+
+def test_one_exception_hierarchy():
+    # DomainError lives in the numpy-free base module; every layer raises that one class
+    import quasispin
+    from quasispin import base, cli, meanfield, thermal
+
+    (root,) = meanfield.NoCriticalPointError.__bases__
+    assert root is thermal.SingularLevelError.__bases__[0] is thermal.DomainError
+    assert root is quasispin.DomainError is base.DomainError is cli.DomainError
