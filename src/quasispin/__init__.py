@@ -8,7 +8,7 @@ the polarization against exact fixed-spin diagonalization at finite atom
 number, and derives the coupling constants from a microscopic level table.
 
 The public names below load their submodule on first use (numpy with it,
-except for the two numpy-free names of ``base``), so ``import quasispin``
+except for the numpy-free names of ``base``), so ``import quasispin``
 alone imports nothing else; ``python -m quasispin`` relies on that to
 configure the process before numpy loads.
 """
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "base": ("DomainError", "TransitionLevel"),
+        "base": ("DomainError", "TransitionLevel", "default_theta_max"),
         "thermal": (
             "Couplings", "MicroscopicLevels", "ModelParams", "SingularLevelError",
             "SINGULARITY_RTOL", "Variant", "coupling_constants", "couplings_at",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "sweep": (
             "BoundaryPoint", "OutputFormat", "PhaseMap", "PopulationPoint", "RatioSeries",
             "SweepConfig", "THERMO_COLUMNS", "ThermoPoint", "boundary_table",
-            "critical_point_table", "default_theta_max", "figure1_table",
+            "critical_point_table", "figure1_table",
             "figure1_series", "figure2_table", "figure2_series", "phase_map",
             "phase_map_table", "plot_script", "proposed_normalizer", "serialize",
             "sweep_table", "temperature_sweep", "thermo_point",

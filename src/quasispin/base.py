@@ -3,15 +3,17 @@
 The CLI parses its flags, prints help and rejects bad invocations without
 importing numpy, so the few names it needs before a subcommand runs live
 here: the root of the package's exceptions (which ``main()`` maps to exit
-3), the level record that ``--level`` parses into, and the figure grid sizes
-that the help shows as defaults. The physics modules import them from here.
+3), the level record that ``--level`` parses into, the figure grid sizes
+that the help shows as defaults, and the default sweep extent that the
+``sweep`` range check needs. The physics modules import them from here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-__all__ = ["DomainError", "TransitionLevel", "FIG1_POINTS", "FIG2_POINTS"]
+__all__ = ["DomainError", "TransitionLevel", "FIG1_POINTS", "FIG2_POINTS", "default_theta_max"]
 
 # Default grid sizes of the figure datasets, shared with the CLI.
 FIG1_POINTS = 400
@@ -30,3 +32,20 @@ class TransitionLevel:
     proj2: float  # dipole projection linking the upper state to the level
     omega_a1: float  # level energy measured from the lower state
     omega_2a: float  # upper-state energy measured from the level
+
+
+def default_theta_max(chi_ratio: float) -> float:
+    """Default sweep extent, in units of the bare splitting.
+
+    Three times the constant-coupling transition temperature when one
+    exists (it has the closed form ``|varpi| / (2*artanh(|varpi|/lam))``),
+    else twice the bare splitting.
+    """
+    if chi_ratio <= 0.0:
+        raise DomainError(f"chi_ratio must be positive, got {chi_ratio}")
+    lam = chi_ratio
+    varpi = abs(1.0 - chi_ratio)
+    if varpi < lam:
+        theta_cr = 0.5 * lam if varpi == 0.0 else varpi / (2.0 * math.atanh(varpi / lam))
+        return 3.0 * theta_cr
+    return 2.0

@@ -20,10 +20,9 @@ output. Each grid is solved in one vectorized pass on a single thread;
 The front end (this module's load, parsing, the config merge, the checks
 and the error mapping) imports no numpy and no physics module: it needs
 only the names of :mod:`quasispin.base`. Each handler imports the modules
-it runs after its own checks, so ``--version``, ``--help`` and the usage
-errors exit before numpy loads (all but a ``sweep --theta-min`` above the
-default ``--theta-max``, which :mod:`quasispin.sweep` works out), and only
-``exact-compare`` loads the exact ladder.
+it runs after its own checks, so ``--version``, ``--help`` and every usage
+error exit before numpy loads, and only ``exact-compare`` loads the exact
+ladder.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError, TransitionLevel
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError, TransitionLevel, default_theta_max
 
 if TYPE_CHECKING:
     from .sweep import Table
@@ -240,8 +239,6 @@ def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     if args.theta_max is None:
-        from .sweep import default_theta_max
-
         args.theta_max = default_theta_max(args.chi_ratio)
     _check_range(args, "theta", "<=")
     from .sweep import SweepConfig, concat_tables, proposed_normalizer, sweep_table

@@ -6,6 +6,14 @@ observables come out in closed form and serve as an oracle for the
 mean-field results. The restriction drops the entropy of lower-spin
 sectors, which is accurate deep in the ordered regime; see
 ``compare_meanfield`` for how that shows up at higher temperatures.
+
+The ladder energies form a convex parabola in m, so a Boltzmann weight
+``exp(-(E - E_min)/theta)`` is exactly 0.0 in float64 for every level
+more than about 745 temperatures above the lowest. ``compare_meanfield``
+therefore sums only the window of levels whose weight can be nonzero,
+found in closed form around the ground state. That is O(sqrt(theta*N/lam))
+levels (``lam = N*lambda_n``) instead of N + 1, with the same sums up to
+summation order.
 """
 
 from __future__ import annotations
@@ -32,19 +40,29 @@ __all__ = [
 
 MAX_LADDER_ATOMS = 1_000_000
 
+# exp(-x) is 0.0 in float64 for every x > 745.14, so a level more than this
+# many temperatures above the lowest has no Boltzmann weight. The 0.1 %
+# headroom exceeds the relative rounding of an evaluated energy difference
+# two or more levels from the minimum (about 4*eps*j**2 <= 3e-4 for
+# j <= MAX_LADDER_ATOMS/2), so rounding cannot give weight to a level that
+# the exact parabola puts outside the window.
+_ZERO_WEIGHT_EXPONENT = 746.0
+
 
 @dataclass(frozen=True)
 class DickeSpectrum:
-    """Ladder energies of the maximal collective-spin sector.
+    """Ladder energies of the maximal collective-spin sector, or a window of them.
 
-    ``energies[i]`` belongs to ``m = i - n_atoms/2``; labels are
-    half-integers when ``n_atoms`` is odd.
+    ``energies[i]`` belongs to ``m = offset + i - n_atoms/2``; labels are
+    half-integers when ``n_atoms`` is odd. ``dicke_spectrum`` gives the
+    whole ladder (``offset = 0``).
     """
 
     n_atoms: int
     lambda_n: float  # per-pair exchange coupling (intensive: lam / n_atoms)
     varpi: float
     energies: np.ndarray
+    offset: int = 0  # ladder index of energies[0]
 
     @property
     def spin(self) -> float:
@@ -52,7 +70,7 @@ class DickeSpectrum:
 
     @property
     def m_values(self) -> np.ndarray:
-        return np.arange(self.n_atoms + 1) - self.spin
+        return np.arange(self.offset, self.offset + self.energies.size) - self.spin
 
 
 @dataclass(frozen=True)
@@ -79,18 +97,18 @@ def _check_atoms(n_atoms: int) -> None:
         raise DomainError(f"n_atoms = {n_atoms} exceeds the ladder size cap {MAX_LADDER_ATOMS}")
 
 
-def dicke_spectrum(n_atoms: int, lambda_n: float, varpi: float) -> DickeSpectrum:
-    """Exact ladder spectrum ``E(m) = varpi*m + lambda_n*m**2 - lambda_n*j*(j+1)``.
-
-    ``j = n_atoms/2`` and m runs from -j to j in unit steps, so the spectrum
-    is a convex discrete parabola with second difference ``2*lambda_n``.
-    """
+def _check_ladder(n_atoms: int, lambda_n: float) -> int:
     _check_atoms(n_atoms)
     if lambda_n <= 0.0:
         raise DomainError(f"lambda_n must be positive, got {lambda_n}")
-    n_atoms = int(n_atoms)
+    return int(n_atoms)
+
+
+def _level_energies(n_atoms: int, lambda_n: float, varpi: float, index: np.ndarray) -> np.ndarray:
+    # The one energy formula: a level's value does not depend on which other
+    # levels are evaluated with it.
     spin = 0.5 * n_atoms
-    m = np.arange(n_atoms + 1) - spin
+    m = index - spin
     # Energies past the float range show as inf or nan and are rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         energies = varpi * m + lambda_n * m * m - lambda_n * spin * (spin + 1.0)
@@ -98,7 +116,28 @@ def dicke_spectrum(n_atoms: int, lambda_n: float, varpi: float) -> DickeSpectrum
         raise DomainError(
             f"ladder energies past the float range at varpi = {varpi:g}, lambda_n = {lambda_n:g}"
         )
+    return energies
+
+
+def dicke_spectrum(n_atoms: int, lambda_n: float, varpi: float) -> DickeSpectrum:
+    """Exact ladder spectrum ``E(m) = varpi*m + lambda_n*m**2 - lambda_n*j*(j+1)``.
+
+    ``j = n_atoms/2`` and m runs from -j to j in unit steps, so the spectrum
+    is a convex discrete parabola with second difference ``2*lambda_n``.
+    """
+    n_atoms = _check_ladder(n_atoms, lambda_n)
+    energies = _level_energies(n_atoms, lambda_n, varpi, np.arange(n_atoms + 1))
     return DickeSpectrum(n_atoms=n_atoms, lambda_n=lambda_n, varpi=varpi, energies=energies)
+
+
+def _ground_index(n_atoms: int, lambda_n: float, varpi: float) -> int:
+    # Nearest index to the continuous minimizer -varpi/(2*lambda_n), half-way
+    # ties rounding down; a minimizer off the ladder (or past the float range)
+    # clamps to the nearer end.
+    x = -varpi / (2.0 * lambda_n) + 0.5 * n_atoms - 0.5
+    if 0.0 < x < n_atoms:
+        return math.ceil(x)
+    return 0 if x <= 0.0 else n_atoms
 
 
 def ground_state_m(spectrum: DickeSpectrum) -> float:
@@ -108,16 +147,50 @@ def ground_state_m(spectrum: DickeSpectrum) -> float:
     ``-varpi/(2*lambda_n)``; the discrete minimum is its nearest admissible
     label, clamped to [-j, j].
     """
-    continuous = -spectrum.varpi / (2.0 * spectrum.lambda_n)
-    index = math.ceil(continuous + spectrum.spin - 0.5)  # half-ties round down
-    return float(min(max(index, 0), spectrum.n_atoms)) - spectrum.spin
+    index = _ground_index(spectrum.n_atoms, spectrum.lambda_n, spectrum.varpi)
+    return float(index) - spectrum.spin
+
+
+def _weight_window(n_atoms: int, lambda_n: float, varpi: float, theta: float) -> tuple[int, int]:
+    # First and last ladder index of the levels whose weight at theta can be
+    # nonzero. Around the discrete minimum m0 (not the continuous one, which
+    # may lie off the ladder), (E(m0 + d) - E(m0))/lambda_n = d*(d + tilt)
+    # with tilt = varpi/lambda_n + 2*m0. The levels within the budget (an
+    # energy over lambda_n, so that no square leaves the float range) lie
+    # between the two roots of d**2 + tilt*d - budget, taken in their
+    # cancellation-free forms; a root that is not finite keeps that whole
+    # side of the ladder. Each side keeps one level more: the rounding of
+    # the energies (up to ~4*eps*j**2 in units of lambda_n) can reorder m0
+    # and a nearly degenerate neighbour, but no level further out.
+    center = _ground_index(n_atoms, lambda_n, varpi)
+    tilt = varpi / lambda_n + 2.0 * (center - 0.5 * n_atoms)
+    budget = _ZERO_WEIGHT_EXPONENT * theta / lambda_n
+    root = math.sqrt(tilt * tilt + 4.0 * budget)
+    up = 2.0 * budget / (root + tilt) if tilt > 0.0 else 0.5 * (root - tilt)
+    down = 2.0 * budget / (root - tilt) if tilt < 0.0 else 0.5 * (root + tilt)
+    first = max(center - math.floor(down) - 1, 0) if down < n_atoms else 0
+    last = min(center + math.floor(up) + 1, n_atoms) if up < n_atoms else n_atoms
+    return first, last
+
+
+def _weighted_levels(n_atoms: int, lambda_n: float, varpi: float, theta: float) -> DickeSpectrum:
+    # The levels of the ladder that carry Boltzmann weight at theta. The
+    # highest level of a convex parabola is an end of the ladder, and the
+    # window holds the lowest, so the two ends and the window stand in for
+    # the float-range check of the whole ladder.
+    n_atoms = _check_ladder(n_atoms, lambda_n)
+    _level_energies(n_atoms, lambda_n, varpi, np.array([0, n_atoms]))
+    first, last = _weight_window(n_atoms, lambda_n, varpi, theta)
+    energies = _level_energies(n_atoms, lambda_n, varpi, np.arange(first, last + 1))
+    return DickeSpectrum(n_atoms, lambda_n, varpi, energies, offset=first)
 
 
 def gibbs_observables(spectrum: DickeSpectrum, theta: float) -> GibbsObservables:
     """Partition sum, free energy and polarization of the ladder at ``theta``.
 
-    Boltzmann weights are computed with the lowest energy subtracted, so no
-    exponential can overflow; the shift is restored in the free energy.
+    The sums run over the levels ``spectrum`` holds. Boltzmann weights are
+    computed with the lowest energy subtracted, so no exponential can
+    overflow; the shift is restored in the free energy.
     """
     if theta <= 0.0:
         raise DomainError(f"gibbs_observables needs theta > 0, got {theta}")
@@ -145,6 +218,11 @@ def compare_meanfield(
     mean-field population: the fixed-magnitude restriction has no
     disordered entropy, so the reported deviation saturates there rather
     than shrinking.
+
+    The Gibbs sums run over the window of levels whose Boltzmann weight is
+    representable in float64, O(sqrt(theta*N/lam)) of the N + 1 levels; every
+    level outside it has weight exactly 0.0, so the result is that of the
+    whole ladder up to summation order, and no array of size N is built.
     """
     if theta <= 0.0:
         raise DomainError(f"compare_meanfield needs theta > 0, got {theta}")
@@ -153,7 +231,7 @@ def compare_meanfield(
     comparisons = []
     for n_atoms in n_list:
         _check_atoms(n_atoms)  # before lam / n_atoms, which a huge integer overflows
-        spectrum = dicke_spectrum(int(n_atoms), cpl.lam / n_atoms, cpl.varpi)
+        spectrum = _weighted_levels(int(n_atoms), cpl.lam / n_atoms, cpl.varpi, theta)
         rz_exact = gibbs_observables(spectrum, theta).rz_per_atom
         comparisons.append(
             FiniteSizeComparison(

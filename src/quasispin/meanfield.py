@@ -97,7 +97,7 @@ class ValidityReport:
 
 
 def _free_energy(c_abs, lam, varpi, theta):
-    splitting = np.hypot(varpi, 2.0 * lam * c_abs)
+    splitting = np.hypot(varpi, lam * (2.0 * c_abs))  # 2*lam alone overflows past ~9e307
     with np.errstate(over="ignore"):  # splitting/theta -> inf is the saturated limit
         depth = 0.5 * splitting + theta * np.log1p(np.exp(-splitting / theta))
     return lam * c_abs * c_abs - depth
@@ -181,7 +181,10 @@ def _solve(theta, lam, varpi, caller: str) -> GapSolution:
         gap = lam * c_abs * np.tanh(recomputed / (2.0 * warm_theta)) / recomputed
         cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
         free_energy = np.where(cold, cold_energy, _free_energy(c_abs, lam, varpi, warm_theta))
-    finite = np.isfinite(free_energy)
+    # A warm lane also needs 2*lam in range, since the ordered branch divides
+    # by it: the solver's float range ends at lam ~ 9e307 even on a disordered
+    # lane, whose free energy is finite there.
+    finite = np.isfinite(free_energy) & (cold | (lam <= 0.5 * np.finfo(float).max))
     if not finite.all():
         raise DomainError(
             f"{caller}: the free energy is past the float range at lam = {lam[~finite].max():g}"

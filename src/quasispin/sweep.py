@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError, default_theta_max
 from .meanfield import (
     MAX_PHASE_CELLS,
     CriticalPoint,
@@ -265,23 +265,6 @@ def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> CriticalPoin
             f"(proposed variant) within (0, {_SCAN_CEIL:g}*omega21]"
         )
     return points[-1]
-
-
-def default_theta_max(chi_ratio: float) -> float:
-    """Default sweep extent, in units of the bare splitting.
-
-    Three times the constant-coupling transition temperature when one
-    exists (it has the closed form ``|varpi| / (2*artanh(|varpi|/lam))``),
-    else twice the bare splitting.
-    """
-    if chi_ratio <= 0.0:
-        raise DomainError(f"chi_ratio must be positive, got {chi_ratio}")
-    lam = chi_ratio
-    varpi = abs(1.0 - chi_ratio)
-    if varpi < lam:
-        theta_cr = 0.5 * lam if varpi == 0.0 else varpi / (2.0 * math.atanh(varpi / lam))
-        return 3.0 * theta_cr
-    return 2.0
 
 
 def _figure1_sweeps(

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quasispin.exact import (
     MAX_LADDER_ATOMS,
+    _weighted_levels,
     compare_meanfield,
     dicke_spectrum,
     gibbs_observables,
@@ -74,6 +76,11 @@ class TestGroundState:
         assert ground_state_m(down) == -3.0
         assert ground_state_m(up) == 3.0
 
+    def test_minimizer_past_the_float_range_clamps(self):
+        # -varpi/(2*lambda_n) overflows to -inf or inf at a subnormal coupling
+        assert ground_state_m(dicke_spectrum(6, 1e-320, 4.0)) == -3.0
+        assert ground_state_m(dicke_spectrum(6, 1e-320, -4.0)) == 3.0
+
     def test_matches_enumeration_on_random_draws(self):
         rng = random.Random(20260816)
         for _ in range(200):
@@ -122,6 +129,104 @@ class TestGibbs:
             gibbs_observables(spectrum, 0.0)
 
 
+def full_ladder_weights(spectrum, theta):
+    """Shifted Boltzmann weights of every level, as the whole-ladder sum takes them."""
+    with np.errstate(over="ignore"):  # exponents past the float range weigh 0
+        return np.exp(-(spectrum.energies - spectrum.energies.min()) / theta)
+
+
+def random_ladder(rng):
+    """(n_atoms, lambda_n, varpi, theta) over interior, clamped and nearly tied minimizers.
+
+    |varpi| > lambda_n*n_atoms puts the continuous minimizer off the ladder;
+    varpi near -lambda_n*(2*m + 1) makes the levels m and m + 1 degenerate
+    up to the rounding of their energies. The temperatures run from the
+    smallest subnormal to values whose window covers the whole ladder.
+    """
+    n_atoms = rng.choice([2, 3, 8, 33, 500, 4097, 19999, 20000])
+    lambda_n = 10.0 ** rng.uniform(-5.0, 1.0)
+    if rng.random() < 0.25:
+        label = rng.randrange(n_atoms) - 0.5 * n_atoms
+        detune = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -6.0)
+        varpi = -lambda_n * (2.0 * label + 1.0 + detune)
+    else:
+        varpi = rng.choice([-1.0, 1.0]) * lambda_n * n_atoms * 10.0 ** rng.uniform(-3.0, 3.0)
+    span = abs(varpi) * n_atoms + lambda_n * n_atoms**2  # bounds the ladder's energy range
+    theta = rng.choice([
+        5e-324,
+        10.0 ** rng.uniform(-300.0, -20.0),
+        10.0 ** rng.uniform(-8.0, 2.0),
+        span * 10.0 ** rng.uniform(-4.0, 1.0),
+    ])
+    return n_atoms, lambda_n, varpi, theta
+
+
+class TestWeightWindow:
+    """The levels ``compare_meanfield`` sums against the whole ladder."""
+
+    def test_matches_the_full_ladder_on_random_draws(self):
+        rng = random.Random(20261018)
+        clamped = narrow = whole = 0
+        for _ in range(600):
+            n_atoms, lambda_n, varpi, theta = random_ladder(rng)
+            window = _weighted_levels(n_atoms, lambda_n, varpi, theta)
+            full = dicke_spectrum(n_atoms, lambda_n, varpi)
+            start, stop = window.offset, window.offset + window.energies.size
+            case = (n_atoms, lambda_n, varpi, theta)
+            # every level is bit-identical to its whole-ladder entry
+            assert np.array_equal(window.energies, full.energies[start:stop]), case
+            assert np.array_equal(window.m_values, full.m_values[start:stop]), case
+            weights = full_ladder_weights(full, theta)
+            assert not weights[:start].any() and not weights[stop:].any(), case
+            obs = gibbs_observables(window, theta)
+            with np.errstate(over="ignore"):
+                reference = ladder_rz(n_atoms, lambda_n, varpi, theta)
+            assert abs(obs.rz_per_atom - reference) <= 1e-12, case
+            assert obs.f_per_atom == pytest.approx(
+                gibbs_observables(full, theta).f_per_atom, rel=1e-12, abs=1e-300
+            ), case
+            clamped += abs(varpi) > lambda_n * n_atoms
+            narrow += 2 * window.energies.size < n_atoms
+            whole += window.energies.size == n_atoms + 1
+        assert min(clamped, narrow, whole) >= 40, (clamped, narrow, whole)
+
+    def test_clamped_minimizer_bounds_the_window_from_the_ladder_end(self):
+        # the continuous minimizer -varpi/(2*lambda_n) ~ -2025 lies far below
+        # m = -1; a window centred on it would hold no level but m = -1
+        window = _weighted_levels(2, 2.43e-4, 0.984, 0.841)
+        assert window.energies.size == 3
+        rz = gibbs_observables(window, 0.841).rz_per_atom
+        assert rz == pytest.approx(ladder_rz(2, 2.43e-4, 0.984, 0.841), abs=1e-15)
+        assert rz > -0.33  # not the -0.5 of the lowest level alone
+
+    def test_float_range_check_agrees_with_the_whole_ladder(self):
+        # couplings where the ladder's terms straddle the float range
+        rng = random.Random(7)
+        top = float(np.finfo(float).max)
+        outcomes = []
+        for _ in range(300):
+            n_atoms = rng.choice([2, 3, 8, 500, 4097, 20000])
+            spin = 0.5 * n_atoms
+            lambda_n = top / (spin * (spin + 1.0)) * 10.0 ** rng.uniform(-1.0, 0.3)
+            varpi = rng.choice([-1.0, 1.0]) * (top / spin) * rng.uniform(0.0, 1.5)
+            try:
+                dicke_spectrum(n_atoms, lambda_n, varpi)
+                whole_ladder = "finite"
+            except DomainError:
+                whole_ladder = "past the range"
+            try:
+                _weighted_levels(n_atoms, lambda_n, varpi, 0.1)
+                window = "finite"
+            except DomainError as exc:
+                assert "ladder energies past the float range" in str(exc)
+                window = "past the range"
+            assert window == whole_ladder, (n_atoms, lambda_n, varpi)
+            outcomes.append(window)
+        assert min(outcomes.count("finite"), outcomes.count("past the range")) >= 50
+        with pytest.raises(DomainError, match="ladder energies past the float range"):
+            _weighted_levels(8, 1e300, 1e308, 0.1)
+
+
 class TestCompareMeanfield:
     def test_record_structure(self):
         comps = compare_meanfield(trad06(), 0.1, [8, 32])
@@ -167,3 +272,16 @@ class TestCompareMeanfield:
     def test_rejects_bad_sizes(self):
         with pytest.raises(DomainError):
             compare_meanfield(trad06(), 0.1, [1])
+
+    def test_largest_ensemble_builds_no_ladder_sized_array(self):
+        # the whole ladder at N = 1e6 would take 8 MB an array, ~30 MB at peak
+        params = ModelParams(omega21=1.0, chi=0.6)
+        compare_meanfield(params, 0.07, [8])  # module-level setup is not the sum's
+        tracemalloc.start()
+        try:
+            comps = compare_meanfield(params, 0.07, [1000, 10000, 100000, 1000000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert comps[-1].deviation <= 1e-6

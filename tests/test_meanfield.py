@@ -66,6 +66,11 @@ class TestFreeEnergy:
         splitting = math.hypot(0.4, 2.0 * 0.6 * 0.3)
         assert value == pytest.approx(0.6 * 0.09 - 0.5 * splitting, rel=1e-12)
 
+    def test_huge_coupling_at_zero_order_stays_finite(self):
+        # 2*lam alone overflows to inf, and inf*0 is nan; RuntimeWarnings are errors here
+        cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=1e308, varpi=-1e308)
+        assert free_energy_per_atom(0.0, cpl) == -0.5e308
+
     def test_rejects_bad_arguments(self):
         cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
         with pytest.raises(DomainError):
@@ -160,7 +165,7 @@ class TestGapSolve:
         assert list(gap_solve(lanes).phase) == ["ordered", "disordered"]
 
     def test_a_free_energy_past_the_float_range_is_rejected(self):
-        # 2*lam overflows on a disordered lane: its free energy read nan
+        # 2*lam overflows on a disordered lane: past the solver's float range
         cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=1e308, varpi=-1e308)
         with pytest.raises(DomainError, match=re.escape("past the float range at lam = 1e+308")):
             gap_solve(cpl)

@@ -138,6 +138,7 @@ class TestCliFrontEnd:
             ["critical", "--chi-ratio", "0.6", "--points", "10"],
             ["fig2", "--chi-ratio", "1.5"],
             ["phase", "--variant", "both"],
+            ["sweep", "--chi-ratio", "0.6", "--theta-min", "5"],  # above the default --theta-max
         ],
     )
     def test_exits_before_numpy_loads(self, argv):
