@@ -154,23 +154,19 @@ def ground_state_m(spectrum: DickeSpectrum) -> float:
 def _weight_window(n_atoms: int, lambda_n: float, varpi: float, theta: float) -> tuple[int, int]:
     # First and last ladder index of the levels whose weight at theta can be
     # nonzero. Around the discrete minimum m0 (not the continuous one, which
-    # may lie off the ladder), (E(m0 + d) - E(m0))/lambda_n = d*(d + tilt)
-    # with tilt = varpi/lambda_n + 2*m0. The levels within the budget (an
-    # energy over lambda_n, so that no square leaves the float range) lie
-    # between the two roots of d**2 + tilt*d - budget, taken in their
-    # cancellation-free forms; a root that is not finite keeps that whole
-    # side of the ladder. Each side keeps one level more: the rounding of
-    # the energies (up to ~4*eps*j**2 in units of lambda_n) can reorder m0
-    # and a nearly degenerate neighbour, but no level further out.
+    # may lie off the ladder), E(m0 + d) - E(m0) = lambda_n*d*(d + tilt) with
+    # tilt = varpi/lambda_n + 2*m0, and tilt >= -1 on every side of m0 that
+    # the ladder has (<= 1 going down). So a level |d| >= 1 away lies at
+    # least lambda_n*(|d| - 1)**2 above m0, and none past half + 1 is within
+    # the budget. One more level per side absorbs the rounding of the
+    # energies, which can reorder m0 and a nearly degenerate neighbour. A
+    # half that is inf or nan keeps the whole ladder.
     center = _ground_index(n_atoms, lambda_n, varpi)
-    tilt = varpi / lambda_n + 2.0 * (center - 0.5 * n_atoms)
-    budget = _ZERO_WEIGHT_EXPONENT * theta / lambda_n
-    root = math.sqrt(tilt * tilt + 4.0 * budget)
-    up = 2.0 * budget / (root + tilt) if tilt > 0.0 else 0.5 * (root - tilt)
-    down = 2.0 * budget / (root - tilt) if tilt < 0.0 else 0.5 * (root + tilt)
-    first = max(center - math.floor(down) - 1, 0) if down < n_atoms else 0
-    last = min(center + math.floor(up) + 1, n_atoms) if up < n_atoms else n_atoms
-    return first, last
+    half = math.sqrt(_ZERO_WEIGHT_EXPONENT * theta / lambda_n)
+    if not half < n_atoms:
+        return 0, n_atoms
+    reach = math.floor(half) + 2
+    return max(center - reach, 0), min(center + reach, n_atoms)
 
 
 def _weighted_levels(n_atoms: int, lambda_n: float, varpi: float, theta: float) -> DickeSpectrum:

@@ -493,6 +493,18 @@ class TestExactCompare:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: ") and message in err
 
+    def test_coupling_a_float_range_below_varpi_sums_the_whole_ladder(self, capsys):
+        # varpi rounds to 1.0 and lambda_n is about 5e-161, so the level k
+        # above m = -4 has the weight e**-k; (varpi/lambda_n)**2 overflows
+        argv = ["exact-compare", "--chi-ratio", "1e-160", "--theta", "1", "--n-list", "8",
+                "--precision", "17"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        [record] = json.loads(out)
+        weights = [math.exp(-k) for k in range(9)]
+        reference = sum((k - 4) * w for k, w in enumerate(weights)) / (8 * sum(weights))
+        assert record["rz_exact"] == pytest.approx(reference, abs=1e-12)
+
     def test_subnormal_temperature_takes_the_cold_limit_without_a_warning(self, capsys):
         # every level above the lowest gets the weight exp(-inf) = 0
         argv = ["exact-compare", "--chi-ratio", "0.6", "--precision", "17", "--theta"]

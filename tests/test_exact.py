@@ -140,12 +140,19 @@ def random_ladder(rng):
 
     |varpi| > lambda_n*n_atoms puts the continuous minimizer off the ladder;
     varpi near -lambda_n*(2*m + 1) makes the levels m and m + 1 degenerate
-    up to the rounding of their energies. The temperatures run from the
-    smallest subnormal to values whose window covers the whole ladder.
+    up to the rounding of their energies. A coupling down to 1e-300 with
+    varpi of order one puts the minimizer a float-range distance off the
+    ladder, where varpi/lambda_n and its square overflow. The temperatures
+    run from the smallest subnormal to values whose window covers the whole
+    ladder.
     """
     n_atoms = rng.choice([2, 3, 8, 33, 500, 4097, 19999, 20000])
     lambda_n = 10.0 ** rng.uniform(-5.0, 1.0)
-    if rng.random() < 0.25:
+    kind = rng.random()
+    if kind < 0.2:
+        lambda_n = 10.0 ** rng.uniform(-300.0, -150.0)
+        varpi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+    elif kind < 0.4:
         label = rng.randrange(n_atoms) - 0.5 * n_atoms
         detune = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -6.0)
         varpi = -lambda_n * (2.0 * label + 1.0 + detune)
@@ -166,8 +173,8 @@ class TestWeightWindow:
 
     def test_matches_the_full_ladder_on_random_draws(self):
         rng = random.Random(20261018)
-        clamped = narrow = whole = 0
-        for _ in range(600):
+        clamped = narrow = whole = tiny = 0
+        for _ in range(800):
             n_atoms, lambda_n, varpi, theta = random_ladder(rng)
             window = _weighted_levels(n_atoms, lambda_n, varpi, theta)
             full = dicke_spectrum(n_atoms, lambda_n, varpi)
@@ -188,7 +195,8 @@ class TestWeightWindow:
             clamped += abs(varpi) > lambda_n * n_atoms
             narrow += 2 * window.energies.size < n_atoms
             whole += window.energies.size == n_atoms + 1
-        assert min(clamped, narrow, whole) >= 40, (clamped, narrow, whole)
+            tiny += lambda_n < 1e-100 and 4 * window.energies.size > n_atoms
+        assert min(clamped, narrow, whole, tiny) >= 40, (clamped, narrow, whole, tiny)
 
     def test_clamped_minimizer_bounds_the_window_from_the_ladder_end(self):
         # the continuous minimizer -varpi/(2*lambda_n) ~ -2025 lies far below
