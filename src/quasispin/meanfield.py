@@ -184,7 +184,10 @@ def _solve(theta, lam, varpi, caller: str) -> GapSolution:
     # A warm lane also needs 2*lam in range, since the ordered branch divides
     # by it: the solver's float range ends at lam ~ 9e307 even on a disordered
     # lane, whose free energy is finite there.
-    finite = np.isfinite(free_energy) & (cold | (lam <= 0.5 * np.finfo(float).max))
+    wide = ~cold & (lam > 0.5 * np.finfo(float).max)
+    if wide.any():
+        raise DomainError(f"{caller}: 2*lam is past the float range at lam = {lam[wide].max():g}")
+    finite = np.isfinite(free_energy)
     if not finite.all():
         raise DomainError(
             f"{caller}: the free energy is past the float range at lam = {lam[~finite].max():g}"

@@ -279,7 +279,8 @@ class TestSweep:
             # -varpi/(2*lam) overflows at a subnormal lam: every row read rz_eq4 = -inf
             (["--chi-ratio", "5e-324"], "rz_relaxation: -varpi/(2*lam) is past the float range"),
             # 2*lam overflows: f_per_atom read nan and rz_eq4 a silent 0
-            (["--chi-ratio", "1e308", "--theta-max", "0.01"], "the free energy is past the float"),
+            (["--chi-ratio", "1e308", "--theta-max", "0.01"],
+             "gap_solve: 2*lam is past the float range"),
         ],
     )
     def test_results_past_the_float_range_are_domain_failures(self, capsys, argv, message):
@@ -483,8 +484,9 @@ class TestExactCompare:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # 2*lam overflows in the mean-field free energy; the ladder read rz_exact = NaN
-            (["--chi-ratio", "1.7e308", "--n-list", "8"], "the free energy is past the float"),
+            # 2*lam overflows in the mean-field gap solve; the ladder read rz_exact = NaN
+            (["--chi-ratio", "1.7e308", "--n-list", "8"],
+             "gap_solve: 2*lam is past the float range"),
             (["--chi-ratio", "1e305", "--n-list", "10000"], "ladder energies past the float range"),
         ],
     )

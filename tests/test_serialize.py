@@ -1,13 +1,17 @@
 """The column-table serializer against the row-dict writer it replaced.
 
 ``oracles.serialize_records`` writes one dict per row through ``csv.writer``
-or ``json.dumps``. The package writes column tables through one format
-template per row. Both must give the same bytes: on generated tables with
-hostile cells, and on every CLI subcommand, whose oracle rows are rebuilt
-from the library's point objects.
+or ``json.dumps``. The package writes column tables a block of rows at a
+time, formatting a float column that repeats few values once per distinct
+value. Both must give the same bytes: on generated tables with hostile
+cells, on seeded tables long enough to cross row blocks and the repeat
+probe, and on every CLI subcommand, whose oracle rows are rebuilt from the
+library's point objects.
 """
 
 import math
+import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -24,6 +28,7 @@ from quasispin.sweep import (
     figure1_series,
     figure2_series,
     phase_map,
+    phase_map_table,
     proposed_normalizer,
     serialize,
     temperature_sweep,
@@ -79,6 +84,69 @@ def test_empty_and_one_column_tables_match_the_row_dict_writer(output_format):
                   {"a": ["", "x"], "b": ["", ""]}):
         expected = serialize_records(table_records(table), output_format, 9, list(table))
         assert serialize(table, output_format) == expected
+
+
+@pytest.fixture(scope="module")
+def long_tables():
+    """Seeded tables that cross row blocks and the repeat probe of a float column.
+
+    The first table's rows go through a template (its float columns hold
+    zeros of both signs, or repeat only after the probe); the others are
+    text rows joined once their float columns are memoized.
+    """
+    rows, head = 10_000, 1024
+    rng = random.Random(8)
+    pool = [*SPECIAL_FLOATS, 1.7e308, -1.7e308]
+    unsigned = [value for value in pool if math.copysign(1.0, value) > 0 or value != 0.0]
+    negative_zero = [-0.0 if value == 0.0 else value for value in pool]
+
+    def drawn(values, count=rows):
+        # a fresh NaN object now and then: the memo finds each one by identity
+        return [float("nan") if rng.random() < 0.01 else rng.choice(values) for _ in range(count)]
+
+    def distinct(count):
+        return [rng.uniform(-1e3, 1e3) for _ in range(count)]
+
+    words = ["ordered", "disordered", "a,b", 'say "x"', "", "line\nbreak"]
+    return (
+        {
+            "both_zeros": drawn(pool),
+            "repeats_then_distinct": drawn(pool[:4], head) + distinct(rows - head),
+            "distinct_then_repeats": distinct(head) + drawn(pool[:4], rows - head),
+            "phase": drawn(words),
+        },
+        # half as long, still past one row block, to keep the oracle's time down
+        {"ratio": drawn(unsigned, rows // 2), "theta": drawn(negative_zero, rows // 2),
+         "phase": drawn(words, rows // 2)},
+        {"lone": drawn(unsigned, rows // 2)},
+    )
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_long_tables_match_the_row_dict_writer(output_format, long_tables):
+    for precision in (6, 9, 17):
+        for table in long_tables:
+            records = table_records(table)
+            expected = serialize_records(records, output_format, precision, list(table))
+            assert serialize(table, output_format, precision) == expected
+    # precision plays no part in the text of a one-column table or an empty one
+    for table in ({"lone": ["", "x", "y,z"] * 3334}, {"a": [], "b": []}):
+        expected = serialize_records(table_records(table), output_format, 9, list(table))
+        assert serialize(table, output_format) == expected
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_phase_map_serialization_peaks_below_three_times_its_output(output_format):
+    # The text is rendered a block at a time and exists whole only as the
+    # returned bytes; the blocks and those bytes together are about twice it.
+    table = phase_map_table(_phase_map(256, 256))
+    tracemalloc.start()
+    try:
+        out = serialize(table, output_format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(out)
 
 
 # --- CLI subcommands against oracle rows built from the library's points ---

@@ -35,16 +35,17 @@ def run_code(code, openblas=None):
     return run_python(["-c", code], openblas).decode().split()
 
 
-def cli_loads(argv):
-    """Exit code of ``main(argv)`` in a fresh interpreter, and which of numpy and the
-    quasispin submodules are loaded when it returns."""
+def cli_loads(argv, also=()):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and which of numpy, the
+    quasispin submodules and the modules named in ``also`` are loaded when it returns."""
     code = (
         "import contextlib, io, sys\n"
         "from quasispin.cli import main\n"
         "quiet = io.StringIO()\n"
         "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('quasispin.')))"
+        f"watched = {('numpy', *also)!r}\n"
+        "print(code, *sorted(m for m in sys.modules if m in watched or m.startswith('quasispin.')))"
     )
     code, *loaded = run_python(["-c", code, *argv]).decode().split()
     return int(code), loaded
@@ -172,3 +173,16 @@ class TestCliFrontEnd:
         argv = ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--n-list", "8"]
         physics = [f"quasispin.{name}" for name in ("exact", "meanfield", "sweep", "thermal")]
         assert cli_loads(argv) == (0, ["numpy", *self.FRONT_END, *physics])
+
+    @pytest.mark.parametrize(
+        "argv, loads_json",
+        [
+            (["phase", "--nx", "3", "--ny", "3"], False),
+            (["sweep", "--chi-ratio", "0.6", "--points", "3", "--format", "csv"], False),
+            (["sweep", "--chi-ratio", "0.6", "--points", "3", "--format", "json"], True),
+        ],
+    )
+    def test_only_json_output_loads_json(self, argv, loads_json):
+        code, loaded = cli_loads(argv, also=("json",))
+        assert code == 0 and "numpy" in loaded
+        assert ("json" in loaded) is loads_json
