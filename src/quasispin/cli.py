@@ -203,14 +203,30 @@ def _one_variant(args: argparse.Namespace) -> str:
     return args.variant
 
 
-def _write_bytes(out: str | None, data: bytes) -> None:
-    if out is None:
+def _write_stdout(data: bytes) -> None:
+    # Straight to the unbuffered binary stream, looping until every byte
+    # lands: a raw stream may take part of the data, and a failed write then
+    # leaves no buffered bytes for the interpreter's final flush to fail on.
+    sys.stdout.flush()
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:  # a text-only stand-in, such as io.StringIO
         sys.stdout.write(data.decode("utf-8"))
         return
+    stream = getattr(stream, "raw", stream)
+    view = memoryview(data)
+    while view:
+        view = view[stream.write(view):]
+
+
+def _write_bytes(out: str | None, data: bytes) -> None:
     try:
-        Path(out).write_bytes(data)
+        if out is None:
+            _write_stdout(data)
+        else:
+            Path(out).write_bytes(data)
     except OSError as exc:
-        raise DomainError(f"cannot write output file {out}: {exc}") from exc
+        where = "to stdout" if out is None else f"output file {out}"
+        raise DomainError(f"cannot write {where}: {exc}") from exc
 
 
 def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:

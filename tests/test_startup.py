@@ -1,5 +1,6 @@
-"""Start-up contract: a cheap ``import quasispin``, the CLI entry's BLAS cap, and a
-CLI front end that loads numpy and the physics only for the subcommand it runs.
+"""Start-up contract: a cheap ``import quasispin``, the CLI entry's BLAS cap and
+exit-time GC freeze, a CLI front end that loads numpy and the physics only for
+the subcommand it runs, and a CLI that fails cleanly on a closed stdout.
 
 Every check runs in a fresh interpreter: what it tests (``sys.modules``, the
 environment, the threads of the process) is fixed by what that process
@@ -19,16 +20,28 @@ SRC = Path(quasispin.__file__).resolve().parents[1]
 SWEEP = ["sweep", "--chi-ratio", "0.6", "--variant", "both", "--points", "64", "--precision", "17"]
 
 
-def run_python(args, openblas=None):
-    """stdout bytes of ``python ARGS`` on this checkout, with OPENBLAS_NUM_THREADS unset or set."""
+def child_env(openblas=None):
+    """This environment for a child on this checkout, with OPENBLAS_NUM_THREADS unset or set."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
     if openblas is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas
+    return env
+
+
+def run_child(args, openblas=None):
+    """Exit code, stdout and stderr bytes of ``python ARGS`` on this checkout."""
+    env = child_env(openblas)
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
-    assert done.stderr == b""
-    return done.stdout
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_python(args, openblas=None):
+    """stdout bytes of ``python ARGS`` on this checkout, which must exit 0 and print no error."""
+    code, out, err = run_child(args, openblas)
+    assert code == 0, err.decode()
+    assert err == b""
+    return out
 
 
 def run_code(code, openblas=None):
@@ -118,6 +131,67 @@ class TestCliEntry:
     def test_version(self):
         out = run_python(["-m", "quasispin", "--version"])
         assert out == f"quasispin {quasispin.__version__}\n".encode() == b"quasispin 0.1.0\n"
+
+
+# Registered before the entry loads, so atexit (last in, first out) runs it
+# after the entry's gc.freeze.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+)
+RUN_MODULE = (
+    "import runpy\nsys.argv[0] = 'quasispin'\nrunpy.run_module('quasispin', run_name='__main__')"
+)
+CONSOLE_SCRIPT = "from quasispin.__main__ import main\nsys.exit(main())"
+LIBRARY = "import quasispin.cli\nsys.exit(quasispin.cli.main(sys.argv[1:]))"
+
+
+class TestExitFreeze:
+    """The process entry freezes the heap out of the exit-time collections; the library does not."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["sweep"], 2),  # a usage error: --chi-ratio is missing
+            (["sweep", "--chi-ratio", "0.6", "--points", "3", "--out", "no/such/dir/x.csv"], 3),
+        ],
+    )
+    def test_every_exit_of_the_module_entry_freezes(self, argv, code):
+        returncode, out, err = run_child(["-c", FREEZE_PROBE + RUN_MODULE, *argv])
+        assert returncode == code
+        assert out.endswith(b"frozen True\n")
+        assert (err == b"") is (code == 0)
+        assert b"Traceback" not in err and err.count(b"\n") == (code != 0)
+
+    def test_the_entries_freeze_and_the_library_does_not_with_the_same_bytes(self):
+        data = run_python(["-m", "quasispin", *SWEEP])
+        assert data.count(b"\n") == 129
+        for code, frozen in ((CONSOLE_SCRIPT, True), (LIBRARY, False)):
+            assert run_child(["-c", FREEZE_PROBE + code, *SWEEP]) == (
+                0, data + f"frozen {frozen}\n".encode(), b""
+            )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("points", ["3", "4000"])  # within and past one pipe buffer
+def test_a_closed_stdout_is_a_domain_failure(unbuffered, points):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # sys.stdout.buffer is then a raw FileIO, which may write short
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "quasispin", "sweep", "--chi-ratio", "0.6", "--points", points],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr.startswith(b"error: cannot write to stdout: ")
+    assert done.stderr.count(b"\n") == 1
 
 
 SUBCOMMANDS = ("sweep", "critical", "phase", "fig1", "fig2", "exact-compare", "micro")
