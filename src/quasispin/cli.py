@@ -215,7 +215,10 @@ def _write_stdout(data: bytes) -> None:
     stream = getattr(stream, "raw", stream)
     view = memoryview(data)
     while view:
-        view = view[stream.write(view):]
+        written = stream.write(view)
+        if written is None:  # a non-blocking stream that would block
+            raise BlockingIOError("stdout would block")
+        view = view[written:]
 
 
 def _write_bytes(out: str | None, data: bytes) -> None:

@@ -556,14 +556,11 @@ def _json_column(column: list, precision: int) -> Iterable[str]:
         memo = _memoized(column, lambda value: json.dumps(float(fmt % value)))
         if memo is not None:
             return memo
+        # Lazy, so the texts are rendered a row block at a time; the
+        # translation also covers a finite cell that rounds to inf
+        # (1.797...e308 at precision 10).
         texts = map(repr, map(float, map(fmt.__mod__, column)))
-        # A finite cell near the float maximum can round to inf (1.797...e308
-        # at precision 10); rounding is monotone, so the largest magnitude
-        # decides for the whole column.
-        top = max(map(abs, column), default=0.0)
-        if all(map(math.isfinite, column)) and math.isfinite(float(fmt % top)):
-            return texts  # lazy: rendered a row block at a time
-        return [_JSON_NON_FINITE.get(text, text) for text in texts]
+        return (_JSON_NON_FINITE.get(text, text) for text in texts)
     if kinds <= {str}:
         return list(map({text: json.dumps(text) for text in set(column)}.__getitem__, column))
     return [

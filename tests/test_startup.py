@@ -1,6 +1,6 @@
 """Start-up contract: a cheap ``import quasispin``, the CLI entry's BLAS cap and
 exit-time GC freeze, a CLI front end that loads numpy and the physics only for
-the subcommand it runs, and a CLI that fails cleanly on a closed stdout.
+the subcommand it runs, and a CLI that fails cleanly on a closed or full stdout.
 
 Every check runs in a fresh interpreter: what it tests (``sys.modules``, the
 environment, the threads of the process) is fixed by what that process
@@ -174,10 +174,22 @@ class TestExitFreeze:
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("points", ["3", "4000"])  # within and past one pipe buffer
-def test_a_closed_stdout_is_a_domain_failure(unbuffered, points):
+@pytest.mark.parametrize(
+    "pipe, points",
+    [
+        ("closed", "3"),  # within one pipe buffer
+        ("closed", "4000"),  # past one pipe buffer
+        # Nobody reads the pipe until the child exits, so a write past its
+        # buffer would block; the raw stream then returns None, not a count.
+        ("full", "4000"),
+    ],
+)
+def test_a_closed_or_full_stdout_is_a_domain_failure(pipe, points, unbuffered):
     read_end, write_end = os.pipe()
-    os.close(read_end)
+    if pipe == "closed":
+        os.close(read_end)
+    else:
+        os.set_blocking(write_end, False)
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:  # sys.stdout.buffer is then a raw FileIO, which may write short
@@ -189,6 +201,8 @@ def test_a_closed_stdout_is_a_domain_failure(unbuffered, points):
         )
     finally:
         os.close(write_end)
+        if pipe == "full":
+            os.close(read_end)
     assert done.returncode == 3
     assert done.stderr.startswith(b"error: cannot write to stdout: ")
     assert done.stderr.count(b"\n") == 1
