@@ -38,12 +38,9 @@ _EXPORTS = {
             "gibbs_observables", "ground_state_m",
         ),
         "sweep": (
-            "BoundaryPoint", "OutputFormat", "PhaseMap", "PopulationPoint", "RatioSeries",
-            "SweepConfig", "THERMO_COLUMNS", "ThermoPoint", "boundary_table",
-            "critical_point_table", "figure1_table",
-            "figure1_series", "figure2_table", "figure2_series", "phase_map",
-            "phase_map_table", "plot_script", "proposed_normalizer", "serialize",
-            "sweep_table", "temperature_sweep", "thermo_point",
+            "OutputFormat", "SweepConfig", "THERMO_COLUMNS", "critical_point_table",
+            "figure1_table", "figure2_table", "phase_map", "plot_script",
+            "proposed_normalizer", "serialize", "sweep_table",
         ),
     }.items()
     for name in names

@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
+    # Help and version text for stdout takes the data's path, so a closed or
+    # full stdout fails the run (exit 3); argparse would drop the OSError.
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            _write_bytes(None, message.encode("utf-8"))
+        else:
+            super()._print_message(message, file)
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -294,13 +302,13 @@ def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
     variant = _one_variant(args)
     _check_range(args, "chi")
     _check_range(args, "theta")
-    from .sweep import boundary_table, phase_map, phase_map_table
+    from .sweep import phase_map
 
-    pmap = phase_map(
+    cells, boundary = phase_map(
         variant, (args.chi_min, args.chi_max), (args.theta_min, args.theta_max),
         nx=args.nx, ny=args.ny, omega_k=args.omega_k, tol=args.tol,
     )
-    return {"out": phase_map_table(pmap), "boundary_out": boundary_table(pmap)}
+    return {"out": cells, "boundary_out": boundary}
 
 
 def _cmd_fig1(args: argparse.Namespace) -> dict[str, Table]:

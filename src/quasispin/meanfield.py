@@ -205,7 +205,7 @@ def _solve(theta, lam, varpi, caller: str) -> GapSolution:
     return GapSolution(**fields)
 
 
-def gap_solve(cpl: Couplings, tol: float = 1e-10) -> GapSolution:
+def gap_solve(cpl: Couplings) -> GapSolution:
     """Solve the self-consistency condition for the order parameter.
 
     The nonzero branch satisfies ``lam*tanh(E/(2*theta))/E = 1``; the left
@@ -215,7 +215,8 @@ def gap_solve(cpl: Couplings, tol: float = 1e-10) -> GapSolution:
     ``c = sqrt(E**2 - varpi**2)/(2*lam)`` — the global minimizer of the free
     energy; otherwise the minimum sits at c = 0. The root comes from Newton's
     method started at ``E = lam``, which falls monotonically onto it, for
-    every lane of an array at once.
+    every lane of an array at once. It runs to float convergence, so the
+    reported residuals sit at rounding level (about 1e-16).
 
     Parameters
     ----------
@@ -224,16 +225,10 @@ def gap_solve(cpl: Couplings, tol: float = 1e-10) -> GapSolution:
         couplings give array fields, with ``phase`` holding the
         :class:`Phase` values as strings; their ``theta = 0`` lanes take the
         :func:`zero_temperature_solution` limit.
-    tol : float
-        Acceptance scale for the reported residual, in (0, 1e-3]. Newton
-        always runs to float convergence, so residuals are typically ~1e-16
-        regardless of ``tol``.
     """
     theta = np.asarray(cpl.theta, dtype=float)
     if not np.all(theta > 0.0 if theta.ndim == 0 else theta >= 0.0):
         raise DomainError(f"gap_solve needs theta > 0, got {cpl.theta}")
-    if not 0.0 < tol <= 1e-3:
-        raise DomainError(f"tol must lie in (0, 1e-3], got {tol}")
     return _solve(theta, cpl.lam, cpl.varpi, "gap_solve")
 
 

@@ -1,9 +1,12 @@
-"""Temperature sweeps, figure series, phase maps, and their serialization.
+"""Temperature sweeps, figure datasets, phase maps, and their serialization.
 
 Every grid is solved in one array call to the physics core (couplings,
 ordering measure and gap solve of :mod:`quasispin.meanfield`). Results leave
-as a column table: a ``dict`` of equal-length lists whose key order is the
-column order, built from the ``.tolist()`` columns of the core's arrays.
+only as column tables: a ``dict`` of equal-length lists whose key order is
+the column order, built from the ``.tolist()`` columns of the core's arrays
+(:func:`sweep_table`, :func:`figure1_table`, :func:`figure2_table`, the
+``(cells, boundary)`` pair of :func:`phase_map`, :func:`critical_point_table`
+and :func:`comparison_table`).
 :func:`serialize` writes a table to CSV or JSON: a float column that repeats
 few values is formatted once per distinct value, other float columns format
 inside a row template, rows of text cells only are joined with commas, and
@@ -22,13 +25,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError, default_theta_max
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError
 from .meanfield import (
     MAX_PHASE_CELLS,
     CriticalPoint,
     NoCriticalPointError,
     Phase,
-    TransitionKind,
     _sign_change_roots,
     _uniform_grid,
     critical_temperatures,
@@ -47,27 +49,12 @@ __all__ = [
     "OutputFormat",
     "Table",
     "THERMO_COLUMNS",
-    "FIG1_POINTS",
-    "FIG2_POINTS",
-    "ThermoPoint",
     "SweepConfig",
-    "RatioSeries",
-    "PopulationPoint",
-    "BoundaryPoint",
-    "PhaseMap",
-    "MAX_PHASE_CELLS",
-    "thermo_point",
     "sweep_table",
-    "temperature_sweep",
     "proposed_normalizer",
-    "default_theta_max",
-    "figure1_series",
     "figure1_table",
-    "figure2_series",
     "figure2_table",
     "phase_map",
-    "phase_map_table",
-    "boundary_table",
     "critical_point_table",
     "comparison_table",
     "concat_tables",
@@ -116,22 +103,6 @@ class OutputFormat(str, Enum):
 
 
 @dataclass(frozen=True)
-class ThermoPoint:
-    """Equilibrium state of one variant at one temperature."""
-
-    theta: float
-    nbar: float
-    lam: float
-    varpi: float
-    c_abs: float
-    f_per_atom: float
-    rz_eq10: float  # polarization of the equilibrium solution
-    rz_eq4: float  # stationary polarization of the relaxation dynamics
-    phase: Phase
-    variant: Variant
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     """Temperature-grid specification for one sweep."""
 
@@ -147,49 +118,6 @@ class SweepConfig:
             )
         if self.points < 2:
             raise DomainError(f"points must be >= 2, got {self.points}")
-
-
-@dataclass(frozen=True)
-class RatioSeries:
-    """Paired variant sweeps for one coupling ratio, sharing one normalizer."""
-
-    chi_ratio: float
-    theta_cr_max: float  # largest Proposed-variant transition temperature
-    proposed: list[ThermoPoint]
-    traditional: list[ThermoPoint]
-
-
-@dataclass(frozen=True)
-class PopulationPoint:
-    """Equilibrium vs relaxation polarization at one temperature."""
-
-    theta: float
-    rz_eq10: float
-    rz_eq4: float
-    variant: Variant
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    chi_ratio: float
-    theta_cr: float
-    kind: TransitionKind
-
-
-@dataclass(frozen=True)
-class PhaseMap:
-    """Phase classification on a ratio x temperature grid.
-
-    ``ordered[i, j]`` classifies the cell at ``thetas[i]``,
-    ``chi_ratios[j]``; the boundary holds the per-column transition
-    temperatures refined by bisection.
-    """
-
-    variant: Variant
-    chi_ratios: list[float]
-    thetas: list[float]
-    ordered: np.ndarray  # bool, shape (len(thetas), len(chi_ratios))
-    boundary: list[BoundaryPoint]
 
 
 def _columns(params: ModelParams, thetas: np.ndarray, theta_cr: float | None = None) -> Table:
@@ -212,22 +140,6 @@ def _columns(params: ModelParams, thetas: np.ndarray, theta_cr: float | None = N
         "phase": sol.phase.tolist(),
         "variant": [params.variant.value] * thetas.size,
     }
-
-
-def _points(columns: Table, variant: Variant) -> list[ThermoPoint]:
-    columns["phase"] = [Phase(value) for value in columns["phase"]]
-    columns["variant"] = [variant] * len(columns["theta"])
-    return [ThermoPoint(*row) for row in zip(*columns.values())]
-
-
-def thermo_point(params: ModelParams, theta: float) -> ThermoPoint:
-    """Solve one temperature; theta = 0 uses the analytic saturated limit."""
-    return _points(_columns(params, np.array([theta], dtype=float)), params.variant)[0]
-
-
-def temperature_sweep(cfg: SweepConfig) -> list[ThermoPoint]:
-    """Equilibrium solutions on a uniform theta grid, one point per temperature."""
-    return _points(sweep_table(cfg), cfg.params.variant)
 
 
 def sweep_table(cfg: SweepConfig, theta_cr: float | None = None) -> Table:
@@ -268,86 +180,43 @@ def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> CriticalPoin
     return points[-1]
 
 
-def _figure1_sweeps(
-    chi_ratios: Sequence[float], points: int, omega_k: float | None, tol: float
-) -> list[tuple[float, float, list[SweepConfig]]]:
-    # (ratio, Proposed theta_cr, [Proposed sweep, Traditional sweep]) per ratio
-    if not chi_ratios:
-        raise DomainError("chi_ratios must not be empty")
-    for ratio in chi_ratios:
-        if not 0.0 < ratio < 1.0:
-            raise DomainError(f"each chi ratio must lie in (0, 1), got {ratio}")
-    sweeps = []
-    for ratio in chi_ratios:
-        base = ModelParams(omega21=1.0, chi=ratio, omega_k=omega_k, variant=Variant.PROPOSED)
-        theta_cr = proposed_normalizer(base, tol).theta_cr
-        top = FIG1_AXIS_MAX * theta_cr
-        cfgs = [SweepConfig(replace(base, variant=v), 0.0, top, points) for v in Variant]
-        sweeps.append((ratio, theta_cr, cfgs))
-    return sweeps
-
-
-def figure1_series(
-    chi_ratios: Sequence[float],
-    points: int = FIG1_POINTS,
-    omega_k: float | None = None,
-    tol: float = 1e-10,
-) -> list[RatioSeries]:
-    """Order-parameter curves for both variants on a shared normalized axis.
-
-    For each ratio the theta grid spans ``[0, 1.05 * theta_cr]`` where
-    ``theta_cr`` is the Proposed variant's largest transition temperature,
-    so ``theta/theta_cr`` covers [0, 1.05] and the Proposed curve reaches
-    zero at 1.0. Raises :class:`NoCriticalPointError` for ratios without a
-    Proposed transition.
-    """
-    return [
-        RatioSeries(ratio, theta_cr, *map(temperature_sweep, cfgs))
-        for ratio, theta_cr, cfgs in _figure1_sweeps(chi_ratios, points, omega_k, tol)
-    ]
-
-
 def figure1_table(
     chi_ratios: Sequence[float],
     points: int = FIG1_POINTS,
     omega_k: float | None = None,
     tol: float = 1e-10,
 ) -> Table:
-    """The :func:`figure1_series` curves as one table.
+    """Order-parameter curves of both variants on a shared normalized axis.
 
-    Columns ``chi_ratio``, ``theta_norm``, then :data:`THERMO_COLUMNS`; rows
-    run per ratio, the Proposed block before the Traditional one.
+    For each ratio the theta grid spans ``[0, 1.05 * theta_cr]``, where
+    ``theta_cr`` is the Proposed variant's largest transition temperature
+    (:func:`proposed_normalizer`), so ``theta_norm = theta/theta_cr`` covers
+    [0, 1.05] and the Proposed curve reaches zero at 1.0. Columns
+    ``chi_ratio``, ``theta_norm``, then :data:`THERMO_COLUMNS`; rows run per
+    ratio, the Proposed block before the Traditional one. Raises
+    :class:`NoCriticalPointError` for a ratio without a Proposed transition.
     """
-    # Each sweep table is built first: it checks the grid size before the
-    # ratio column repeats anything that many times.
-    tables = [
-        {"chi_ratio": [ratio] * points, **table}
-        for ratio, theta_cr, cfgs in _figure1_sweeps(chi_ratios, points, omega_k, tol)
-        for table in [sweep_table(cfg, theta_cr) for cfg in cfgs]
+    if not chi_ratios:
+        raise DomainError("chi_ratios must not be empty")
+    for ratio in chi_ratios:
+        if not 0.0 < ratio < 1.0:
+            raise DomainError(f"each chi ratio must lie in (0, 1), got {ratio}")
+    # All normalizers come first, so a ratio without a transition is reported
+    # before an oversized grid is.
+    bases = [
+        ModelParams(omega21=1.0, chi=ratio, omega_k=omega_k, variant=Variant.PROPOSED)
+        for ratio in chi_ratios
     ]
+    scales = [proposed_normalizer(base, tol).theta_cr for base in bases]
+    tables = []
+    for ratio, base, theta_cr in zip(chi_ratios, bases, scales):
+        for variant in Variant:
+            cfg = SweepConfig(replace(base, variant=variant), 0.0, FIG1_AXIS_MAX * theta_cr, points)
+            # The sweep table is built first: it checks the grid size before
+            # the ratio column repeats anything that many times.
+            table = sweep_table(cfg, theta_cr)
+            tables.append({"chi_ratio": [ratio] * points, **table})
     return concat_tables(tables)
-
-
-def figure2_series(
-    chi_ratio: float,
-    points: int = FIG2_POINTS,
-    variant: Variant = Variant.PROPOSED,
-    omega_k: float | None = None,
-    tol: float = 1e-10,
-) -> list[PopulationPoint]:
-    """Equilibrium vs relaxation polarization across the variant's transition.
-
-    The grid spans ``[0, 2 * theta_cr]`` of the requested variant: below the
-    transition the two columns agree to solver tolerance; above it they
-    separate. Raises :class:`NoCriticalPointError` when the variant has no
-    transition at this ratio.
-    """
-    table = figure2_table(chi_ratio, points, variant, omega_k, tol)
-    variant = Variant(variant)
-    return [
-        PopulationPoint(theta=theta, rz_eq10=rz_eq10, rz_eq4=rz_eq4, variant=variant)
-        for theta, rz_eq10, rz_eq4 in zip(table["theta"], table["rz_eq10"], table["rz_eq4"])
-    ]
 
 
 def figure2_table(
@@ -357,7 +226,14 @@ def figure2_table(
     omega_k: float | None = None,
     tol: float = 1e-10,
 ) -> Table:
-    """The :func:`figure2_series` points as a ``theta, rz_eq10, rz_eq4, variant`` table."""
+    """Equilibrium vs relaxation polarization across the variant's transition.
+
+    A ``theta, rz_eq10, rz_eq4, variant`` table on ``[0, 2 * theta_cr]`` of
+    the requested variant: below the transition the two polarizations agree
+    to solver tolerance; above it they separate. Raises
+    :class:`NoCriticalPointError` when the variant has no transition at this
+    ratio.
+    """
     if not 0.0 < chi_ratio < 1.0:
         raise DomainError(f"chi_ratio must lie in (0, 1), got {chi_ratio}")
     variant = Variant(variant)
@@ -381,15 +257,19 @@ def phase_map(
     ny: int,
     omega_k: float | None = None,
     tol: float = 1e-10,
-) -> PhaseMap:
+) -> tuple[Table, Table]:
     """Classify the phase on a coupling-ratio x temperature grid.
 
-    Cells are ordered where the ordering measure is positive (at
-    ``varpi = 0`` where it degenerates, where ``theta < lam/2``). The
-    boundary is refined per column by the same scan-and-bisect used by
-    :func:`critical_temperatures`, on the column's theta grid. Cells and
-    brackets come from the same array measure, evaluated on blocks of whole
-    columns whose brackets are bisected together.
+    Returns ``(cells, boundary)``. ``cells`` has the columns ``chi_ratio,
+    theta, phase, variant`` in row-major order: one row of ``nx`` ratios per
+    temperature, temperatures ascending. A cell is ordered where the
+    ordering measure is positive (at ``varpi = 0``, where it degenerates,
+    where ``theta < lam/2``). ``boundary`` has the columns ``chi_ratio,
+    theta_cr, kind, variant``: the transition temperatures of each ratio
+    column, refined on the column's theta grid by the same scan-and-bisect
+    as :func:`critical_temperatures`, by ratio and then by temperature. Cells
+    and brackets come from the same array measure, evaluated on blocks of
+    whole columns whose brackets are bisected together.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -409,7 +289,7 @@ def phase_map(
     thetas = _uniform_grid(theta_lo, theta_hi, ny)
     ratio_list = ratios.tolist()
     ordered = np.empty((ny, nx), dtype=bool)
-    boundary = []
+    boundary: Table = {"chi_ratio": [], "theta_cr": [], "kind": []}
     width = max(1, _BLOCK_CELLS // ny)
     for start in range(0, nx, width):
         block = ModelParams(
@@ -420,39 +300,19 @@ def phase_map(
         def measure(theta: np.ndarray, lane: np.ndarray, block=block) -> np.ndarray:
             return ordering_measure(couplings_at(replace(block, chi=block.chi[lane]), theta))
 
-        boundary += [
-            BoundaryPoint(chi_ratio=ratio_list[start + lane], theta_cr=root, kind=kind)
-            for root, kind, lane in _sign_change_roots(measure, thetas, tol, block.chi.size)
-        ]
-    return PhaseMap(
-        variant=variant,
-        chi_ratios=ratio_list,
-        thetas=thetas.tolist(),
-        ordered=ordered,
-        boundary=boundary,
-    )
-
-
-def phase_map_table(pmap: PhaseMap) -> Table:
-    """Row-major cell table (theta rows, ratio columns)."""
-    nx, ny = len(pmap.chi_ratios), len(pmap.thetas)
+        for root, kind, lane in _sign_change_roots(measure, thetas, tol, block.chi.size):
+            boundary["chi_ratio"].append(ratio_list[start + lane])
+            boundary["theta_cr"].append(root)
+            boundary["kind"].append(kind.value)
+    boundary["variant"] = [variant.value] * len(boundary["kind"])
     names = (Phase.DISORDERED.value, Phase.ORDERED.value)
-    return {
-        "chi_ratio": pmap.chi_ratios * ny,
-        "theta": [theta for theta in pmap.thetas for _ in range(nx)],
-        "phase": list(map(names.__getitem__, pmap.ordered.ravel().tolist())),
-        "variant": [pmap.variant.value] * (nx * ny),
+    cells = {
+        "chi_ratio": ratio_list * ny,
+        "theta": [theta for theta in thetas.tolist() for _ in range(nx)],
+        "phase": list(map(names.__getitem__, ordered.ravel().tolist())),
+        "variant": [variant.value] * (nx * ny),
     }
-
-
-def boundary_table(pmap: PhaseMap) -> Table:
-    points = pmap.boundary
-    return {
-        "chi_ratio": [point.chi_ratio for point in points],
-        "theta_cr": [point.theta_cr for point in points],
-        "kind": [point.kind.value for point in points],
-        "variant": [pmap.variant.value] * len(points),
-    }
+    return cells, boundary
 
 
 def critical_point_table(points: Sequence[CriticalPoint], variant: Variant) -> Table:

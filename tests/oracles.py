@@ -5,7 +5,9 @@ formulas, dense grid search, golden-section refinement, and the scalar
 bisection gap solver that the package's array core replaced. No code is
 shared with the package, so agreement is a real cross-check rather than a
 tautology. The serializer at the end is the package's writer before column
-tables: one dict per row, written by ``csv.writer`` or ``json.dumps``.
+tables: one dict per row, written by ``csv.writer`` or ``json.dumps``. The
+one exception is ``temperature_sweep``, which only adapts the package's
+sweep table to the attribute rows the acceptance suite reads.
 """
 
 import csv
@@ -154,32 +156,20 @@ def bisection_solution(lam: float, varpi: float, theta: float) -> dict:
     }
 
 
-# Columns of a sweep row, in order.
-THERMO_FIELDS = (
-    "theta", "nbar", "lambda", "varpi", "c_abs", "f_per_atom", "rz_eq10", "rz_eq4",
-    "phase", "variant",
-)
-
-
-def thermo_record(point) -> dict:
-    """Row dict of one solved sweep point, in the fixed sweep schema."""
-    return {
-        "theta": point.theta,
-        "nbar": point.nbar,
-        "lambda": point.lam,
-        "varpi": point.varpi,
-        "c_abs": point.c_abs,
-        "f_per_atom": point.f_per_atom,
-        "rz_eq10": point.rz_eq10,
-        "rz_eq4": point.rz_eq4,
-        "phase": point.phase.value,
-        "variant": point.variant.value,
-    }
-
-
 def table_records(table: dict) -> list[dict]:
     """One dict per row of a column table."""
     return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def temperature_sweep(cfg) -> list:
+    """Rows of the package's ``sweep_table(cfg)`` as namespaces, ``phase`` as a ``Phase``."""
+    from types import SimpleNamespace
+
+    from quasispin.meanfield import Phase
+    from quasispin.sweep import sweep_table
+
+    rows = table_records(sweep_table(cfg))
+    return [SimpleNamespace(**{**row, "phase": Phase(row["phase"])}) for row in rows]
 
 
 def _csv_cell(value, precision: int):

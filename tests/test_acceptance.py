@@ -21,10 +21,10 @@ from quasispin.meanfield import (
     population_inversion,
     rz_relaxation,
 )
-from quasispin.sweep import SweepConfig, temperature_sweep
+from quasispin.sweep import SweepConfig
 from quasispin.thermal import ModelParams, Variant, couplings_at
 
-from oracles import ladder_ground_m, order_parameter as oracle_order_parameter
+from oracles import ladder_ground_m, order_parameter as oracle_order_parameter, temperature_sweep
 
 SCAN = (1e-4, 2.0)
 GRID = 1024

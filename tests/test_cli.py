@@ -7,7 +7,7 @@ import pytest
 
 from quasispin import thermal
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from quasispin.sweep import THERMO_COLUMNS, figure1_series, figure2_series
+from quasispin.sweep import THERMO_COLUMNS, figure1_table, figure2_table
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 
@@ -368,6 +368,26 @@ class TestPhase:
         assert boundary_lines[0] == "chi_ratio,theta_cr,kind,variant"
         assert len(boundary_lines) == 1 + 5
 
+    @pytest.mark.parametrize(
+        "output_format, empty",
+        [("csv", "chi_ratio,theta_cr,kind,variant\n"), ("json", "[]\n")],
+        ids=["csv", "json"],
+    )
+    def test_a_map_without_a_transition_writes_an_empty_boundary(
+        self, capsys, tmp_path, output_format, empty
+    ):
+        boundary_file = tmp_path / "boundary"
+        code, out, _ = run(
+            capsys,
+            [
+                "phase", "--chi-min", "0.05", "--chi-max", "0.1", "--nx", "3", "--ny", "3",
+                "--format", output_format, "--boundary-out", str(boundary_file),
+            ],
+        )
+        assert code == EXIT_OK
+        assert out.count("disordered") == 9
+        assert boundary_file.read_text() == empty
+
     def test_rejects_both_variants(self, capsys):
         code, _, _ = run(capsys, ["phase", "--variant", "both"])
         assert code == EXIT_USAGE
@@ -432,11 +452,10 @@ class TestFigures:
     def test_default_grid_sizes_match_the_library(self, capsys):
         code, out, _ = run(capsys, ["fig1", "--ratios", "0.6"])
         assert code == EXIT_OK
-        series = figure1_series([0.6])[0]
-        assert len(out.splitlines()) - 1 == len(series.proposed) + len(series.traditional)
+        assert len(out.splitlines()) - 1 == len(figure1_table([0.6])["theta"])
         code, out, _ = run(capsys, ["fig2", "--chi-ratio", "0.6"])
         assert code == EXIT_OK
-        assert len(out.splitlines()) - 1 == len(figure2_series(0.6)) == 200
+        assert len(out.splitlines()) - 1 == len(figure2_table(0.6)["theta"]) == 200
 
     def test_fig2_without_transition_is_a_domain_failure(self, capsys):
         code, _, _ = run(

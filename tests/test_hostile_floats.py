@@ -1,11 +1,13 @@
-"""Hostile floats never break the CLI's exit-code contract.
+"""Hostile floats and integers never break the CLI's exit-code contract.
 
 Every float a subcommand takes (each float flag, a ratio of ``--ratios``, a
 number of ``--level``) gets NaN, an infinity, a subnormal, a value near the
 float maximum or a huge integer: one at a time on every subcommand, and
-several at once in a derandomized hypothesis search. Whatever the values,
-``main()`` returns 0, 2 or 3, lets no exception out, raises no warning, and an
-exit-0 run writes finite numbers only.
+several at once in a derandomized hypothesis search. Every integer it takes
+(each integer flag, an atom count of ``--n-list``) gets, one at a time, a
+value below its minimum, one past its cap or the float range, or hex text.
+Whatever the values, ``main()`` returns 0, 2 or 3, lets no exception out,
+raises no warning, and an exit-0 run writes finite numbers only.
 """
 
 import contextlib
@@ -37,6 +39,10 @@ HOSTILE = [
     "nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "2.2250738585072014e-308",
     "1.7e308", "-1.7e308", "1" + "0" * 300, "-" + "9" * 308, HUGE, "-" + HUGE, "0", "-0.0",
 ]
+# Each is rejected by a check or a cap before anything is allocated (10000001
+# is one past MAX_PHASE_CELLS and past MAX_LADDER_ATOMS), or is accepted with
+# a grid of a few points; --threads takes any count >= 0 and ignores it.
+HOSTILE_INTS = ["-1", "0", "1", "10000001", str(2**63), HUGE, "0x10"]
 VARIANTS = {
     name: ("proposed", "traditional", "both") if name in ("sweep", "critical", "fig2")
     else ("proposed", "traditional")
@@ -45,13 +51,18 @@ VARIANTS = {
 }
 
 
-def _float_slots(name):
-    """(label, value -> argv tail) for every float that subcommand ``name`` takes."""
-    slots = [
+def _flag_slots(name, parse):
+    """(label, value -> argv tail) for each flag of subcommand ``name`` that ``parse`` reads."""
+    return [
         (cli._option(dest), lambda value, option=cli._option(dest): [f"{option}={value}"])
         for dest in cli._COMMANDS[name].defaults
-        if cli._FLAGS[dest].parse is cli._real
+        if cli._FLAGS[dest].parse is parse
     ]
+
+
+def _float_slots(name):
+    """(label, value -> argv tail) for every float that subcommand ``name`` takes."""
+    slots = _flag_slots(name, cli._real)
     if name == "fig1":
         slots.append(("--ratios", lambda value: [f"--ratios=0.6,{value}"]))
     if name == "micro":
@@ -66,6 +77,8 @@ def _float_slots(name):
 
 
 SLOTS = {name: _float_slots(name) for name in BASE}
+INT_SLOTS = {name: _flag_slots(name, int) for name in BASE}
+INT_SLOTS["exact-compare"].append(("--n-list", lambda value: [f"--n-list=8,{value}"]))
 
 
 def _numbers(text, output_format):
@@ -109,6 +122,16 @@ def assert_contract(argv, output_format):
 )
 def test_each_float_alone(name, label, slot):
     for index, value in enumerate(HOSTILE):
+        assert_contract([name, *BASE[name], *slot(value)], ("csv", "json")[index % 2])
+
+
+@pytest.mark.parametrize(
+    "name, label, slot",
+    [(name, label, slot) for name, slots in INT_SLOTS.items() for label, slot in slots],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_each_integer_alone(name, label, slot):
+    for index, value in enumerate(HOSTILE_INTS):
         assert_contract([name, *BASE[name], *slot(value)], ("csv", "json")[index % 2])
 
 

@@ -176,10 +176,6 @@ class TestGapSolve:
             gap_solve(replace(good, theta=0.0))
         with pytest.raises(DomainError):
             gap_solve(replace(good, lam=0.0))
-        with pytest.raises(DomainError):
-            gap_solve(good, tol=0.0)
-        with pytest.raises(DomainError):
-            gap_solve(good, tol=0.01)
 
 
 class TestZeroTemperature:

@@ -5,8 +5,8 @@ or ``json.dumps``. The package writes column tables a block of rows at a
 time, formatting a float column that repeats few values once per distinct
 value. Both must give the same bytes: on generated tables with hostile
 cells, on seeded tables long enough to cross row blocks and the repeat
-probe, and on every CLI subcommand, whose oracle rows are rebuilt from the
-library's point objects.
+probe, and on every CLI subcommand, whose oracle rows are the rows of the
+library's tables.
 """
 
 import math
@@ -19,22 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import THERMO_FIELDS, serialize_records, table_records, thermo_record
+from oracles import serialize_records, table_records
+from quasispin.base import default_theta_max
 from quasispin.cli import EXIT_OK, main
 from quasispin.exact import compare_meanfield
 from quasispin.meanfield import critical_temperatures
 from quasispin.sweep import (
     SweepConfig,
     concat_tables,
-    default_theta_max,
-    figure1_series,
-    figure2_series,
+    figure1_table,
+    figure2_table,
     phase_map,
-    phase_map_table,
     proposed_normalizer,
     serialize,
     sweep_table,
-    temperature_sweep,
 )
 from quasispin.thermal import (
     MicroscopicLevels,
@@ -164,7 +162,8 @@ def _peak_and_size(table, output_format):
 def test_phase_map_serialization_peaks_below_three_times_its_output(output_format):
     # The text is rendered a block at a time and exists whole only as the
     # returned bytes; the blocks and those bytes together are about twice it.
-    peak, size = _peak_and_size(phase_map_table(_phase_map(256, 256)), output_format)
+    cells, _ = _phase_map(256, 256)
+    peak, size = _peak_and_size(cells, output_format)
     assert peak < 3 * size
 
 
@@ -183,20 +182,20 @@ def test_sweep_serialization_peaks_below_three_times_its_output(output_format):
     assert peak < 3 * size
 
 
-# --- CLI subcommands against oracle rows built from the library's points ---
+# --- CLI subcommands against the rows of the library's tables ---
+
+
+def _rows(table):
+    return table_records(table), tuple(table)
 
 
 def _sweep_rows(ratio, variants, points, normalize):
     base = ModelParams(omega21=1.0, chi=ratio)
     theta_cr = proposed_normalizer(base).theta_cr if normalize else None
-    rows = []
-    for variant in variants:
-        cfg = SweepConfig(replace(base, variant=variant), 0.0, default_theta_max(ratio), points)
-        for point in temperature_sweep(cfg):
-            prefix = {} if theta_cr is None else {"theta_norm": point.theta / theta_cr}
-            rows.append({**prefix, **thermo_record(point)})
-    fields = (("theta_norm",) if normalize else ()) + THERMO_FIELDS
-    return rows, fields
+    grid = (0.0, default_theta_max(ratio), points)
+    return _rows(concat_tables(
+        [sweep_table(SweepConfig(replace(base, variant=v), *grid), theta_cr) for v in variants]
+    ))
 
 
 def _critical_rows(ratio, variants):
@@ -215,41 +214,19 @@ def _phase_map(nx, ny):
 
 
 def _phase_rows(nx, ny):
-    pmap = _phase_map(nx, ny)
-    names = ("disordered", "ordered")
-    rows = [
-        {"chi_ratio": ratio, "theta": theta, "phase": names[flag], "variant": "proposed"}
-        for theta, row in zip(pmap.thetas, pmap.ordered.tolist())
-        for ratio, flag in zip(pmap.chi_ratios, row)
-    ]
-    return rows, ("chi_ratio", "theta", "phase", "variant")
+    return _rows(_phase_map(nx, ny)[0])
 
 
 def _boundary_rows(nx, ny):
-    rows = [
-        {"chi_ratio": p.chi_ratio, "theta_cr": p.theta_cr, "kind": p.kind.value,
-         "variant": "proposed"}
-        for p in _phase_map(nx, ny).boundary
-    ]
-    return rows, ("chi_ratio", "theta_cr", "kind", "variant")
+    return _rows(_phase_map(nx, ny)[1])
 
 
 def _fig1_rows(ratios):
-    rows = []
-    for entry in figure1_series(ratios):
-        for point in entry.proposed + entry.traditional:
-            rows.append({"chi_ratio": entry.chi_ratio,
-                         "theta_norm": point.theta / entry.theta_cr_max, **thermo_record(point)})
-    return rows, ("chi_ratio", "theta_norm") + THERMO_FIELDS
+    return _rows(figure1_table(ratios))
 
 
 def _fig2_rows(ratio, variants):
-    rows = [
-        {"theta": p.theta, "rz_eq10": p.rz_eq10, "rz_eq4": p.rz_eq4, "variant": p.variant.value}
-        for variant in variants
-        for p in figure2_series(ratio, variant=variant)
-    ]
-    return rows, ("theta", "rz_eq10", "rz_eq4", "variant")
+    return _rows(concat_tables([figure2_table(ratio, variant=v) for v in variants]))
 
 
 def _compare_rows(ratio, theta, n_list):

@@ -173,18 +173,25 @@ class TestExitFreeze:
             )
 
 
+def _sweep(points):
+    return ["sweep", "--chi-ratio", "0.6", "--points", points]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
-    "pipe, points",
+    "pipe, argv",
     [
-        ("closed", "3"),  # within one pipe buffer
-        ("closed", "4000"),  # past one pipe buffer
+        pytest.param("closed", _sweep("3"), id="closed-3"),  # within one pipe buffer
+        pytest.param("closed", _sweep("4000"), id="closed-4000"),  # past one pipe buffer
         # Nobody reads the pipe until the child exits, so a write past its
         # buffer would block; the raw stream then returns None, not a count.
-        ("full", "4000"),
+        pytest.param("full", _sweep("4000"), id="full-4000"),
+        # argparse prints help and version text itself and would drop the error
+        pytest.param("closed", ["--version"], id="closed-version"),
+        pytest.param("closed", ["sweep", "--help"], id="closed-sweep-help"),
     ],
 )
-def test_a_closed_or_full_stdout_is_a_domain_failure(pipe, points, unbuffered):
+def test_a_closed_or_full_stdout_is_a_domain_failure(pipe, argv, unbuffered):
     read_end, write_end = os.pipe()
     if pipe == "closed":
         os.close(read_end)
@@ -196,7 +203,7 @@ def test_a_closed_or_full_stdout_is_a_domain_failure(pipe, points, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "quasispin", "sweep", "--chi-ratio", "0.6", "--points", points],
+            [sys.executable, "-m", "quasispin", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
         )
     finally:

@@ -1,31 +1,33 @@
 import json
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quasispin.meanfield import NoCriticalPointError, Phase, TransitionKind, is_ordered
+from oracles import table_records
+from quasispin.base import default_theta_max
+from quasispin.meanfield import (
+    NoCriticalPointError,
+    critical_temperatures,
+    gap_solve,
+    is_ordered,
+    population_inversion,
+    rz_relaxation,
+)
 from quasispin.sweep import (
     THERMO_COLUMNS,
     OutputFormat,
     SweepConfig,
-    boundary_table,
     concat_tables,
-    default_theta_max,
-    figure1_series,
     figure1_table,
-    figure2_series,
     figure2_table,
     phase_map,
-    phase_map_table,
     plot_script,
     proposed_normalizer,
     serialize,
     sweep_table,
-    temperature_sweep,
-    thermo_point,
 )
 from quasispin.thermal import DomainError, ModelParams, Variant, couplings_at
 
@@ -40,50 +42,54 @@ def prop(chi: float) -> ModelParams:
     return ModelParams(omega21=1.0, chi=chi, variant=Variant.PROPOSED)
 
 
+def sweep_rows(params: ModelParams, theta_min: float, theta_max: float, points: int) -> list:
+    return table_records(sweep_table(SweepConfig(params, theta_min, theta_max, points)))
+
+
 class TestThermoPoint:
     def test_zero_temperature_endpoint(self):
-        point = thermo_point(trad(0.6), 0.0)
-        assert point.phase is Phase.ORDERED
-        assert point.c_abs == pytest.approx(0.3726779962499649, rel=1e-15)
-        assert point.f_per_atom == pytest.approx(-0.21666666666666667, rel=1e-15)
-        assert point.rz_eq10 == pytest.approx(-1.0 / 3.0, rel=1e-12)
-        assert point.rz_eq4 == pytest.approx(-1.0 / 3.0, rel=1e-12)
-        assert point.nbar == 0.0
+        point = sweep_rows(trad(0.6), 0.0, 0.3, 2)[0]
+        assert point["phase"] == "ordered"
+        assert point["c_abs"] == pytest.approx(0.3726779962499649, rel=1e-15)
+        assert point["f_per_atom"] == pytest.approx(-0.21666666666666667, rel=1e-15)
+        assert point["rz_eq10"] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+        assert point["rz_eq4"] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+        assert point["nbar"] == 0.0
 
     def test_record_follows_fixed_schema(self):
         table = sweep_table(SweepConfig(params=prop(0.6), theta_min=0.0, theta_max=0.3, points=2))
         assert list(table) == list(THERMO_COLUMNS)
         assert table["variant"] == ["proposed", "proposed"]
-        assert table["phase"][-1] in ("ordered", "disordered")
-        # the last row is the point at theta = 0.3, with plain string cells
-        assert [column[-1] for column in table.values()] == list(
-            astuple(thermo_point(prop(0.6), 0.3))
-        )
+        # the last row is the point at theta = 0.3, as the scalar core solves
+        # it, with plain string cells
+        cpl = couplings_at(prop(0.6), 0.3)
+        sol = gap_solve(cpl)
+        assert [column[-1] for column in table.values()] == [
+            0.3, cpl.nbar, cpl.lam, cpl.varpi, sol.c_abs, sol.free_energy_per_atom,
+            population_inversion(cpl, sol), rz_relaxation(cpl), sol.phase.value, "proposed",
+        ]
         assert type(table["phase"][-1]) is str and type(table["variant"][-1]) is str
 
     def test_proposed_point_carries_occupation(self):
-        point = thermo_point(prop(0.6), 0.4)
-        assert point.nbar > 0.0
-        assert point.lam > 0.6
+        point = sweep_rows(prop(0.6), 0.0, 0.4, 2)[-1]
+        assert point["nbar"] > 0.0
+        assert point["lambda"] > 0.6
 
 
 class TestTemperatureSweep:
     def test_grid_endpoints_are_exact(self):
         cfg = SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.75, points=4)
-        points = temperature_sweep(cfg)
-        assert [p.theta for p in points] == [0.0, 0.25, 0.5, 0.75]
+        assert sweep_table(cfg)["theta"] == [0.0, 0.25, 0.5, 0.75]
 
     def test_transition_is_visible(self):
-        cfg = SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.75, points=120)
-        points = temperature_sweep(cfg)
-        phases = [p.phase for p in points]
-        assert phases[0] is Phase.ORDERED
-        assert phases[-1] is Phase.DISORDERED
-        for point in points:
-            if point.phase is Phase.DISORDERED:
-                assert point.c_abs == 0.0
+        rows = sweep_rows(trad(0.6), 0.0, 0.75, 120)
+        assert rows[0]["phase"] == "ordered"
+        assert rows[-1]["phase"] == "disordered"
+        for row in rows:
+            if row["phase"] == "disordered":
+                assert row["c_abs"] == 0.0
             else:
-                assert point.c_abs > 0.0
+                assert row["c_abs"] > 0.0
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -98,14 +104,13 @@ class TestTemperatureSweep:
             with pytest.raises(DomainError):
                 SweepConfig(params=trad(0.6), theta_min=bad, theta_max=0.5, points=10)
 
-    def test_records_match_points(self):
+    def test_normalized_table_starts_with_theta_norm(self):
         cfg = SweepConfig(params=prop(0.5), theta_min=0.0, theta_max=0.6, points=80)
-        rows = list(zip(*sweep_table(cfg).values()))
-        assert rows == [astuple(p) for p in temperature_sweep(cfg)]
         normalized = sweep_table(cfg, theta_cr=0.3)
         assert list(normalized) == ["theta_norm", *THERMO_COLUMNS]
         assert normalized["theta_norm"][-1] == 0.6 / 0.3
         assert normalized["theta_norm"] == [theta / 0.3 for theta in normalized["theta"]]
+        assert {name: normalized[name] for name in THERMO_COLUMNS} == sweep_table(cfg)
 
     def test_masked_branches_raise_no_runtime_warnings(self):
         # theta = 0 lanes, subnormal-scale temperatures and varpi = 0 (ratio 0.5
@@ -114,11 +119,10 @@ class TestTemperatureSweep:
             warnings.simplefilter("error", RuntimeWarning)
             for params in (prop(0.6), trad(0.6), prop(0.5), trad(0.5), trad(0.3)):
                 for theta_min in (0.0, 1e-300):
-                    cfg = SweepConfig(params=params, theta_min=theta_min, theta_max=1.0, points=64)
-                    assert len(temperature_sweep(cfg)) == 64
+                    assert len(sweep_rows(params, theta_min, 1.0, 64)) == 64
             for variant in Variant:
-                pmap = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
-                assert pmap.chi_ratios[2] == 0.5
+                cells, _ = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
+                assert cells["chi_ratio"][2] == 0.5
 
 
 class TestNormalizerAndDefaults:
@@ -148,128 +152,142 @@ class TestNormalizerAndDefaults:
 
 class TestFigure1:
     def test_series_layout(self):
-        series = figure1_series([0.45, 0.6], points=40)
-        assert [s.chi_ratio for s in series] == [0.45, 0.6]
-        assert series[0].theta_cr_max == pytest.approx(0.4269273096, rel=1e-6)
-        assert series[1].theta_cr_max == pytest.approx(0.5707659565, rel=1e-6)
-        for entry in series:
-            assert len(entry.proposed) == 40
-            assert len(entry.traditional) == 40
-            assert entry.proposed[0].theta == 0.0
-            assert entry.proposed[-1].theta == pytest.approx(
-                1.05 * entry.theta_cr_max, rel=1e-12
-            )
+        table = figure1_table([0.45, 0.6], points=40)
+        assert table["chi_ratio"] == [0.45] * 80 + [0.6] * 80
+        rows = table_records(table)
+        for block, theta_cr in ((0, 0.4269273096), (80, 0.5707659565)):
+            proposed, traditional = rows[block : block + 40], rows[block + 40 : block + 80]
+            assert {row["variant"] for row in proposed} == {"proposed"}
+            assert {row["variant"] for row in traditional} == {"traditional"}
+            assert [row["theta"] for row in proposed] == [row["theta"] for row in traditional]
+            assert proposed[0]["theta"] == 0.0
+            assert proposed[-1]["theta"] == pytest.approx(1.05 * theta_cr, rel=1e-6)
+            assert proposed[-1]["theta_norm"] == pytest.approx(1.05, rel=1e-12)
 
     def test_curve_reaches_zero_at_the_transition(self):
-        series = figure1_series([0.6], points=200)[0]
-        above = [p for p in series.proposed if p.theta > 1.01 * series.theta_cr_max]
-        below = [p for p in series.proposed if 0.0 < p.theta < 0.8 * series.theta_cr_max]
-        assert above and all(p.c_abs == 0.0 for p in above)
-        assert below and all(p.c_abs > 0.0 for p in below)
+        rows = [row for row in table_records(figure1_table([0.6], points=200))
+                if row["variant"] == "proposed"]
+        above = [row for row in rows if row["theta_norm"] > 1.01]
+        below = [row for row in rows if 0.0 < row["theta_norm"] < 0.8]
+        assert above and all(row["c_abs"] == 0.0 for row in above)
+        assert below and all(row["c_abs"] > 0.0 for row in below)
 
     def test_records_schema(self):
         table = figure1_table([0.6], points=8)
         assert all(len(column) == 2 * 8 for column in table.values())
         assert list(table) == ["chi_ratio", "theta_norm"] + list(THERMO_COLUMNS)
         assert table["theta_norm"][7] == pytest.approx(1.05, rel=1e-12)
-        # proposed block first, then traditional
+        # proposed block first, then traditional: the sweeps of both variants
+        # on [0, 1.05 * theta_cr], normalized by the proposed root
         assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
-        series = figure1_series([0.6], points=8)[0]
-        points = series.proposed + series.traditional
-        assert list(zip(*list(table.values())[2:])) == [astuple(p) for p in points]
-        assert table["theta_norm"] == [p.theta / series.theta_cr_max for p in points]
+        theta_cr = proposed_normalizer(prop(0.6)).theta_cr
+        sweeps = concat_tables([
+            sweep_table(SweepConfig(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8),
+                        theta_cr)
+            for v in Variant
+        ])
+        assert {name: table[name] for name in sweeps} == sweeps
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            figure1_series([])
+            figure1_table([])
         with pytest.raises(DomainError):
-            figure1_series([1.2])
+            figure1_table([1.2])
         with pytest.raises(NoCriticalPointError):
-            figure1_series([0.05])
+            figure1_table([0.05])
 
 
 class TestFigure2:
     def test_columns_split_at_the_transition(self):
-        points = figure2_series(0.6, points=80, variant=Variant.PROPOSED)
+        rows = table_records(figure2_table(0.6, points=80, variant=Variant.PROPOSED))
         theta_cr = 0.5707659565
-        assert points[0].theta == 0.0
-        assert points[-1].theta == pytest.approx(2.0 * theta_cr, rel=1e-6)
-        below = [p for p in points if 0.0 < p.theta < 0.95 * theta_cr]
-        above = [p for p in points if p.theta > 1.1 * theta_cr]
+        assert rows[0]["theta"] == 0.0
+        assert rows[-1]["theta"] == pytest.approx(2.0 * theta_cr, rel=1e-6)
+        below = [row for row in rows if 0.0 < row["theta"] < 0.95 * theta_cr]
+        above = [row for row in rows if row["theta"] > 1.1 * theta_cr]
         assert below and all(
-            abs(p.rz_eq10 - p.rz_eq4) <= 1e-8 for p in below
+            abs(row["rz_eq10"] - row["rz_eq4"]) <= 1e-8 for row in below
         ), "columns must coincide in the ordered phase"
-        assert above and all(abs(p.rz_eq10 - p.rz_eq4) > 1e-3 for p in above)
+        assert above and all(abs(row["rz_eq10"] - row["rz_eq4"]) > 1e-3 for row in above)
 
     def test_traditional_variant_uses_its_own_scale(self):
-        points = figure2_series(0.6, points=20, variant=Variant.TRADITIONAL)
-        assert points[-1].theta == pytest.approx(2.0 * TRAD_CR_06, rel=1e-6)
-        assert all(p.variant is Variant.TRADITIONAL for p in points)
+        table = figure2_table(0.6, points=20, variant=Variant.TRADITIONAL)
+        assert table["theta"][-1] == pytest.approx(2.0 * TRAD_CR_06, rel=1e-6)
+        assert table["variant"] == ["traditional"] * 20
 
     def test_records_schema(self):
         table = figure2_table(0.6, points=5)
         assert list(table) == ["theta", "rz_eq10", "rz_eq4", "variant"]
-        assert list(zip(*table.values())) == [astuple(p) for p in figure2_series(0.6, points=5)]
+        # the columns of the variant's sweep on [0, 2 * theta_cr]
+        theta_cr = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)[-1].theta_cr
+        sweep = sweep_table(SweepConfig(prop(0.6), 0.0, 2.0 * theta_cr, 5))
+        assert table == {name: sweep[name] for name in table}
 
     def test_missing_transition_is_reported(self):
         with pytest.raises(NoCriticalPointError):
-            figure2_series(0.5, variant=Variant.TRADITIONAL)
+            figure2_table(0.5, variant=Variant.TRADITIONAL)
         with pytest.raises(DomainError):
-            figure2_series(1.5)
+            figure2_table(1.5)
+
+
+def grid_classification(variant, ratios, thetas):
+    """Ordered flags of every cell, theta rows by ratio columns, in one array call."""
+    params = ModelParams(omega21=1.0, chi=np.array(ratios), variant=variant)
+    return is_ordered(couplings_at(params, np.array(thetas)[:, None]))
 
 
 class TestPhaseMap:
     def test_cells_match_scalar_classification(self):
-        pmap = phase_map(Variant.PROPOSED, (0.3, 0.7), (0.05, 0.65), nx=9, ny=11)
-        assert pmap.ordered.shape == (11, 9)
-        assert pmap.ordered.dtype == np.bool_
-        for i, theta in enumerate(pmap.thetas):
-            for j, ratio in enumerate(pmap.chi_ratios):
-                cpl = couplings_at(prop(ratio), theta)
-                assert pmap.ordered[i, j] == is_ordered(cpl)
+        cells, _ = phase_map(Variant.PROPOSED, (0.3, 0.7), (0.05, 0.65), nx=9, ny=11)
+        assert all(len(column) == 99 for column in cells.values())
+        for row in table_records(cells):
+            cpl = couplings_at(prop(row["chi_ratio"]), row["theta"])
+            assert (row["phase"] == "ordered") == is_ordered(cpl)
 
     def test_boundary_matches_closed_form_per_column(self):
-        pmap = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
-        assert len(pmap.boundary) == 5
-        for point in pmap.boundary:
-            varpi = 1.0 - point.chi_ratio
-            closed = varpi / (2.0 * math.atanh(varpi / point.chi_ratio))
-            assert point.kind is TransitionKind.VANISHING
-            assert point.theta_cr == pytest.approx(closed, rel=1e-6)
+        _, boundary = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
+        rows = table_records(boundary)
+        assert len(rows) == 5
+        for row in rows:
+            varpi = 1.0 - row["chi_ratio"]
+            closed = varpi / (2.0 * math.atanh(varpi / row["chi_ratio"]))
+            assert row["kind"] == "vanishing"
+            assert row["theta_cr"] == pytest.approx(closed, rel=1e-6)
 
     def test_records_are_row_major(self):
-        pmap = phase_map(Variant.PROPOSED, (0.4, 0.6), (0.1, 0.3), nx=3, ny=2)
-        table = phase_map_table(pmap)
-        assert list(table) == ["chi_ratio", "theta", "phase", "variant"]
-        assert all(len(column) == 6 for column in table.values())
-        assert table["chi_ratio"][:3] == [0.4, 0.5, 0.6]
-        assert table["theta"][0] == 0.1
-        assert table["theta"][3] == 0.3
-        assert table["variant"] == ["proposed"] * 6
-        assert table["phase"] == [
-            "ordered" if flag else "disordered" for flag in pmap.ordered.ravel()
-        ]
+        cells, _ = phase_map(Variant.PROPOSED, (0.4, 0.6), (0.1, 0.3), nx=3, ny=2)
+        assert list(cells) == ["chi_ratio", "theta", "phase", "variant"]
+        assert all(len(column) == 6 for column in cells.values())
+        assert cells["chi_ratio"] == [0.4, 0.5, 0.6] * 2
+        assert cells["theta"] == [0.1] * 3 + [0.3] * 3
+        assert cells["variant"] == ["proposed"] * 6
+        whole = grid_classification(Variant.PROPOSED, [0.4, 0.5, 0.6], [0.1, 0.3])
+        assert cells["phase"] == ["ordered" if flag else "disordered" for flag in whole.ravel()]
 
     def test_boundary_records_schema(self):
-        pmap = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
-        table = boundary_table(pmap)
-        assert list(table) == ["chi_ratio", "theta_cr", "kind", "variant"]
-        assert table["theta_cr"] == [point.theta_cr for point in pmap.boundary]
-        assert table["kind"] == ["vanishing"] * 5
+        _, boundary = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
+        assert list(boundary) == ["chi_ratio", "theta_cr", "kind", "variant"]
+        assert boundary["chi_ratio"] == [0.55, 0.65, 0.75, 0.85, 0.95]
+        assert all(type(theta) is float for theta in boundary["theta_cr"])
+        assert boundary["kind"] == ["vanishing"] * 5
+        assert boundary["variant"] == ["traditional"] * 5
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_boundary_roots_lie_between_opposite_cells(self, variant):
         # 300x256 cells span two column blocks of the classification
-        pmap = phase_map(variant, (0.05, 0.95), (0.01, 1.0), nx=300, ny=256)
-        assert len(pmap.boundary) >= 150
-        params = ModelParams(omega21=1.0, chi=np.array(pmap.chi_ratios), variant=variant)
-        whole = is_ordered(couplings_at(params, np.array(pmap.thetas)[:, None]))
-        assert np.array_equal(pmap.ordered, whole)
-        for point in pmap.boundary:
-            column = pmap.chi_ratios.index(point.chi_ratio)
-            row = int(np.searchsorted(pmap.thetas, point.theta_cr))
-            assert 0 < row < len(pmap.thetas)
-            assert pmap.ordered[row - 1, column] != pmap.ordered[row, column]
+        nx, ny = 300, 256
+        cells, boundary = phase_map(variant, (0.05, 0.95), (0.01, 1.0), nx=nx, ny=ny)
+        ratios, thetas = cells["chi_ratio"][:nx], cells["theta"][::nx]
+        assert len(thetas) == ny
+        ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
+        assert np.array_equal(ordered, grid_classification(variant, ratios, thetas))
+        rows = table_records(boundary)
+        assert len(rows) >= 150
+        for row in rows:
+            column = ratios.index(row["chi_ratio"])
+            index = int(np.searchsorted(thetas, row["theta_cr"]))
+            assert 0 < index < ny
+            assert ordered[index - 1, column] != ordered[index, column]
 
     def test_validation(self):
         with pytest.raises(DomainError):
