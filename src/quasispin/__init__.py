@@ -19,7 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "base": ("DomainError", "TransitionLevel", "default_theta_max"),
+        "base": (
+            "DomainError", "FIG1_POINTS", "FIG2_POINTS", "TransitionLevel", "default_theta_max",
+        ),
         "thermal": (
             "Couplings", "MicroscopicLevels", "ModelParams", "SingularLevelError",
             "SINGULARITY_RTOL", "Variant", "coupling_constants", "couplings_at",
@@ -29,8 +31,8 @@ _EXPORTS = {
             "CriticalPoint", "GapSolution", "NoCriticalPointError", "Phase",
             "TransitionKind", "ValidityReport", "critical_temperatures",
             "free_energy_per_atom", "gap_solve", "is_ordered", "ordering_measure",
-            "population_inversion", "rz_relaxation", "validity_report",
-            "zero_temperature_solution",
+            "population_inversion", "rz_relaxation", "transition_roots", "uniform_grid",
+            "validity_report", "zero_temperature_solution",
         ),
         "exact": (
             "DickeSpectrum", "FiniteSizeComparison", "GibbsObservables",
@@ -38,9 +40,9 @@ _EXPORTS = {
             "gibbs_observables", "ground_state_m",
         ),
         "sweep": (
-            "OutputFormat", "SweepConfig", "THERMO_COLUMNS", "critical_point_table",
-            "figure1_table", "figure2_table", "phase_map", "plot_script",
-            "proposed_normalizer", "serialize", "sweep_table",
+            "OutputFormat", "SweepConfig", "THERMO_COLUMNS", "Table", "comparison_table",
+            "concat_tables", "critical_point_table", "figure1_table", "figure2_table",
+            "phase_map", "plot_script", "proposed_normalizer", "serialize", "sweep_table",
         ),
     }.items()
     for name in names

@@ -272,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     from .thermal import ModelParams
 
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
-    theta_cr = proposed_normalizer(base, tol=args.tol).theta_cr if args.normalize else None
+    theta_cr = proposed_normalizer(base, tol=args.tol) if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
     tables = [
         sweep_table(SweepConfig(replace(base, variant=variant), *grid), theta_cr)

@@ -10,7 +10,7 @@ grids in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -30,6 +30,8 @@ __all__ = [
     "zero_temperature_solution",
     "ordering_measure",
     "is_ordered",
+    "uniform_grid",
+    "transition_roots",
     "critical_temperatures",
     "population_inversion",
     "rz_relaxation",
@@ -268,9 +270,17 @@ def is_ordered(cpl: Couplings) -> bool:
     return bool(ordered) if ordered.ndim == 0 else ordered
 
 
-def _uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
+def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced nodes from ``lo`` to ``hi``, both exact.
+
+    Raises :class:`DomainError` for non-finite bounds, fewer than 2 or more
+    than ``MAX_PHASE_CELLS`` points (checked before any array is allocated),
+    or nodes that are not strictly increasing.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
+    if points < 2:
+        raise DomainError(f"a grid needs at least 2 points, got {points}")
     if points > MAX_PHASE_CELLS:
         raise DomainError(f"a grid of {points} points exceeds the cap of {MAX_PHASE_CELLS}")
     step = (hi - lo) / (points - 1)
@@ -285,7 +295,7 @@ def _sign_change_roots(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: np.ndarray,
     tol: float,
-    lanes: int = 1,
+    lanes: int,
 ) -> list[tuple[float, TransitionKind, int]]:
     # Bisect every strict sign change between consecutive nonzero values of
     # fn(theta, lane) along the theta grid, for each of `lanes` independent
@@ -318,6 +328,40 @@ def _sign_change_roots(
     return list(zip((0.5 * (lo + hi)).tolist(), kinds, lane.tolist()))
 
 
+def transition_roots(
+    params: ModelParams, grid: np.ndarray, tol: float = 1e-10
+) -> list[tuple[float, TransitionKind, int]]:
+    """Order/disorder transition temperatures of every coupling lane on a grid.
+
+    ``params.chi`` may be a 1-D array: each entry is a lane, scanned on the
+    same theta ``grid``; a float ``chi`` is lane 0. The ordering measure is
+    evaluated on the grid for all lanes at once, and every strict sign
+    change between consecutive nonzero values is refined by bisection to
+    relative tolerance ``tol``, all brackets in lockstep. ONSET means order
+    appears above the root, VANISHING that it disappears above it.
+
+    Returns ``(theta_cr, kind, lane)`` triples ordered by lane, then theta.
+    Raises :class:`DomainError` unless ``grid`` is 1-D with at least 2
+    strictly increasing nodes and ``tol > 0``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(grid[1:] > grid[:-1]):
+        raise DomainError("grid must be 1-D with at least 2 strictly increasing nodes")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    chi = np.atleast_1d(np.asarray(params.chi, dtype=float))
+    if chi.ndim != 1:
+        raise DomainError(f"chi must be a float or a 1-D array, got shape {chi.shape}")
+
+    def measure(theta: np.ndarray, lane: np.ndarray) -> np.ndarray:
+        # One lane broadcasts as it is. Several need the chi of each bracket,
+        # and the params that carry it are validated again at every step.
+        lane_params = params if chi.size == 1 else replace(params, chi=chi[lane])
+        return ordering_measure(couplings_at(lane_params, theta))
+
+    return _sign_change_roots(measure, grid, tol, chi.size)
+
+
 def critical_temperatures(
     params: ModelParams,
     theta_range: tuple[float, float],
@@ -326,21 +370,25 @@ def critical_temperatures(
 ) -> list[CriticalPoint]:
     """Locate all order/disorder transition temperatures in a range.
 
-    Scans the ordering measure on a uniform theta grid and refines every
-    strict sign change by bisection to relative tolerance ``tol``. ONSET
-    means order appears above the root, VANISHING that it disappears above
-    it. Results are ordered by increasing theta.
+    :func:`transition_roots` of a float-``chi`` model on a uniform theta grid
+    of the range. Results are ordered by increasing theta.
 
     Parameters
     ----------
     params : ModelParams
-        Model inputs; the variant decides whether the couplings follow
-        temperature.
+        Model inputs with a float ``chi``; the variant decides whether the
+        couplings follow temperature.
     theta_range : (float, float)
         Scan range, ``0 < lo < hi``.
     grid_points : int
-        Uniform grid size, >= 64. Doubling it moves any reported root by
-        less than the tolerance.
+        Uniform grid size, >= 64. A root pair is found only where the grid
+        puts a node inside the ordered window between them. Below the
+        reentrance threshold r* (about 0.4403 at ``omega_k = omega21/2``)
+        the proposed variant's window is about ``sqrt(r - r*)`` wide, so
+        close to r* a grid must be finer to see it: at r* + 1e-7, 512, 1024
+        and 2048 nodes on (1e-4, 2) find no root, and 4096 find the onset
+        0.3472538 and the vanishing point 0.3477906. ROADMAP item 2 plans a
+        grid node at the window's centre.
     tol : float
         Relative tolerance on each root, > 0.
     """
@@ -349,16 +397,11 @@ def critical_temperatures(
         raise DomainError(f"theta_range must satisfy 0 < lo < hi, got {theta_range}")
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    grid = _uniform_grid(lo, hi, grid_points)
-
-    def measure(theta: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        return ordering_measure(couplings_at(params, theta))
-
+    if np.ndim(params.chi):
+        raise DomainError("critical_temperatures takes a float chi; transition_roots scans lanes")
     return [
         CriticalPoint(theta_cr=root, couplings_at_cr=couplings_at(params, root), kind=kind)
-        for root, kind, _ in _sign_change_roots(measure, grid, tol)
+        for root, kind, _ in transition_roots(params, uniform_grid(lo, hi, grid_points), tol)
     ]
 
 

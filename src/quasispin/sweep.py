@@ -31,14 +31,12 @@ from .meanfield import (
     CriticalPoint,
     NoCriticalPointError,
     Phase,
-    _sign_change_roots,
-    _uniform_grid,
-    critical_temperatures,
     gap_solve,
     is_ordered,
-    ordering_measure,
     population_inversion,
     rz_relaxation,
+    transition_roots,
+    uniform_grid,
 )
 from .thermal import ModelParams, Variant, couplings_at
 
@@ -147,7 +145,7 @@ def sweep_table(cfg: SweepConfig, theta_cr: float | None = None) -> Table:
 
     With ``theta_cr`` the table starts with ``theta_norm = theta / theta_cr``.
     """
-    return _columns(cfg.params, _uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points), theta_cr)
+    return _columns(cfg.params, uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points), theta_cr)
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:
@@ -158,26 +156,32 @@ def concat_tables(tables: Sequence[Table]) -> Table:
     return {name: list(chain.from_iterable(table[name] for table in tables)) for name in first}
 
 
-def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> CriticalPoint:
+def _largest_roots(params: ModelParams, tol: float) -> list[float]:
+    # Largest transition temperature of each chi lane of params, scanned on
+    # the figure window (1e-4, 2)*omega21; a lane without one raises.
+    lo, hi = _SCAN_FLOOR * params.omega21, _SCAN_CEIL * params.omega21
+    roots = transition_roots(params, uniform_grid(lo, hi, _SCAN_GRID), tol)
+    largest = {lane: root for root, _, lane in roots}  # by lane, then theta: the last wins
+    ratios = np.atleast_1d(params.chi / params.omega21).tolist()
+    for lane, ratio in enumerate(ratios):
+        if lane not in largest:
+            raise NoCriticalPointError(
+                f"no critical temperature for chi/omega21 = {ratio!r} "
+                f"({params.variant.value} variant) with theta/omega21 in "
+                f"[{_SCAN_FLOOR:g}, {_SCAN_CEIL:g}]"
+            )
+    return [largest[lane] for lane in range(len(ratios))]
+
+
+def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> float:
     """Largest transition temperature of the Proposed-variant counterpart.
 
     Normalized figure axes divide theta by this root. Raises
     :class:`NoCriticalPointError` when the scan range
     ``(1e-4, 2) * omega21`` contains no transition.
     """
-    proposed = replace(params, variant=Variant.PROPOSED)
-    points = critical_temperatures(
-        proposed,
-        (_SCAN_FLOOR * params.omega21, _SCAN_CEIL * params.omega21),
-        grid_points=_SCAN_GRID,
-        tol=tol,
-    )
-    if not points:
-        raise NoCriticalPointError(
-            f"no critical temperature for chi/omega21 = {params.chi / params.omega21:g} "
-            f"(proposed variant) within (0, {_SCAN_CEIL:g}*omega21]"
-        )
-    return points[-1]
+    (theta_cr,) = _largest_roots(replace(params, variant=Variant.PROPOSED), tol)
+    return theta_cr
 
 
 def figure1_table(
@@ -201,17 +205,15 @@ def figure1_table(
     for ratio in chi_ratios:
         if not 0.0 < ratio < 1.0:
             raise DomainError(f"each chi ratio must lie in (0, 1), got {ratio}")
-    # All normalizers come first, so a ratio without a transition is reported
-    # before an oversized grid is.
-    bases = [
-        ModelParams(omega21=1.0, chi=ratio, omega_k=omega_k, variant=Variant.PROPOSED)
-        for ratio in chi_ratios
-    ]
-    scales = [proposed_normalizer(base, tol).theta_cr for base in bases]
+    # One scan finds every normalizer first, so a ratio without a transition
+    # is reported before an oversized grid is.
+    base = ModelParams(omega21=1.0, chi=np.array(chi_ratios, dtype=float), omega_k=omega_k)
+    scales = _largest_roots(base, tol)
     tables = []
-    for ratio, base, theta_cr in zip(chi_ratios, bases, scales):
+    for ratio, theta_cr in zip(chi_ratios, scales):
         for variant in Variant:
-            cfg = SweepConfig(replace(base, variant=variant), 0.0, FIG1_AXIS_MAX * theta_cr, points)
+            params = replace(base, chi=ratio, variant=variant)
+            cfg = SweepConfig(params, 0.0, FIG1_AXIS_MAX * theta_cr, points)
             # The sweep table is built first: it checks the grid size before
             # the ratio column repeats anything that many times.
             table = sweep_table(cfg, theta_cr)
@@ -238,14 +240,8 @@ def figure2_table(
         raise DomainError(f"chi_ratio must lie in (0, 1), got {chi_ratio}")
     variant = Variant(variant)
     params = ModelParams(omega21=1.0, chi=chi_ratio, omega_k=omega_k, variant=variant)
-    roots = critical_temperatures(
-        params, (_SCAN_FLOOR, _SCAN_CEIL), grid_points=_SCAN_GRID, tol=tol
-    )
-    if not roots:
-        raise NoCriticalPointError(
-            f"no critical temperature for chi/omega21 = {chi_ratio:g} ({variant.value} variant)"
-        )
-    columns = sweep_table(SweepConfig(params, 0.0, FIG2_AXIS_MAX * roots[-1].theta_cr, points))
+    (theta_cr,) = _largest_roots(params, tol)
+    columns = sweep_table(SweepConfig(params, 0.0, FIG2_AXIS_MAX * theta_cr, points))
     return {name: columns[name] for name in ("theta", "rz_eq10", "rz_eq4", "variant")}
 
 
@@ -266,10 +262,9 @@ def phase_map(
     ordering measure is positive (at ``varpi = 0``, where it degenerates,
     where ``theta < lam/2``). ``boundary`` has the columns ``chi_ratio,
     theta_cr, kind, variant``: the transition temperatures of each ratio
-    column, refined on the column's theta grid by the same scan-and-bisect
-    as :func:`critical_temperatures`, by ratio and then by temperature. Cells
-    and brackets come from the same array measure, evaluated on blocks of
-    whole columns whose brackets are bisected together.
+    column on the column's theta grid, by ratio and then by temperature:
+    one :func:`transition_roots` call per block of whole columns, whose
+    lanes are the block's ratios.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -285,8 +280,8 @@ def phase_map(
         raise DomainError(f"nx and ny must be >= 2, got nx={nx}, ny={ny}")
     if nx * ny > MAX_PHASE_CELLS:
         raise DomainError(f"grid of {nx}x{ny} cells exceeds the cap of {MAX_PHASE_CELLS}")
-    ratios = _uniform_grid(ratio_lo, ratio_hi, nx)
-    thetas = _uniform_grid(theta_lo, theta_hi, ny)
+    ratios = uniform_grid(ratio_lo, ratio_hi, nx)
+    thetas = uniform_grid(theta_lo, theta_hi, ny)
     ratio_list = ratios.tolist()
     ordered = np.empty((ny, nx), dtype=bool)
     boundary: Table = {"chi_ratio": [], "theta_cr": [], "kind": []}
@@ -296,11 +291,7 @@ def phase_map(
             omega21=1.0, chi=ratios[start : start + width], omega_k=omega_k, variant=variant
         )
         ordered[:, start : start + width] = is_ordered(couplings_at(block, thetas[:, None]))
-
-        def measure(theta: np.ndarray, lane: np.ndarray, block=block) -> np.ndarray:
-            return ordering_measure(couplings_at(replace(block, chi=block.chi[lane]), theta))
-
-        for root, kind, lane in _sign_change_roots(measure, thetas, tol, block.chi.size):
+        for root, kind, lane in transition_roots(block, thetas, tol):
             boundary["chi_ratio"].append(ratio_list[start + lane])
             boundary["theta_cr"].append(root)
             boundary["kind"].append(kind.value)

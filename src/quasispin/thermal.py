@@ -21,6 +21,7 @@ from .base import DomainError, TransitionLevel
 __all__ = [
     "DomainError",
     "SingularLevelError",
+    "SINGULARITY_RTOL",
     "Variant",
     "ModelParams",
     "Couplings",

@@ -18,10 +18,12 @@ from quasispin.meanfield import (
     ordering_measure,
     population_inversion,
     rz_relaxation,
+    transition_roots,
+    uniform_grid,
     validity_report,
     zero_temperature_solution,
 )
-from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, proposed_normalizer
+from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
 
 from oracles import bisection_solution
@@ -262,10 +264,10 @@ class TestCriticalTemperatures:
         wide = critical_temperatures(prop(ratio), (_SCAN_FLOOR, 10.0), grid_points=4096)
         assert wide and wide[-1].theta_cr < _SCAN_CEIL
         normalizer = proposed_normalizer(prop(ratio))
-        assert normalizer.theta_cr == pytest.approx(wide[-1].theta_cr, rel=1e-9)
+        assert normalizer == pytest.approx(wide[-1].theta_cr, rel=1e-9)
 
     def test_last_root_near_unit_ratio(self):
-        root = proposed_normalizer(prop(0.999)).theta_cr
+        root = proposed_normalizer(prop(0.999))
         assert root == pytest.approx(0.5530967, abs=1e-7)
 
     def test_couplings_attached_to_each_root(self):
@@ -282,6 +284,77 @@ class TestCriticalTemperatures:
             critical_temperatures(trad(0.6), (1e-4, 2.0), grid_points=32)
         with pytest.raises(DomainError):
             critical_temperatures(trad(0.6), (1e-4, 2.0), tol=0.0)
+
+
+class TestTransitionRoots:
+    # Ratios with 0, 1 and 2 roots on a 4096-node grid, a reentrant window
+    # only that grid resolves (R_STAR + 1e-7), and a repeated ratio.
+    RATIOS = [0.05, 0.3, 0.45, 0.6, R_STAR + 1e-7, 0.9, 0.45]
+    GRID = uniform_grid(1e-4, 2.0, 4096)
+
+    @pytest.mark.parametrize("omega_k", [0.5, 0.3])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_lanes_equal_scalar_scans(self, variant, omega_k):
+        params = ModelParams(omega21=1.0, chi=np.array(self.RATIOS), omega_k=omega_k, variant=variant)
+        lanes = transition_roots(params, self.GRID)
+        assert [lane for _, _, lane in lanes] == sorted(lane for _, _, lane in lanes)
+        for index, ratio in enumerate(self.RATIOS):
+            scalar = transition_roots(replace(params, chi=ratio), self.GRID)
+            assert {lane for _, _, lane in scalar} <= {0}
+            assert transition_roots(replace(params, chi=np.array([ratio])), self.GRID) == scalar
+            mine = [(root, kind) for root, kind, lane in lanes if lane == index]
+            assert mine == [(root, kind) for root, kind, _ in scalar]
+
+    def test_lanes_cover_zero_one_and_two_roots(self):
+        params = ModelParams(omega21=1.0, chi=np.array(self.RATIOS))
+        lanes = [lane for _, _, lane in transition_roots(params, self.GRID)]
+        counts = [lanes.count(index) for index in range(len(self.RATIOS))]
+        assert counts == [0, 0, 2, 1, 2, 1, 2]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_phase_map_boundary_is_the_per_column_scan(self, variant):
+        _, boundary = phase_map(variant, (0.42, 0.62), (0.05, 1.0), nx=11, ny=300, omega_k=0.45)
+        ratios, thetas = uniform_grid(0.42, 0.62, 11), uniform_grid(0.05, 1.0, 300)
+        rows = [
+            (ratio, root, kind.value)
+            for ratio in ratios.tolist()
+            for root, kind, _ in transition_roots(
+                ModelParams(omega21=1.0, chi=ratio, omega_k=0.45, variant=variant), thetas
+            )
+        ]
+        assert rows
+        assert list(zip(boundary["chi_ratio"], boundary["theta_cr"], boundary["kind"])) == rows
+
+    @pytest.mark.parametrize(
+        "grid, tol",
+        [
+            (np.array([[0.1, 0.2], [0.3, 0.4]]), 1e-10),  # not 1-D
+            (np.array([0.1]), 1e-10),  # one node
+            (np.array([0.1, 0.2, 0.2, 0.3]), 1e-10),  # repeated node
+            (np.array([0.3, 0.2, 0.1]), 1e-10),  # decreasing
+            (np.array([0.1, math.nan, 0.3]), 1e-10),
+            (np.array([0.1, 0.2]), 0.0),
+            (np.array([0.1, 0.2]), -1e-10),
+            (np.array([0.1, 0.2]), math.nan),
+        ],
+    )
+    def test_rejects_a_bad_grid_or_tol(self, grid, tol):
+        with pytest.raises(DomainError):
+            transition_roots(prop(0.6), grid, tol)
+
+    def test_uniform_grid_needs_two_points(self):
+        for points in (1, 0, -3):
+            with pytest.raises(DomainError, match="at least 2"):
+                uniform_grid(0.1, 0.2, points)
+
+    def test_critical_temperatures_rejects_lanes(self):
+        with pytest.raises(DomainError, match="float chi"):
+            critical_temperatures(ModelParams(omega21=1.0, chi=np.array([0.45, 0.6])), (1e-4, 2.0))
+
+    def test_rejects_a_chi_of_more_than_one_dimension(self):
+        params = ModelParams(omega21=1.0, chi=np.full((2, 2), 0.6))
+        with pytest.raises(DomainError, match="1-D"):
+            transition_roots(params, self.GRID)
 
 
 class TestPhaseClassification:
@@ -477,7 +550,7 @@ class TestArrayCore:
         ulp_above = math.nextafter(0.5, 1.0)
         for points in (3, 4, 1000):
             with pytest.raises(DomainError, match="not all distinct"):
-                meanfield._uniform_grid(0.5, ulp_above, points)
-        assert meanfield._uniform_grid(0.5, ulp_above, 2).tolist() == [0.5, ulp_above]
+                meanfield.uniform_grid(0.5, ulp_above, points)
+        assert meanfield.uniform_grid(0.5, ulp_above, 2).tolist() == [0.5, ulp_above]
         with pytest.raises(DomainError):
             critical_temperatures(trad(0.6), (0.5, ulp_above), grid_points=64)

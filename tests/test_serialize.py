@@ -191,7 +191,7 @@ def _rows(table):
 
 def _sweep_rows(ratio, variants, points, normalize):
     base = ModelParams(omega21=1.0, chi=ratio)
-    theta_cr = proposed_normalizer(base).theta_cr if normalize else None
+    theta_cr = proposed_normalizer(base) if normalize else None
     grid = (0.0, default_theta_max(ratio), points)
     return _rows(concat_tables(
         [sweep_table(SweepConfig(replace(base, variant=v), *grid), theta_cr) for v in variants]

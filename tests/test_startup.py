@@ -101,6 +101,23 @@ class TestLazyPackage:
         assert out == [str(len(quasispin.__all__)), "no_such_name"]
         assert quasispin.__all__[0] == "__version__"
 
+    def test_exports_match_each_submodule_all(self):
+        # Each submodule exports its own __all__; a name that it re-exports
+        # from base is exported under base only.
+        out = run_code(
+            "import importlib, quasispin\n"
+            "from quasispin import base\n"
+            "for home in sorted(set(quasispin._EXPORTS.values())):\n"
+            "    module = importlib.import_module('quasispin.' + home)\n"
+            "    own = {name for name in module.__all__\n"
+            "           if home == 'base' or getattr(module, name) is not getattr(base, name, None)}\n"
+            "    exported = {name for name, where in quasispin._EXPORTS.items() if where == home}\n"
+            "    print(home, sorted(own ^ exported))\n"
+        )
+        assert out == [
+            "base", "[]", "exact", "[]", "meanfield", "[]", "sweep", "[]", "thermal", "[]"
+        ]
+
 
 class TestCliEntry:
     @pytest.mark.skipif(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from oracles import table_records
 from quasispin.base import default_theta_max
 from quasispin.meanfield import (
+    MAX_PHASE_CELLS,
     NoCriticalPointError,
     critical_temperatures,
     gap_solve,
@@ -131,11 +133,20 @@ class TestNormalizerAndDefaults:
         # even when the sweep itself is the constant-coupling variant
         for params in (trad(0.6), prop(0.6)):
             point = proposed_normalizer(params)
-            assert point.theta_cr == pytest.approx(0.5707659565, rel=1e-6)
+            assert point == pytest.approx(0.5707659565, rel=1e-6)
 
     def test_normalizer_reports_missing_transition(self):
         with pytest.raises(NoCriticalPointError):
             proposed_normalizer(prop(0.05))
+
+    def test_missing_transition_names_the_scan_range_and_the_exact_ratio(self):
+        with pytest.raises(NoCriticalPointError, match=re.escape(
+            "chi/omega21 = 0.05 (proposed variant) with theta/omega21 in [0.0001, 2]"
+        )):
+            proposed_normalizer(trad(0.05))
+        # just below the reentrance threshold 0.44034261486: all digits shown
+        with pytest.raises(NoCriticalPointError, match=re.escape("= 0.440342614 (")):
+            proposed_normalizer(prop(0.440342614))
 
     def test_default_extent_uses_constant_coupling_closed_form(self):
         assert default_theta_max(0.6) == pytest.approx(3.0 * TRAD_CR_06, rel=1e-12)
@@ -180,7 +191,7 @@ class TestFigure1:
         # proposed block first, then traditional: the sweeps of both variants
         # on [0, 1.05 * theta_cr], normalized by the proposed root
         assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
-        theta_cr = proposed_normalizer(prop(0.6)).theta_cr
+        theta_cr = proposed_normalizer(prop(0.6))
         sweeps = concat_tables([
             sweep_table(SweepConfig(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8),
                         theta_cr)
@@ -195,6 +206,18 @@ class TestFigure1:
             figure1_table([1.2])
         with pytest.raises(NoCriticalPointError):
             figure1_table([0.05])
+
+    def test_missing_transition_names_the_first_ratio_without_one(self):
+        with pytest.raises(NoCriticalPointError, match=re.escape(
+            "chi/omega21 = 0.05 (proposed variant) with theta/omega21 in [0.0001, 2]"
+        )):
+            figure1_table([0.6, 0.05, 0.04])
+
+    def test_missing_transition_is_reported_before_an_oversized_grid(self):
+        with pytest.raises(NoCriticalPointError):
+            figure1_table([0.6, 0.05], points=MAX_PHASE_CELLS + 1)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            figure1_table([0.6], points=MAX_PHASE_CELLS + 1)
 
 
 class TestFigure2:
@@ -228,6 +251,12 @@ class TestFigure2:
             figure2_table(0.5, variant=Variant.TRADITIONAL)
         with pytest.raises(DomainError):
             figure2_table(1.5)
+
+    def test_missing_transition_names_the_variant_and_the_scan_range(self):
+        with pytest.raises(NoCriticalPointError, match=re.escape(
+            "chi/omega21 = 0.5 (traditional variant) with theta/omega21 in [0.0001, 2]"
+        )):
+            figure2_table(0.5, variant=Variant.TRADITIONAL)
 
 
 def grid_classification(variant, ratios, thetas):
