@@ -1,17 +1,17 @@
 """Numpy-free names shared by the CLI front end and the physics modules.
 
 The CLI parses its flags, prints help and rejects bad invocations without
-importing numpy, so the few names it needs before a subcommand runs live
-here: the root of the package's exceptions (which ``main()`` maps to exit
-3), the level record that ``--level`` parses into, the figure grid sizes
-that the help shows as defaults, and the default sweep extent that the
-``sweep`` range check needs. The physics modules import them from here.
+numpy, so the names it needs before a subcommand runs live here: the root of
+the package's exceptions (exit 3 in ``main()``), the level record that
+``--level`` parses into (a ``NamedTuple``: a dataclass would load ``inspect``),
+the figure grid sizes that the help shows as defaults, and the default sweep
+extent of the ``sweep`` range check. The physics modules import them from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["DomainError", "TransitionLevel", "FIG1_POINTS", "FIG2_POINTS", "default_theta_max"]
 
@@ -24,8 +24,7 @@ class DomainError(ValueError):
     """An input lies outside the physical domain of an operation."""
 
 
-@dataclass(frozen=True)
-class TransitionLevel:
+class TransitionLevel(NamedTuple):
     """One intermediate level of the two-photon transition chain."""
 
     proj1: float  # dipole projection linking the level to the lower state

@@ -17,12 +17,13 @@ Every run is deterministic: identical inputs produce byte-identical
 output. Each grid is solved in one vectorized pass on a single thread;
 ``--threads`` is still accepted (it must be >= 0) and ignored.
 
-The front end (this module's load, parsing, the config merge, the checks
-and the error mapping) imports no numpy and no physics module: it needs
-only the names of :mod:`quasispin.base`. Each handler imports the modules
-it runs after its own checks, so ``--version``, ``--help`` and every usage
-error exit before numpy loads, and only ``exact-compare`` loads the exact
-ladder.
+The front end (this module's load, parsing, the config merge, the checks and
+the error mapping) needs only the names of :mod:`quasispin.base`: it imports no
+numpy, no physics module and no ``dataclasses``, which loads ``inspect``. Each
+handler imports the modules it runs after its own checks, so ``--version``,
+``--help`` and every usage error exit before numpy loads, and only
+``exact-compare`` loads the exact ladder. Every subcommand is registered with
+its help line, but only the one that runs gets its arguments.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -100,8 +100,7 @@ def _parse_level(text: str) -> TransitionLevel:
     parts = [chunk.strip() for chunk in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"expected proj1,proj2,omega_a1,omega_2a (4 numbers), got {text!r}")
-    proj1, proj2, omega_a1, omega_2a = (_real(part) for part in parts)
-    return TransitionLevel(proj1=proj1, proj2=proj2, omega_a1=omega_a1, omega_2a=omega_2a)
+    return TransitionLevel(*map(_real, parts))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -132,8 +131,7 @@ def _check(condition: bool, message: str) -> None:
 # the flag table
 
 
-@dataclass(frozen=True)
-class _Flag:
+class _Flag(NamedTuple):
     """One flag. Its dest (the key in ``_FLAGS``) is also its config-file key."""
 
     help: str  # never names a default: each subcommand's default is appended
@@ -141,7 +139,7 @@ class _Flag:
     config: Callable[[str], object] | None = None  # a config value's parser, if not parse
     check: tuple[str, Callable[[object], bool]] | None = None  # ("must be" text, predicate)
     option: str | None = None  # the option string, if not --dest-with-dashes
-    extras: dict = field(default_factory=dict)  # further add_argument keywords
+    extras: dict | None = None  # further add_argument keywords; never mutated
 
 
 _POSITIVE = ("positive", lambda value: value > 0.0)
@@ -274,10 +272,10 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
     theta_cr = proposed_normalizer(base, tol=args.tol) if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
-    tables = [
-        sweep_table(SweepConfig(replace(base, variant=variant), *grid), theta_cr)
-        for variant in _variant_list(args.variant)
-    ]
+    tables = []
+    for variant in _variant_list(args.variant):
+        params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
+        tables.append(sweep_table(SweepConfig(params, *grid), theta_cr))
     return {"out": concat_tables(tables)}
 
 
@@ -428,19 +426,21 @@ def _help(dest: str, default: object) -> str:
     return f"{text} (default: {shown})"
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
     parser = _Parser(prog="quasispin", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"quasispin {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    # argparse runs the first token that is not an option, as none of its own takes a value
+    chosen = next((token for token in argv if not token.startswith("-")), None)
     for name, command in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=command.description, description=command.description)
         sub.set_defaults(handler=command.handler)
-        for dest, default in command.defaults.items():
+        for dest, default in command.defaults.items() if name == chosen else ():
             spec = _FLAGS[dest]
             typed = {} if spec.parse is None else {"type": spec.parse}
             sub.add_argument(
                 _option(dest), dest=dest, default=None, help=_help(dest, default),
-                **typed, **spec.extras,
+                **typed, **(spec.extras or {}),
             )
     return parser
 
@@ -462,7 +462,7 @@ def _resolve(args: argparse.Namespace) -> None:
             value = (spec.config or spec.parse or str)(raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
-        choices = spec.extras.get("choices", (value,))
+        choices = (spec.extras or {}).get("choices", (value,))
         _check(value in choices, f"config key {key!r}: expected one of {choices}, got {raw!r}")
         setattr(args, key, value)
     for dest, default in defaults.items():
@@ -482,7 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Only a UsageError (2) or a DomainError (3) is caught; any other exception propagates.
     """
-    parser = _build_parser()
+    parser = _build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         _resolve(args)

@@ -10,13 +10,13 @@ grids in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .thermal import Couplings, DomainError, ModelParams, couplings_at
+from .thermal import Couplings, DomainError, ModelParams, _lane_couplings, couplings_at
 
 __all__ = [
     "NoCriticalPointError",
@@ -354,10 +354,8 @@ def transition_roots(
         raise DomainError(f"chi must be a float or a 1-D array, got shape {chi.shape}")
 
     def measure(theta: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        # One lane broadcasts as it is. Several need the chi of each bracket,
-        # and the params that carry it are validated again at every step.
-        lane_params = params if chi.size == 1 else replace(params, chi=chi[lane])
-        return ordering_measure(couplings_at(lane_params, theta))
+        # Each bracket takes the chi of its lane; params were checked when built.
+        return ordering_measure(_lane_couplings(params, chi[lane], theta))
 
     return _sign_change_roots(measure, grid, tol, chi.size)
 

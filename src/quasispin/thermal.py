@@ -133,6 +133,11 @@ def couplings_at(params: ModelParams, theta: float | np.ndarray) -> Couplings:
     the float range (``theta`` near 1e154 at ``omega_k = 1/2``) raises
     :class:`DomainError`.
     """
+    return _lane_couplings(params, params.chi, theta)
+
+
+def _lane_couplings(params: ModelParams, chi, theta) -> Couplings:
+    # couplings_at for lanes of a chi array that ModelParams checked once: no second check
     theta_arr = np.asarray(theta, dtype=float)
     # Overflow (nbar**2*chi past the float range) shows as a non-finite
     # coupling below and is rejected there, so its warnings carry no news.
@@ -142,17 +147,15 @@ def couplings_at(params: ModelParams, theta: float | np.ndarray) -> Couplings:
             nbar = np.zeros_like(theta_arr)
         else:
             nbar = np.asarray(mean_photon_number(theta_arr, params.omega_k))
-        omega = params.omega21 - 2.0 * nbar * nbar * params.chi
-        lam = params.chi * (1.0 + 2.0 * nbar)
+        omega = params.omega21 - 2.0 * nbar * nbar * chi
+        lam = chi * (1.0 + 2.0 * nbar)
         varpi = omega - lam
     finite = np.isfinite(nbar) & np.isfinite(lam) & np.isfinite(varpi)
     if not finite.all():
         lowest = np.broadcast_to(theta_arr, finite.shape)[~finite].min()
         raise DomainError(f"couplings overflow at theta = {lowest:g}; lower the temperature range")
     if np.ndim(varpi) == 0:
-        return Couplings(
-            theta=theta, nbar=float(nbar), omega=float(omega), lam=float(lam), varpi=float(varpi)
-        )
+        return Couplings(theta, *map(float, (nbar, omega, lam, varpi)))
     return Couplings(theta=theta_arr, nbar=nbar, omega=omega, lam=lam, varpi=varpi)
 
 

@@ -3,7 +3,8 @@
 Every float a subcommand takes (each float flag, a ratio of ``--ratios``, a
 number of ``--level``) gets NaN, an infinity, a subnormal, a value near the
 float maximum or a huge integer: one at a time on every subcommand, and
-several at once in a derandomized hypothesis search. Every integer it takes
+several at once in a derandomized hypothesis search; a few accepted ones also
+go to grids that span several blocks. Every integer it takes
 (each integer flag, an atom count of ``--n-list``) gets, one at a time, a
 value below its minimum, one past its cap or the float range, or hex text.
 Whatever the values, ``main()`` returns 0, 2 or 3, lets no exception out,
@@ -133,6 +134,34 @@ def test_each_float_alone(name, label, slot):
 def test_each_integer_alone(name, label, slot):
     for index, value in enumerate(HOSTILE_INTS):
         assert_contract([name, *BASE[name], *slot(value)], ("csv", "json")[index % 2])
+
+
+# Grids of more than one block: two column blocks of transition_roots lanes
+# (phase), two 4096-row serializer blocks (sweep) and a two-lane scan (fig1).
+MULTI_BLOCK = {
+    "phase": ["--nx=300", "--ny=300"],
+    "sweep": ["--chi-ratio=0.6", "--points=5000"],
+    "fig1": ["--ratios=0.6,0.7"],
+}
+# A value each grid accepts in that slot (a rejected one never reaches a
+# block, and test_each_float_alone covers the rejections on small grids):
+# subnormal, signed zero or large finite.
+MULTI_BLOCK_CASES = [
+    ("phase", "--chi-min", "5e-324", "csv"),  # a subnormal lane among 299 ordinary ones
+    ("phase", "--tol", "5e-324", "json"),  # every bracket bisects until it cannot split
+    ("sweep", "--theta-min", "-0.0", "csv"),
+    ("sweep", "--omega-k", "1.7e308", "json"),
+    ("sweep", "--tol", "5e-324", "csv"),
+    ("fig1", "--ratios", "5e-324", "json"),  # the lanes 0.6 and 5e-324
+    ("fig1", "--omega-k", "1.7e308", "csv"),
+    ("fig1", "--tol", "5e-324", "json"),
+]
+
+
+@pytest.mark.parametrize("name, label, value, output_format", MULTI_BLOCK_CASES)
+def test_multi_block_grids(name, label, value, output_format):
+    slot = dict(SLOTS[name])[label]
+    assert_contract([name, *MULTI_BLOCK[name], *slot(value)], output_format)
 
 
 @st.composite
