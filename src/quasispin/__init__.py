@@ -20,7 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "base": (
-            "DomainError", "FIG1_POINTS", "FIG2_POINTS", "TransitionLevel", "default_theta_max",
+            "DomainError", "FIG1_POINTS", "FIG2_POINTS", "Table", "TransitionLevel",
+            "default_theta_max",
         ),
         "thermal": (
             "Couplings", "MicroscopicLevels", "ModelParams", "SingularLevelError",
@@ -28,21 +29,21 @@ _EXPORTS = {
             "mean_photon_number", "transition_amplitude",
         ),
         "meanfield": (
-            "CriticalPoint", "GapSolution", "NoCriticalPointError", "Phase",
+            "GapSolution", "NoCriticalPointError", "Phase",
             "TransitionKind", "ValidityReport", "critical_temperatures",
             "free_energy_per_atom", "gap_solve", "is_ordered", "ordering_measure",
             "population_inversion", "rz_relaxation", "transition_roots", "uniform_grid",
             "validity_report", "zero_temperature_solution",
         ),
         "exact": (
-            "DickeSpectrum", "FiniteSizeComparison", "GibbsObservables",
+            "DickeSpectrum", "GibbsObservables",
             "MAX_LADDER_ATOMS", "compare_meanfield", "dicke_spectrum",
             "gibbs_observables", "ground_state_m",
         ),
         "sweep": (
-            "OutputFormat", "SweepConfig", "THERMO_COLUMNS", "Table", "comparison_table",
-            "concat_tables", "critical_point_table", "figure1_table", "figure2_table",
-            "phase_map", "plot_script", "proposed_normalizer", "serialize", "sweep_table",
+            "OutputFormat", "THERMO_COLUMNS", "concat_tables", "figure1_table",
+            "figure2_table", "phase_map", "plot_script", "proposed_normalizer", "serialize",
+            "sweep_table",
         ),
     }.items()
     for name in names

@@ -4,8 +4,9 @@ The CLI parses its flags, prints help and rejects bad invocations without
 numpy, so the names it needs before a subcommand runs live here: the root of
 the package's exceptions (exit 3 in ``main()``), the level record that
 ``--level`` parses into (a ``NamedTuple``: a dataclass would load ``inspect``),
-the figure grid sizes that the help shows as defaults, and the default sweep
-extent of the ``sweep`` range check. The physics modules import them from here.
+the column-table type that every handler returns, the figure grid sizes that
+the help shows as defaults, and the default sweep extent of the ``sweep``
+range check. The physics modules import them from here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-__all__ = ["DomainError", "TransitionLevel", "FIG1_POINTS", "FIG2_POINTS", "default_theta_max"]
+__all__ = [
+    "DomainError", "TransitionLevel", "Table", "FIG1_POINTS", "FIG2_POINTS", "default_theta_max",
+]
+
+# A column table, the one result type of the library and the CLI: column name
+# -> one cell per row; key order is column order.
+Table = dict[str, list]
 
 # Default grid sizes of the figure datasets, shared with the CLI.
 FIG1_POINTS = 400

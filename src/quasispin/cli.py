@@ -32,13 +32,10 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError, TransitionLevel, default_theta_max
-
-if TYPE_CHECKING:
-    from .sweep import Table
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError, Table, TransitionLevel, default_theta_max
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main"]
 
@@ -266,7 +263,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     if args.theta_max is None:
         args.theta_max = default_theta_max(args.chi_ratio)
     _check_range(args, "theta", "<=")
-    from .sweep import SweepConfig, concat_tables, proposed_normalizer, sweep_table
+    from .sweep import concat_tables, proposed_normalizer, sweep_table
     from .thermal import ModelParams
 
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
@@ -275,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
     tables = []
     for variant in _variant_list(args.variant):
         params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-        tables.append(sweep_table(SweepConfig(params, *grid), theta_cr))
+        tables.append(sweep_table(params, *grid, theta_cr))
     return {"out": concat_tables(tables)}
 
 
@@ -283,16 +280,16 @@ def _cmd_critical(args: argparse.Namespace) -> dict[str, Table]:
     _check(args.points >= 64, f"--points must be >= 64 for a critical scan, got {args.points}")
     _check_range(args, "theta")
     from .meanfield import critical_temperatures
-    from .sweep import concat_tables, critical_point_table
+    from .sweep import concat_tables
     from .thermal import ModelParams
 
-    tables = []
-    for variant in _variant_list(args.variant):
-        params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-        points = critical_temperatures(
-            params, (args.theta_min, args.theta_max), grid_points=args.points, tol=args.tol
+    tables = [
+        critical_temperatures(
+            ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant),
+            (args.theta_min, args.theta_max), grid_points=args.points, tol=args.tol,
         )
-        tables.append(critical_point_table(points, variant))
+        for variant in _variant_list(args.variant)
+    ]
     return {"out": concat_tables(tables)}
 
 
@@ -332,11 +329,10 @@ def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
 def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
     variant = _one_variant(args)
     from .exact import compare_meanfield
-    from .sweep import comparison_table
     from .thermal import ModelParams
 
     params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-    return {"out": comparison_table(compare_meanfield(params, args.theta, args.n_list), variant)}
+    return {"out": compare_meanfield(params, args.theta, args.n_list)}
 
 
 def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:

@@ -4,8 +4,8 @@ For N atoms locked into the maximal collective-spin sector the exchange
 Hamiltonian is diagonal in the ladder label m, so spectra and Gibbs
 observables come out in closed form and serve as an oracle for the
 mean-field results. The restriction drops the entropy of lower-spin
-sectors, which is accurate deep in the ordered regime; see
-``compare_meanfield`` for how that shows up at higher temperatures.
+sectors, which is accurate deep in the ordered regime; see the column
+table of ``compare_meanfield`` for how that shows up at higher temperatures.
 
 The ladder energies form a convex parabola in m, so a Boltzmann weight
 ``exp(-(E - E_min)/theta)`` is exactly 0.0 in float64 for every level
@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import Table
 from .meanfield import gap_solve, population_inversion
 from .thermal import DomainError, ModelParams, couplings_at
 
@@ -31,7 +32,6 @@ __all__ = [
     "MAX_LADDER_ATOMS",
     "DickeSpectrum",
     "GibbsObservables",
-    "FiniteSizeComparison",
     "dicke_spectrum",
     "ground_state_m",
     "gibbs_observables",
@@ -80,14 +80,6 @@ class GibbsObservables:
     z_shifted: float  # partition sum with the lowest energy factored out
     f_per_atom: float
     rz_per_atom: float
-
-
-@dataclass(frozen=True)
-class FiniteSizeComparison:
-    n_atoms: int
-    rz_exact: float
-    rz_meanfield: float
-    deviation: float
 
 
 def _check_atoms(n_atoms: int) -> None:
@@ -202,10 +194,12 @@ def gibbs_observables(spectrum: DickeSpectrum, theta: float) -> GibbsObservables
     return GibbsObservables(z_shifted=z_shifted, f_per_atom=f_per_atom, rz_per_atom=rz_per_atom)
 
 
-def compare_meanfield(
-    params: ModelParams, theta: float, n_list: Sequence[int]
-) -> list[FiniteSizeComparison]:
+def compare_meanfield(params: ModelParams, theta: float, n_list: Sequence[int]) -> Table:
     """Exact ladder polarization against the mean-field value, per ensemble size.
+
+    Returns the columns ``n_atoms, rz_exact, rz_meanfield, deviation,
+    variant``, one row per entry of ``n_list``; an empty list gives five
+    empty columns.
 
     Each N gets the intensive per-pair coupling ``lam/N`` so ladder and
     mean-field model share the same energy per atom. In the ordered phase
@@ -224,17 +218,16 @@ def compare_meanfield(
         raise DomainError(f"compare_meanfield needs theta > 0, got {theta}")
     cpl = couplings_at(params, theta)
     rz_meanfield = population_inversion(cpl, gap_solve(cpl))
-    comparisons = []
+    sizes, rz_exact = [], []
     for n_atoms in n_list:
         _check_atoms(n_atoms)  # before lam / n_atoms, which a huge integer overflows
-        spectrum = _weighted_levels(int(n_atoms), cpl.lam / n_atoms, cpl.varpi, theta)
-        rz_exact = gibbs_observables(spectrum, theta).rz_per_atom
-        comparisons.append(
-            FiniteSizeComparison(
-                n_atoms=int(n_atoms),
-                rz_exact=rz_exact,
-                rz_meanfield=rz_meanfield,
-                deviation=abs(rz_exact - rz_meanfield),
-            )
-        )
-    return comparisons
+        sizes.append(int(n_atoms))
+        spectrum = _weighted_levels(sizes[-1], cpl.lam / n_atoms, cpl.varpi, theta)
+        rz_exact.append(gibbs_observables(spectrum, theta).rz_per_atom)
+    return {
+        "n_atoms": sizes,
+        "rz_exact": rz_exact,
+        "rz_meanfield": [rz_meanfield] * len(sizes),
+        "deviation": [abs(rz - rz_meanfield) for rz in rz_exact],
+        "variant": [params.variant.value] * len(sizes),
+    }

@@ -4,7 +4,7 @@ Variational free energy per atom, the self-consistent order parameter,
 critical temperatures, and the equilibrium population inversion. Functions
 of :class:`Couplings` accept float fields or array fields (one lane per
 temperature) and answer in kind, so sweeps, scans and phase maps solve whole
-grids in one call.
+grids in one call. :func:`critical_temperatures` returns a column table.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .base import Table
 from .thermal import Couplings, DomainError, ModelParams, _lane_couplings, couplings_at
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "Phase",
     "TransitionKind",
     "GapSolution",
-    "CriticalPoint",
     "ValidityReport",
     "free_energy_per_atom",
     "gap_solve",
@@ -75,13 +75,6 @@ class GapSolution:
     phase: Phase
     residual: float  # |self-consistency residual| at c_abs
     free_energy_per_atom: float
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    theta_cr: float
-    couplings_at_cr: Couplings
-    kind: TransitionKind
 
 
 @dataclass(frozen=True)
@@ -273,9 +266,10 @@ def is_ordered(cpl: Couplings) -> bool:
 def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """``points`` evenly spaced nodes from ``lo`` to ``hi``, both exact.
 
-    Raises :class:`DomainError` for non-finite bounds, fewer than 2 or more
-    than ``MAX_PHASE_CELLS`` points (checked before any array is allocated),
-    or nodes that are not strictly increasing.
+    Raises :class:`DomainError` for non-finite bounds, a count that is not
+    a whole number, fewer than 2 or more than ``MAX_PHASE_CELLS`` points
+    (checked before any array is allocated), or nodes that are not strictly
+    increasing.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
@@ -283,6 +277,8 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
         raise DomainError(f"a grid needs at least 2 points, got {points}")
     if points > MAX_PHASE_CELLS:
         raise DomainError(f"a grid of {points} points exceeds the cap of {MAX_PHASE_CELLS}")
+    if not float(points).is_integer():
+        raise DomainError(f"a grid needs a whole number of points, got {points}")
     step = (hi - lo) / (points - 1)
     grid = lo + np.arange(points) * step
     grid[-1] = hi  # keep the endpoint exact
@@ -365,11 +361,14 @@ def critical_temperatures(
     theta_range: tuple[float, float],
     grid_points: int = 512,
     tol: float = 1e-10,
-) -> list[CriticalPoint]:
+) -> Table:
     """Locate all order/disorder transition temperatures in a range.
 
     :func:`transition_roots` of a float-``chi`` model on a uniform theta grid
-    of the range. Results are ordered by increasing theta.
+    of the range. Returns the columns ``theta_cr, kind, nbar, lambda, varpi,
+    variant``, one row per root by increasing theta, with the couplings at all
+    roots from one array :func:`couplings_at` call; no root gives six empty
+    columns.
 
     Parameters
     ----------
@@ -397,10 +396,17 @@ def critical_temperatures(
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     if np.ndim(params.chi):
         raise DomainError("critical_temperatures takes a float chi; transition_roots scans lanes")
-    return [
-        CriticalPoint(theta_cr=root, couplings_at_cr=couplings_at(params, root), kind=kind)
-        for root, kind, _ in transition_roots(params, uniform_grid(lo, hi, grid_points), tol)
-    ]
+    roots = transition_roots(params, uniform_grid(lo, hi, grid_points), tol)
+    theta_cr = [root for root, _, _ in roots]
+    cpl = couplings_at(params, np.array(theta_cr))
+    return {
+        "theta_cr": theta_cr,
+        "kind": [kind.value for _, kind, _ in roots],
+        "nbar": cpl.nbar.tolist(),
+        "lambda": cpl.lam.tolist(),
+        "varpi": cpl.varpi.tolist(),
+        "variant": [params.variant.value] * len(roots),
+    }
 
 
 def population_inversion(cpl: Couplings, sol: GapSolution) -> float:

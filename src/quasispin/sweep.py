@@ -2,11 +2,12 @@
 
 Every grid is solved in one array call to the physics core (couplings,
 ordering measure and gap solve of :mod:`quasispin.meanfield`). Results leave
-only as column tables: a ``dict`` of equal-length lists whose key order is
-the column order, built from the ``.tolist()`` columns of the core's arrays
-(:func:`sweep_table`, :func:`figure1_table`, :func:`figure2_table`, the
-``(cells, boundary)`` pair of :func:`phase_map`, :func:`critical_point_table`
-and :func:`comparison_table`).
+only as column tables (:data:`quasispin.base.Table`): a ``dict`` of
+equal-length lists whose key order is the column order, built from the
+``.tolist()`` columns of the core's arrays (:func:`sweep_table`,
+:func:`figure1_table`, :func:`figure2_table` and the ``(cells, boundary)``
+pair of :func:`phase_map` here; ``meanfield.critical_temperatures`` and
+``exact.compare_meanfield`` return tables of the same kind).
 :func:`serialize` writes a table to CSV or JSON: a float column that repeats
 few values is formatted once per distinct value, other float columns format
 inside a row template, rows of text cells only are joined with commas, and
@@ -18,17 +19,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError
+from .base import FIG1_POINTS, FIG2_POINTS, DomainError, Table
 from .meanfield import (
     MAX_PHASE_CELLS,
-    CriticalPoint,
     NoCriticalPointError,
     Phase,
     gap_solve,
@@ -40,28 +40,18 @@ from .meanfield import (
 )
 from .thermal import ModelParams, Variant, couplings_at
 
-if TYPE_CHECKING:  # only an annotation: sweeps, scans and maps never load the ladder
-    from .exact import FiniteSizeComparison
-
 __all__ = [
     "OutputFormat",
-    "Table",
     "THERMO_COLUMNS",
-    "SweepConfig",
     "sweep_table",
     "proposed_normalizer",
     "figure1_table",
     "figure2_table",
     "phase_map",
-    "critical_point_table",
-    "comparison_table",
     "concat_tables",
     "serialize",
     "plot_script",
 ]
-
-# A column table: column name -> one cell per row; key order is column order.
-Table = dict[str, list]
 
 # Phase maps are classified in blocks of whole columns holding about this
 # many cells, so each float temporary stays near 0.5 MB whatever the grid size.
@@ -100,28 +90,25 @@ class OutputFormat(str, Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Temperature-grid specification for one sweep."""
+def sweep_table(
+    params: ModelParams,
+    theta_min: float,
+    theta_max: float,
+    points: int,
+    theta_cr: float | None = None,
+) -> Table:
+    """Column table of one sweep, with the :data:`THERMO_COLUMNS` columns.
 
-    params: ModelParams
-    theta_min: float
-    theta_max: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_min < self.theta_max < math.inf:
-            raise DomainError(
-                f"need 0 <= theta_min < theta_max, got [{self.theta_min}, {self.theta_max}]"
-            )
-        if self.points < 2:
-            raise DomainError(f"points must be >= 2, got {self.points}")
-
-
-def _columns(params: ModelParams, thetas: np.ndarray, theta_cr: float | None = None) -> Table:
-    # One call to the array core solves every temperature; theta = 0 takes
-    # the analytic saturated limit. With theta_cr the table starts with
-    # theta_norm = theta / theta_cr.
+    One row per node of a ``uniform_grid`` of ``points >= 2`` temperatures
+    with ``0 <= theta_min < theta_max`` (finite), all solved in one array
+    call; ``theta = 0`` takes the saturated limit. With ``theta_cr`` the table
+    starts with ``theta_norm = theta / theta_cr``.
+    """
+    if not 0.0 <= theta_min < theta_max < math.inf:
+        raise DomainError(f"need 0 <= theta_min < theta_max, got [{theta_min}, {theta_max}]")
+    if points < 2:
+        raise DomainError(f"points must be >= 2, got {points}")
+    thetas = uniform_grid(theta_min, theta_max, points)
     cpl = couplings_at(params, thetas)
     sol = gap_solve(cpl)
     normalized = {} if theta_cr is None else {"theta_norm": (thetas / theta_cr).tolist()}
@@ -138,14 +125,6 @@ def _columns(params: ModelParams, thetas: np.ndarray, theta_cr: float | None = N
         "phase": sol.phase.tolist(),
         "variant": [params.variant.value] * thetas.size,
     }
-
-
-def sweep_table(cfg: SweepConfig, theta_cr: float | None = None) -> Table:
-    """Column table of one sweep, with the :data:`THERMO_COLUMNS` columns.
-
-    With ``theta_cr`` the table starts with ``theta_norm = theta / theta_cr``.
-    """
-    return _columns(cfg.params, uniform_grid(cfg.theta_min, cfg.theta_max, cfg.points), theta_cr)
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:
@@ -213,10 +192,9 @@ def figure1_table(
     for ratio, theta_cr in zip(chi_ratios, scales):
         for variant in Variant:
             params = replace(base, chi=ratio, variant=variant)
-            cfg = SweepConfig(params, 0.0, FIG1_AXIS_MAX * theta_cr, points)
             # The sweep table is built first: it checks the grid size before
             # the ratio column repeats anything that many times.
-            table = sweep_table(cfg, theta_cr)
+            table = sweep_table(params, 0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr)
             tables.append({"chi_ratio": [ratio] * points, **table})
     return concat_tables(tables)
 
@@ -241,7 +219,7 @@ def figure2_table(
     variant = Variant(variant)
     params = ModelParams(omega21=1.0, chi=chi_ratio, omega_k=omega_k, variant=variant)
     (theta_cr,) = _largest_roots(params, tol)
-    columns = sweep_table(SweepConfig(params, 0.0, FIG2_AXIS_MAX * theta_cr, points))
+    columns = sweep_table(params, 0.0, FIG2_AXIS_MAX * theta_cr, points)
     return {name: columns[name] for name in ("theta", "rz_eq10", "rz_eq4", "variant")}
 
 
@@ -304,28 +282,6 @@ def phase_map(
         "variant": [variant.value] * (nx * ny),
     }
     return cells, boundary
-
-
-def critical_point_table(points: Sequence[CriticalPoint], variant: Variant) -> Table:
-    couplings = [point.couplings_at_cr for point in points]
-    return {
-        "theta_cr": [point.theta_cr for point in points],
-        "kind": [point.kind.value for point in points],
-        "nbar": [cpl.nbar for cpl in couplings],
-        "lambda": [cpl.lam for cpl in couplings],
-        "varpi": [cpl.varpi for cpl in couplings],
-        "variant": [Variant(variant).value] * len(points),
-    }
-
-
-def comparison_table(comparisons: Sequence[FiniteSizeComparison], variant: Variant) -> Table:
-    return {
-        "n_atoms": [item.n_atoms for item in comparisons],
-        "rz_exact": [item.rz_exact for item in comparisons],
-        "rz_meanfield": [item.rz_meanfield for item in comparisons],
-        "deviation": [item.deviation for item in comparisons],
-        "variant": [Variant(variant).value] * len(comparisons),
-    }
 
 
 # A string cell needs RFC 4180 quotes when it holds one of these characters.

@@ -161,14 +161,14 @@ def table_records(table: dict) -> list[dict]:
     return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
-def temperature_sweep(cfg) -> list:
-    """Rows of the package's ``sweep_table(cfg)`` as namespaces, ``phase`` as a ``Phase``."""
+def temperature_sweep(params, theta_min: float, theta_max: float, points: int) -> list:
+    """Rows of the package's ``sweep_table`` as namespaces, ``phase`` as a ``Phase``."""
     from types import SimpleNamespace
 
     from quasispin.meanfield import Phase
     from quasispin.sweep import sweep_table
 
-    rows = table_records(sweep_table(cfg))
+    rows = table_records(sweep_table(params, theta_min, theta_max, points))
     return [SimpleNamespace(**{**row, "phase": Phase(row["phase"])}) for row in rows]
 
 

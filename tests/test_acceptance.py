@@ -14,14 +14,12 @@ from quasispin.cli import EXIT_OK, main
 from quasispin.exact import compare_meanfield, dicke_spectrum, ground_state_m
 from quasispin.meanfield import (
     Phase,
-    TransitionKind,
     critical_temperatures,
     free_energy_per_atom,
     gap_solve,
     population_inversion,
     rz_relaxation,
 )
-from quasispin.sweep import SweepConfig
 from quasispin.thermal import ModelParams, Variant, couplings_at
 
 from oracles import ladder_ground_m, order_parameter as oracle_order_parameter, temperature_sweep
@@ -53,18 +51,18 @@ def test_criterion_01_gap_solution_matches_brute_force_minimizer():
 def test_criterion_02_constant_coupling_transition_matches_closed_form():
     """Scanned transition for the constant-coupling variant at ratio 0.6 hits the closed form to 1e-8."""
     closed = 0.2 / math.atanh(2.0 / 3.0)
-    points = critical_temperatures(params_for(0.6, Variant.TRADITIONAL), SCAN, GRID)
-    assert len(points) == 1
-    assert abs(points[0].theta_cr - closed) <= 1e-8
-    assert points[0].kind is TransitionKind.VANISHING
+    table = critical_temperatures(params_for(0.6, Variant.TRADITIONAL), SCAN, GRID)
+    assert len(table["theta_cr"]) == 1
+    assert abs(table["theta_cr"][0] - closed) <= 1e-8
+    assert table["kind"] == ["vanishing"]
 
 
 def test_criterion_03_marginal_constant_coupling_has_no_transition():
     """Ratio 0.5 with constant couplings never orders: the scan must return nothing."""
-    points = critical_temperatures(
+    table = critical_temperatures(
         params_for(0.5, Variant.TRADITIONAL), (1e-6, 5.0), grid_points=512
     )
-    assert points == []
+    assert table["theta_cr"] == []
 
 
 def test_criterion_04_growing_couplings_raise_the_transition():
@@ -73,16 +71,16 @@ def test_criterion_04_growing_couplings_raise_the_transition():
     for ratio in (0.51, 0.6):
         proposed = critical_temperatures(params_for(ratio, Variant.PROPOSED), SCAN, GRID)
         traditional = critical_temperatures(params_for(ratio, Variant.TRADITIONAL), SCAN, GRID)
-        assert proposed and traditional
-        assert proposed[-1].theta_cr > traditional[-1].theta_cr + margin
+        assert proposed["theta_cr"] and traditional["theta_cr"]
+        assert proposed["theta_cr"][-1] > traditional["theta_cr"][-1] + margin
 
 
 def test_criterion_05_marginal_ratio_is_reentrant_with_growing_couplings():
     """Ratio 0.5: disordered at the bottom, ordered in between, disordered above the root."""
     params = params_for(0.5, Variant.PROPOSED)
-    points = critical_temperatures(params, SCAN, GRID)
-    assert [p.kind for p in points] == [TransitionKind.VANISHING]
-    root = points[0].theta_cr
+    table = critical_temperatures(params, SCAN, GRID)
+    assert table["kind"] == ["vanishing"]
+    (root,) = table["theta_cr"]
 
     assert gap_solve(couplings_at(params, 1e-6)).phase is Phase.DISORDERED
     profile = [
@@ -97,9 +95,8 @@ def test_criterion_06_equilibrium_polarization_equals_relaxation_value_when_orde
     """|rz_eq10 - rz_eq4| <= 1e-8 at every ordered sweep point and at the transition itself."""
     for variant in (Variant.PROPOSED, Variant.TRADITIONAL):
         params = params_for(0.6, variant)
-        theta_cr = critical_temperatures(params, SCAN, GRID)[-1].theta_cr
-        cfg = SweepConfig(params=params, theta_min=0.0, theta_max=2.0 * theta_cr, points=200)
-        points = temperature_sweep(cfg)
+        theta_cr = critical_temperatures(params, SCAN, GRID)["theta_cr"][-1]
+        points = temperature_sweep(params, 0.0, 2.0 * theta_cr, 200)
         ordered = [p for p in points if p.phase is Phase.ORDERED]
         assert ordered, "sweep must contain ordered points"
         for point in ordered:
@@ -144,8 +141,10 @@ def test_criterion_08_exact_ladder_ground_state_and_low_temperature_limit():
         assert ground_state_m(spectrum) == ladder_ground_m(n_atoms, lambda_n, varpi)
 
     params = params_for(0.6, Variant.TRADITIONAL)
-    for comp in compare_meanfield(params, 1e-6, [8, 64, 512]):
-        assert comp.deviation <= 0.5 / comp.n_atoms + 1e-9
+    table = compare_meanfield(params, 1e-6, [8, 64, 512])
+    assert table["n_atoms"] == [8, 64, 512]
+    for n_atoms, deviation in zip(table["n_atoms"], table["deviation"]):
+        assert deviation <= 0.5 / n_atoms + 1e-9
 
 
 def test_criterion_09_couplings_are_monotone_in_temperature():

@@ -237,18 +237,30 @@ class TestWeightWindow:
 
 class TestCompareMeanfield:
     def test_record_structure(self):
-        comps = compare_meanfield(trad06(), 0.1, [8, 32])
-        assert [c.n_atoms for c in comps] == [8, 32]
-        for comp in comps:
-            assert comp.deviation == pytest.approx(
-                abs(comp.rz_exact - comp.rz_meanfield), rel=1e-15
-            )
-            assert comp.rz_meanfield == comps[0].rz_meanfield  # shared mean-field value
+        table = compare_meanfield(trad06(), 0.1, [8, 32])
+        assert table["n_atoms"] == [8, 32]
+        assert table["variant"] == ["traditional", "traditional"]
+        for rz_exact, rz_meanfield, deviation in zip(
+            table["rz_exact"], table["rz_meanfield"], table["deviation"]
+        ):
+            assert deviation == pytest.approx(abs(rz_exact - rz_meanfield), rel=1e-15)
+            assert rz_meanfield == table["rz_meanfield"][0]  # shared mean-field value
+
+    def test_columns_are_those_of_the_exact_compare_csv(self, capsys):
+        from quasispin.cli import main
+
+        columns = ("n_atoms", "rz_exact", "rz_meanfield", "deviation", "variant")
+        table = compare_meanfield(trad06(), 0.1, [8, 32])
+        assert list(table) == list(columns)
+        argv = ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(table)
+        assert compare_meanfield(trad06(), 0.1, []) == dict.fromkeys(columns, [])
 
     def test_ordered_phase_deviation_shrinks_with_size(self):
         theta = 0.5 * TRAD_CR_06
-        comps = compare_meanfield(trad06(), theta, [8, 16, 32, 64, 128, 256, 512])
-        devs = [c.deviation for c in comps]
+        table = compare_meanfield(trad06(), theta, [8, 16, 32, 64, 128, 256, 512])
+        devs = table["deviation"]
         for small, large in zip(devs, devs[1:]):
             assert large <= small + 1e-12
         assert devs[-1] < 1e-9
@@ -260,8 +272,8 @@ class TestCompareMeanfield:
         theta = 2.0 * TRAD_CR_06
         cpl = couplings_at(trad06(), theta)
         target = rz_relaxation(cpl)
-        comps = compare_meanfield(trad06(), theta, [8, 16, 32, 64, 128, 256, 512])
-        gaps = [abs(c.rz_exact - target) for c in comps]
+        table = compare_meanfield(trad06(), theta, [8, 16, 32, 64, 128, 256, 512])
+        gaps = [abs(rz_exact - target) for rz_exact in table["rz_exact"]]
         for small, large in zip(gaps, gaps[1:]):
             assert large <= small + 1e-12
         assert gaps[-1] < 1e-6
@@ -270,8 +282,8 @@ class TestCompareMeanfield:
         # at theta -> 0 the ladder pins to one m, so the distance to the
         # saturated mean-field value is at most half a quantization step
         for n_atoms in (8, 64, 512):
-            comps = compare_meanfield(trad06(), 1e-6, [n_atoms])
-            assert comps[0].deviation <= 0.5 / n_atoms + 1e-9
+            (deviation,) = compare_meanfield(trad06(), 1e-6, [n_atoms])["deviation"]
+            assert deviation <= 0.5 / n_atoms + 1e-9
 
     def test_requires_positive_theta(self):
         with pytest.raises(DomainError):
@@ -287,9 +299,9 @@ class TestCompareMeanfield:
         compare_meanfield(params, 0.07, [8])  # module-level setup is not the sum's
         tracemalloc.start()
         try:
-            comps = compare_meanfield(params, 0.07, [1000, 10000, 100000, 1000000])
+            table = compare_meanfield(params, 0.07, [1000, 10000, 100000, 1000000])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-        assert comps[-1].deviation <= 1e-6
+        assert table["deviation"][-1] <= 1e-6

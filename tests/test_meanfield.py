@@ -34,6 +34,8 @@ from oracles import order_parameter as oracle_order_parameter
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 # chi/omega21 at which the proposed variant's reentrant window opens
 R_STAR = 0.4403426148559534
+# Columns of a critical_temperatures table, in order
+CRITICAL_COLUMNS = ("theta_cr", "kind", "nbar", "lambda", "varpi", "variant")
 
 
 def trad(chi: float) -> ModelParams:
@@ -211,50 +213,52 @@ class TestZeroTemperature:
 
 class TestCriticalTemperatures:
     def test_constant_coupling_matches_closed_form(self):
-        points = critical_temperatures(trad(0.6), (1e-4, 2.0), grid_points=1024)
-        assert len(points) == 1
-        assert points[0].theta_cr == pytest.approx(TRAD_CR_06, abs=1e-8)
-        assert points[0].kind is TransitionKind.VANISHING
+        table = critical_temperatures(trad(0.6), (1e-4, 2.0), grid_points=1024)
+        assert len(table["theta_cr"]) == 1
+        assert table["theta_cr"][0] == pytest.approx(TRAD_CR_06, abs=1e-8)
+        assert table["kind"] == [TransitionKind.VANISHING.value]
 
     def test_constant_coupling_other_ratio(self):
-        points = critical_temperatures(trad(0.9), (1e-4, 2.0), grid_points=1024)
+        table = critical_temperatures(trad(0.9), (1e-4, 2.0), grid_points=1024)
         closed = 0.1 / (2.0 * math.atanh(0.1 / 0.9))
-        assert len(points) == 1
-        assert points[0].theta_cr == pytest.approx(closed, rel=1e-8)
+        assert len(table["theta_cr"]) == 1
+        assert table["theta_cr"][0] == pytest.approx(closed, rel=1e-8)
 
     def test_marginal_constant_coupling_has_no_transition(self):
         # lam = |varpi|: the measure saturates to zero from below but never
         # crosses; saturation plateaus must not be counted as roots
-        assert critical_temperatures(trad(0.5), (1e-6, 5.0), grid_points=512) == []
+        table = critical_temperatures(trad(0.5), (1e-6, 5.0), grid_points=512)
+        assert table == dict.fromkeys(CRITICAL_COLUMNS, [])
 
     def test_weak_constant_coupling_has_no_transition(self):
-        assert critical_temperatures(trad(0.4), (1e-4, 2.0), grid_points=512) == []
+        table = critical_temperatures(trad(0.4), (1e-4, 2.0), grid_points=512)
+        assert table == dict.fromkeys(CRITICAL_COLUMNS, [])
 
     def test_reentrant_pair(self):
-        points = critical_temperatures(prop(0.45), (1e-4, 2.0), grid_points=1024)
-        assert [p.kind for p in points] == [TransitionKind.ONSET, TransitionKind.VANISHING]
-        assert points[0].theta_cr == pytest.approx(0.2615809527, rel=1e-6)
-        assert points[1].theta_cr == pytest.approx(0.4269273096, rel=1e-6)
+        table = critical_temperatures(prop(0.45), (1e-4, 2.0), grid_points=1024)
+        assert table["kind"] == [TransitionKind.ONSET.value, TransitionKind.VANISHING.value]
+        assert table["theta_cr"][0] == pytest.approx(0.2615809527, rel=1e-6)
+        assert table["theta_cr"][1] == pytest.approx(0.4269273096, rel=1e-6)
 
     def test_growing_coupling_single_vanishing_point(self):
-        points = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)
-        assert [p.kind for p in points] == [TransitionKind.VANISHING]
-        assert points[0].theta_cr == pytest.approx(0.5707659565, rel=1e-6)
+        table = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)
+        assert table["kind"] == [TransitionKind.VANISHING.value]
+        assert table["theta_cr"][0] == pytest.approx(0.5707659565, rel=1e-6)
 
     def test_marginal_ratio_keeps_only_the_true_root(self):
         # at chi = omega21/2 the low-theta side saturates exactly to zero;
         # only the genuine high-theta crossing may be reported
-        points = critical_temperatures(prop(0.5), (1e-4, 2.0), grid_points=1024)
-        assert [p.kind for p in points] == [TransitionKind.VANISHING]
-        assert points[0].theta_cr == pytest.approx(0.5195217303, rel=1e-6)
+        table = critical_temperatures(prop(0.5), (1e-4, 2.0), grid_points=1024)
+        assert table["kind"] == [TransitionKind.VANISHING.value]
+        assert table["theta_cr"][0] == pytest.approx(0.5195217303, rel=1e-6)
 
     def test_roots_stable_under_grid_refinement(self):
         for params in (trad(0.6), prop(0.45)):
-            coarse = critical_temperatures(params, (1e-4, 2.0), grid_points=512)
-            fine = critical_temperatures(params, (1e-4, 2.0), grid_points=1024)
+            coarse = critical_temperatures(params, (1e-4, 2.0), grid_points=512)["theta_cr"]
+            fine = critical_temperatures(params, (1e-4, 2.0), grid_points=1024)["theta_cr"]
             assert len(coarse) == len(fine)
             for a, b in zip(coarse, fine):
-                assert b.theta_cr == pytest.approx(a.theta_cr, rel=1e-9)
+                assert b == pytest.approx(a, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(R_STAR + 1e-3, 0.999))
@@ -262,18 +266,30 @@ class TestCriticalTemperatures:
         # The normalizer and fig2 scan only up to _SCAN_CEIL*omega21; a scan
         # five times wider finds the same last root and nothing above it.
         wide = critical_temperatures(prop(ratio), (_SCAN_FLOOR, 10.0), grid_points=4096)
-        assert wide and wide[-1].theta_cr < _SCAN_CEIL
+        assert wide["theta_cr"] and wide["theta_cr"][-1] < _SCAN_CEIL
         normalizer = proposed_normalizer(prop(ratio))
-        assert normalizer == pytest.approx(wide[-1].theta_cr, rel=1e-9)
+        assert normalizer == pytest.approx(wide["theta_cr"][-1], rel=1e-9)
 
     def test_last_root_near_unit_ratio(self):
         root = proposed_normalizer(prop(0.999))
         assert root == pytest.approx(0.5530967, abs=1e-7)
 
     def test_couplings_attached_to_each_root(self):
-        point = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=512)[0]
-        direct = couplings_at(prop(0.6), point.theta_cr)
-        assert point.couplings_at_cr == direct
+        # the array couplings of all roots equal the scalar ones bit for bit
+        for params in (prop(0.6), prop(0.45), trad(0.6), ModelParams(2.0, 1.3, omega_k=0.7)):
+            table = critical_temperatures(params, (1e-4, 4.0), grid_points=512)
+            assert table["theta_cr"]
+            for row in zip(*table.values()):
+                direct = couplings_at(params, row[0])
+                assert row[2:] == (direct.nbar, direct.lam, direct.varpi, params.variant.value)
+
+    def test_columns_are_those_of_the_critical_csv(self, capsys):
+        from quasispin.cli import main
+
+        table = critical_temperatures(prop(0.45), (1e-4, 2.0))
+        assert list(table) == list(CRITICAL_COLUMNS)
+        assert main(["critical", "--chi-ratio", "0.45", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(table)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -346,6 +362,15 @@ class TestTransitionRoots:
         for points in (1, 0, -3):
             with pytest.raises(DomainError, match="at least 2"):
                 uniform_grid(0.1, 0.2, points)
+
+    def test_uniform_grid_needs_a_whole_number_of_points(self):
+        for points in (4.5, 100.5, np.float64(2.5), math.nan):
+            with pytest.raises(DomainError, match="whole number of points"):
+                uniform_grid(0.0, 1.0, points)
+        with pytest.raises(DomainError, match="whole number of points, got 100.5"):
+            critical_temperatures(trad(0.6), (1e-4, 2.0), grid_points=100.5)
+        assert uniform_grid(0.0, 1.0, np.int64(5)).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert uniform_grid(0.0, 1.0, 5.0).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_critical_temperatures_rejects_lanes(self):
         with pytest.raises(DomainError, match="float chi"):
@@ -493,7 +518,7 @@ class TestArrayCore:
         ordered, worst_residual = 0, 0.0
         for ratio in ratios:
             params = ModelParams(omega21=1.0, chi=ratio, variant=variant)
-            roots = [p.theta_cr for p in critical_temperatures(params, (1e-4, 2.0), 1024)]
+            roots = critical_temperatures(params, (1e-4, 2.0), 1024)["theta_cr"]
             top = roots[-1] if roots else 1.0
             thetas = [0.0, 1e-300, *np.linspace(0.0, 3.0 * top, 200)[1:]]
             thetas += [root * (1.0 + d) for root in roots for d in (-1e-9, 0.0, 1e-9)]

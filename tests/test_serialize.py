@@ -25,7 +25,6 @@ from quasispin.cli import EXIT_OK, main
 from quasispin.exact import compare_meanfield
 from quasispin.meanfield import critical_temperatures
 from quasispin.sweep import (
-    SweepConfig,
     concat_tables,
     figure1_table,
     figure2_table,
@@ -40,6 +39,7 @@ from quasispin.thermal import (
     TransitionLevel,
     Variant,
     coupling_constants,
+    couplings_at,
     transition_amplitude,
 )
 
@@ -175,7 +175,7 @@ def test_sweep_serialization_peaks_below_three_times_its_output(output_format):
     base = ModelParams(omega21=1.0, chi=0.6)
     grid = (0.0, default_theta_max(0.6), 12_000)
     table = concat_tables(
-        [sweep_table(SweepConfig(replace(base, variant=v), *grid)) for v in Variant]
+        [sweep_table(replace(base, variant=v), *grid) for v in Variant]
     )
     peak, size = _peak_and_size(table, output_format)
     assert len(table["theta"]) == 24_000
@@ -194,17 +194,20 @@ def _sweep_rows(ratio, variants, points, normalize):
     theta_cr = proposed_normalizer(base) if normalize else None
     grid = (0.0, default_theta_max(ratio), points)
     return _rows(concat_tables(
-        [sweep_table(SweepConfig(replace(base, variant=v), *grid), theta_cr) for v in variants]
+        [sweep_table(replace(base, variant=v), *grid, theta_cr) for v in variants]
     ))
 
 
 def _critical_rows(ratio, variants):
+    # The couplings come from one scalar couplings_at call per root, which
+    # pins the library's array call to the scalar one.
     rows = []
     for variant in variants:
         params = ModelParams(omega21=1.0, chi=ratio, variant=variant)
-        for point in critical_temperatures(params, (1e-4, 2.0), grid_points=512, tol=1e-10):
-            cpl = point.couplings_at_cr
-            rows.append({"theta_cr": point.theta_cr, "kind": point.kind.value, "nbar": cpl.nbar,
+        table = critical_temperatures(params, (1e-4, 2.0), grid_points=512, tol=1e-10)
+        for theta_cr, kind in zip(table["theta_cr"], table["kind"]):
+            cpl = couplings_at(params, theta_cr)
+            rows.append({"theta_cr": theta_cr, "kind": kind, "nbar": cpl.nbar,
                          "lambda": cpl.lam, "varpi": cpl.varpi, "variant": variant.value})
     return rows, ("theta_cr", "kind", "nbar", "lambda", "varpi", "variant")
 
@@ -230,12 +233,8 @@ def _fig2_rows(ratio, variants):
 
 
 def _compare_rows(ratio, theta, n_list):
-    params = ModelParams(omega21=1.0, chi=ratio)
-    rows = [
-        {"n_atoms": c.n_atoms, "rz_exact": c.rz_exact, "rz_meanfield": c.rz_meanfield,
-         "deviation": c.deviation, "variant": "proposed"}
-        for c in compare_meanfield(params, theta, n_list)
-    ]
+    table = compare_meanfield(ModelParams(omega21=1.0, chi=ratio), theta, n_list)
+    rows = [{**row, "variant": "proposed"} for row in table_records(table)]
     return rows, ("n_atoms", "rz_exact", "rz_meanfield", "deviation", "variant")
 
 

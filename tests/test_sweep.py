@@ -21,7 +21,6 @@ from quasispin.meanfield import (
 from quasispin.sweep import (
     THERMO_COLUMNS,
     OutputFormat,
-    SweepConfig,
     concat_tables,
     figure1_table,
     figure2_table,
@@ -45,7 +44,7 @@ def prop(chi: float) -> ModelParams:
 
 
 def sweep_rows(params: ModelParams, theta_min: float, theta_max: float, points: int) -> list:
-    return table_records(sweep_table(SweepConfig(params, theta_min, theta_max, points)))
+    return table_records(sweep_table(params, theta_min, theta_max, points))
 
 
 class TestThermoPoint:
@@ -59,7 +58,7 @@ class TestThermoPoint:
         assert point["nbar"] == 0.0
 
     def test_record_follows_fixed_schema(self):
-        table = sweep_table(SweepConfig(params=prop(0.6), theta_min=0.0, theta_max=0.3, points=2))
+        table = sweep_table(prop(0.6), theta_min=0.0, theta_max=0.3, points=2)
         assert list(table) == list(THERMO_COLUMNS)
         assert table["variant"] == ["proposed", "proposed"]
         # the last row is the point at theta = 0.3, as the scalar core solves
@@ -80,8 +79,7 @@ class TestThermoPoint:
 
 class TestTemperatureSweep:
     def test_grid_endpoints_are_exact(self):
-        cfg = SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.75, points=4)
-        assert sweep_table(cfg)["theta"] == [0.0, 0.25, 0.5, 0.75]
+        assert sweep_table(trad(0.6), 0.0, 0.75, 4)["theta"] == [0.0, 0.25, 0.5, 0.75]
 
     def test_transition_is_visible(self):
         rows = sweep_rows(trad(0.6), 0.0, 0.75, 120)
@@ -94,25 +92,33 @@ class TestTemperatureSweep:
                 assert row["c_abs"] > 0.0
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SweepConfig(params=trad(0.6), theta_min=-0.1, theta_max=0.5, points=10)
-        with pytest.raises(DomainError):
-            SweepConfig(params=trad(0.6), theta_min=0.5, theta_max=0.5, points=10)
-        with pytest.raises(DomainError):
-            SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=0.5, points=1)
+        def bad_range(lo, hi):
+            return re.escape(f"need 0 <= theta_min < theta_max, got [{lo}, {hi}]")
+
+        with pytest.raises(DomainError, match=bad_range(-0.1, 0.5)):
+            sweep_table(trad(0.6), theta_min=-0.1, theta_max=0.5, points=10)
+        with pytest.raises(DomainError, match=bad_range(0.5, 0.5)):
+            sweep_table(trad(0.6), theta_min=0.5, theta_max=0.5, points=10)
+        with pytest.raises(DomainError, match=re.escape("points must be >= 2, got 1")):
+            sweep_table(trad(0.6), theta_min=0.0, theta_max=0.5, points=1)
         for bad in (math.inf, math.nan):
-            with pytest.raises(DomainError):
-                SweepConfig(params=trad(0.6), theta_min=0.0, theta_max=bad, points=10)
-            with pytest.raises(DomainError):
-                SweepConfig(params=trad(0.6), theta_min=bad, theta_max=0.5, points=10)
+            with pytest.raises(DomainError, match=bad_range(0.0, bad)):
+                sweep_table(trad(0.6), theta_min=0.0, theta_max=bad, points=10)
+            with pytest.raises(DomainError, match=bad_range(bad, 0.5)):
+                sweep_table(trad(0.6), theta_min=bad, theta_max=0.5, points=10)
+
+    def test_rejects_a_fractional_point_count(self):
+        with pytest.raises(DomainError, match="whole number of points, got 4.5"):
+            sweep_table(trad(0.6), 0.0, 0.5, 4.5)
+        assert sweep_table(trad(0.6), 0.0, 0.75, np.int64(4))["theta"] == [0.0, 0.25, 0.5, 0.75]
 
     def test_normalized_table_starts_with_theta_norm(self):
-        cfg = SweepConfig(params=prop(0.5), theta_min=0.0, theta_max=0.6, points=80)
-        normalized = sweep_table(cfg, theta_cr=0.3)
+        grid = (0.0, 0.6, 80)
+        normalized = sweep_table(prop(0.5), *grid, theta_cr=0.3)
         assert list(normalized) == ["theta_norm", *THERMO_COLUMNS]
         assert normalized["theta_norm"][-1] == 0.6 / 0.3
         assert normalized["theta_norm"] == [theta / 0.3 for theta in normalized["theta"]]
-        assert {name: normalized[name] for name in THERMO_COLUMNS} == sweep_table(cfg)
+        assert {name: normalized[name] for name in THERMO_COLUMNS} == sweep_table(prop(0.5), *grid)
 
     def test_masked_branches_raise_no_runtime_warnings(self):
         # theta = 0 lanes, subnormal-scale temperatures and varpi = 0 (ratio 0.5
@@ -193,8 +199,7 @@ class TestFigure1:
         assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
         theta_cr = proposed_normalizer(prop(0.6))
         sweeps = concat_tables([
-            sweep_table(SweepConfig(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8),
-                        theta_cr)
+            sweep_table(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
             for v in Variant
         ])
         assert {name: table[name] for name in sweeps} == sweeps
@@ -242,8 +247,8 @@ class TestFigure2:
         table = figure2_table(0.6, points=5)
         assert list(table) == ["theta", "rz_eq10", "rz_eq4", "variant"]
         # the columns of the variant's sweep on [0, 2 * theta_cr]
-        theta_cr = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)[-1].theta_cr
-        sweep = sweep_table(SweepConfig(prop(0.6), 0.0, 2.0 * theta_cr, 5))
+        theta_cr = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)["theta_cr"][-1]
+        sweep = sweep_table(prop(0.6), 0.0, 2.0 * theta_cr, 5)
         assert table == {name: sweep[name] for name in table}
 
     def test_missing_transition_is_reported(self):
