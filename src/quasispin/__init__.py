@@ -24,14 +24,14 @@ _EXPORTS = {
             "default_theta_max",
         ),
         "thermal": (
-            "Couplings", "MicroscopicLevels", "ModelParams", "SingularLevelError",
+            "Couplings", "ModelParams", "SingularLevelError",
             "SINGULARITY_RTOL", "Variant", "coupling_constants", "couplings_at",
             "mean_photon_number", "transition_amplitude",
         ),
         "meanfield": (
             "GapSolution", "NoCriticalPointError", "Phase",
             "TransitionKind", "ValidityReport", "critical_temperatures",
-            "free_energy_per_atom", "gap_solve", "is_ordered", "ordering_measure",
+            "free_energy_per_atom", "gap_solve", "ordering_measure",
             "population_inversion", "rz_relaxation", "transition_roots", "uniform_grid",
             "validity_report", "zero_temperature_solution",
         ),

@@ -338,10 +338,9 @@ def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
 def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:
     omega_k = 0.5 * args.omega21 if args.omega_k is None else args.omega_k
     _check(omega_k > 0.0, f"--omega-k must be positive, got {omega_k}")
-    from .thermal import MicroscopicLevels, coupling_constants, transition_amplitude
+    from .thermal import coupling_constants, transition_amplitude
 
-    levels = MicroscopicLevels(levels=tuple(args.levels), gamma_cav=args.gamma_cav)
-    amplitude = transition_amplitude(levels, omega_k)
+    amplitude = transition_amplitude(args.levels, omega_k)
     chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, omega_k)
     # analytic ratio: finite even when the amplitude vanishes
     ratio = (2.0 * omega_k - args.omega21) / (2.0 * args.gamma_cav)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .base import Table
 from .meanfield import gap_solve, population_inversion
-from .thermal import DomainError, ModelParams, couplings_at
+from .thermal import DomainError, ModelParams, _check_float_chi, couplings_at
 
 __all__ = [
     "MAX_LADDER_ATOMS",
@@ -83,7 +83,7 @@ class GibbsObservables:
 
 
 def _check_atoms(n_atoms: int) -> None:
-    if int(n_atoms) != n_atoms or n_atoms < 2:
+    if not 2 <= n_atoms < math.inf or int(n_atoms) != n_atoms:  # NaN and inf fail the range
         raise DomainError(f"n_atoms must be an integer >= 2, got {n_atoms}")
     if n_atoms > MAX_LADDER_ATOMS:
         raise DomainError(f"n_atoms = {n_atoms} exceeds the ladder size cap {MAX_LADDER_ATOMS}")
@@ -214,6 +214,7 @@ def compare_meanfield(params: ModelParams, theta: float, n_list: Sequence[int]) 
     level outside it has weight exactly 0.0, so the result is that of the
     whole ladder up to summation order, and no array of size N is built.
     """
+    _check_float_chi(params, "compare_meanfield")
     if theta <= 0.0:
         raise DomainError(f"compare_meanfield needs theta > 0, got {theta}")
     cpl = couplings_at(params, theta)

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .base import Table
-from .thermal import Couplings, DomainError, ModelParams, _lane_couplings, couplings_at
+from .thermal import Couplings, DomainError, ModelParams, couplings_at
+from .thermal import _check_float_chi, _lane_couplings
 
 __all__ = [
     "NoCriticalPointError",
@@ -29,7 +30,6 @@ __all__ = [
     "gap_solve",
     "zero_temperature_solution",
     "ordering_measure",
-    "is_ordered",
     "uniform_grid",
     "transition_roots",
     "critical_temperatures",
@@ -242,25 +242,19 @@ def ordering_measure(cpl: Couplings) -> float:
     """Signed measure whose positive sign marks the ordered phase.
 
     ``lam*tanh(|varpi|/(2*theta)) - |varpi|`` is strictly positive iff the
-    self-consistent order parameter is nonzero, except exactly at
-    ``varpi = 0`` where the ordering condition degenerates to
-    ``theta < lam/2``. Array couplings give an array.
+    self-consistent order parameter is nonzero. At ``varpi = 0``, where that
+    form vanishes identically, the measure is ``lam/2 - theta``: the ordering
+    condition there is ``theta < lam/2``. So the sign is the phase of
+    :func:`gap_solve` everywhere. Array couplings give an array.
     """
     theta = np.asarray(cpl.theta, dtype=float)
     if not np.all(theta > 0.0):
         raise DomainError(f"ordering measure needs theta > 0, got {cpl.theta}")
     abs_varpi = np.abs(cpl.varpi)
     with np.errstate(over="ignore"):
-        measure = cpl.lam * np.tanh(abs_varpi / (2.0 * theta)) - abs_varpi
-    return float(measure) if np.ndim(measure) == 0 else measure
-
-
-def is_ordered(cpl: Couplings) -> bool:
-    """Phase classification consistent with :func:`gap_solve`, elementwise for arrays."""
-    ordered = np.where(
-        np.equal(cpl.varpi, 0.0), np.less(cpl.theta, 0.5 * cpl.lam), ordering_measure(cpl) > 0.0
-    )
-    return bool(ordered) if ordered.ndim == 0 else ordered
+        tilted = cpl.lam * np.tanh(abs_varpi / (2.0 * theta)) - abs_varpi
+    measure = np.where(abs_varpi == 0.0, 0.5 * cpl.lam - theta, tilted)
+    return float(measure) if measure.ndim == 0 else measure
 
 
 def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -298,8 +292,9 @@ def _sign_change_roots(
     # lanes (fn broadcasts a lane index array against theta). Exact zeros are
     # saturation plateaus (tanh rounds to 1.0 at marginal couplings), not
     # roots: counting them would invent transitions where lam*tanh < lam =
-    # |varpi| holds strictly in exact arithmetic. All brackets are bisected in
-    # lockstep. Returns (root, kind, lane), ordered by lane, then theta.
+    # |varpi| holds strictly in exact arithmetic. (A varpi = 0 lane is zero
+    # only at theta = lam/2, between nodes of opposite sign.) All brackets are
+    # bisected in lockstep. Returns (root, kind, lane), ordered by lane, then theta.
     values = np.broadcast_to(fn(grid[:, None], np.arange(lanes)[None, :]), (grid.size, lanes))
     lane_of, node = np.nonzero(values.T)
     kept = values[node, lane_of]
@@ -394,8 +389,7 @@ def critical_temperatures(
         raise DomainError(f"theta_range must satisfy 0 < lo < hi, got {theta_range}")
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    if np.ndim(params.chi):
-        raise DomainError("critical_temperatures takes a float chi; transition_roots scans lanes")
+    _check_float_chi(params, "critical_temperatures")
     roots = transition_roots(params, uniform_grid(lo, hi, grid_points), tol)
     theta_cr = [root for root, _, _ in roots]
     cpl = couplings_at(params, np.array(theta_cr))
@@ -452,6 +446,7 @@ def rz_relaxation(cpl: Couplings) -> float:
 
 def validity_report(params: ModelParams, theta: float) -> ValidityReport:
     """Check the collective-coupling and critical-window bounds at ``theta``."""
+    _check_float_chi(params, "validity_report")
     cpl = couplings_at(params, theta)
     bloch_margin = params.n_atoms * cpl.lam - abs(cpl.varpi)
     ratio = params.omega21 / params.chi

@@ -32,13 +32,13 @@ from .meanfield import (
     NoCriticalPointError,
     Phase,
     gap_solve,
-    is_ordered,
+    ordering_measure,
     population_inversion,
     rz_relaxation,
     transition_roots,
     uniform_grid,
 )
-from .thermal import ModelParams, Variant, couplings_at
+from .thermal import ModelParams, Variant, _check_float_chi, couplings_at
 
 __all__ = [
     "OutputFormat",
@@ -101,9 +101,13 @@ def sweep_table(
 
     One row per node of a ``uniform_grid`` of ``points >= 2`` temperatures
     with ``0 <= theta_min < theta_max`` (finite), all solved in one array
-    call; ``theta = 0`` takes the saturated limit. With ``theta_cr`` the table
-    starts with ``theta_norm = theta / theta_cr``.
+    call; ``theta = 0`` takes the saturated limit. With ``theta_cr`` (positive,
+    finite) the table starts with ``theta_norm = theta / theta_cr``. ``params.chi``
+    must be a float.
     """
+    _check_float_chi(params, "sweep_table")
+    if theta_cr is not None and not 0.0 < theta_cr < math.inf:
+        raise DomainError(f"theta_cr must be positive and finite, got {theta_cr}")
     if not 0.0 <= theta_min < theta_max < math.inf:
         raise DomainError(f"need 0 <= theta_min < theta_max, got [{theta_min}, {theta_max}]")
     if points < 2:
@@ -157,8 +161,9 @@ def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> float:
 
     Normalized figure axes divide theta by this root. Raises
     :class:`NoCriticalPointError` when the scan range
-    ``(1e-4, 2) * omega21`` contains no transition.
+    ``(1e-4, 2) * omega21`` contains no transition. ``params.chi`` must be a float.
     """
+    _check_float_chi(params, "proposed_normalizer")
     (theta_cr,) = _largest_roots(replace(params, variant=Variant.PROPOSED), tol)
     return theta_cr
 
@@ -236,13 +241,12 @@ def phase_map(
 
     Returns ``(cells, boundary)``. ``cells`` has the columns ``chi_ratio,
     theta, phase, variant`` in row-major order: one row of ``nx`` ratios per
-    temperature, temperatures ascending. A cell is ordered where the
-    ordering measure is positive (at ``varpi = 0``, where it degenerates,
-    where ``theta < lam/2``). ``boundary`` has the columns ``chi_ratio,
-    theta_cr, kind, variant``: the transition temperatures of each ratio
-    column on the column's theta grid, by ratio and then by temperature:
-    one :func:`transition_roots` call per block of whole columns, whose
-    lanes are the block's ratios.
+    temperature, temperatures ascending. A cell is ordered where the ordering
+    measure is positive. ``boundary`` has the columns ``chi_ratio, theta_cr,
+    kind, variant``: the sign changes of that same measure along each ratio
+    column's theta grid, by ratio and then by temperature: one
+    :func:`transition_roots` call per block of whole columns, whose lanes are
+    the block's ratios.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -268,7 +272,8 @@ def phase_map(
         block = ModelParams(
             omega21=1.0, chi=ratios[start : start + width], omega_k=omega_k, variant=variant
         )
-        ordered[:, start : start + width] = is_ordered(couplings_at(block, thetas[:, None]))
+        measure = ordering_measure(couplings_at(block, thetas[:, None]))
+        ordered[:, start : start + width] = measure > 0.0
         for root, kind, lane in transition_roots(block, thetas, tol):
             boundary["chi_ratio"].append(ratio_list[start + lane])
             boundary["theta_cr"].append(root)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "ModelParams",
     "Couplings",
     "TransitionLevel",
-    "MicroscopicLevels",
     "mean_photon_number",
     "couplings_at",
     "transition_amplitude",
@@ -75,9 +75,15 @@ class ModelParams:
             value = getattr(self, name)
             if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
                 raise DomainError(f"{name} must be positive and finite, got {value}")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 2:
+        if not 2 <= self.n_atoms < math.inf or int(self.n_atoms) != self.n_atoms:
             raise DomainError(f"n_atoms must be an integer >= 2, got {self.n_atoms}")
         object.__setattr__(self, "variant", Variant(self.variant))
+
+
+def _check_float_chi(params: ModelParams, caller: str) -> None:
+    # An array chi (one lane each) is for couplings_at and transition_roots only
+    if np.ndim(params.chi):
+        raise DomainError(f"{caller} takes a float chi; transition_roots scans lanes")
 
 
 @dataclass(frozen=True)
@@ -159,20 +165,7 @@ def _lane_couplings(params: ModelParams, chi, theta) -> Couplings:
     return Couplings(theta=theta_arr, nbar=nbar, omega=omega, lam=lam, varpi=varpi)
 
 
-@dataclass(frozen=True)
-class MicroscopicLevels:
-    """Intermediate-level table plus the cavity linewidth."""
-
-    levels: tuple[TransitionLevel, ...]
-    gamma_cav: float  # cavity half-linewidth, > 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if self.gamma_cav <= 0.0:
-            raise DomainError(f"gamma_cav must be positive, got {self.gamma_cav}")
-
-
-def transition_amplitude(levels: MicroscopicLevels, omega_k: float) -> float:
+def transition_amplitude(levels: Sequence[TransitionLevel], omega_k: float) -> float:
     """Squared two-photon amplitude summed over the intermediate levels.
 
     Each level contributes
@@ -184,13 +177,14 @@ def transition_amplitude(levels: MicroscopicLevels, omega_k: float) -> float:
     ------
     SingularLevelError
         If ``omega_k`` is resonant with either denominator of some level,
-        within relative tolerance 1e-12.
+        within relative tolerance 1e-12; the message names the level by its
+        index in ``levels``.
     DomainError
         If a level's denominator underflows to 0, or the amplitude is not
         finite (it overflowed the float range).
     """
     total = 0.0
-    for index, level in enumerate(levels.levels):
+    for index, level in enumerate(levels):
         for name, freq in (("omega_2a", level.omega_2a), ("omega_a1", level.omega_a1)):
             if abs(freq - omega_k) <= SINGULARITY_RTOL * max(abs(freq), abs(omega_k)):
                 raise SingularLevelError(

@@ -292,6 +292,12 @@ class TestCompareMeanfield:
     def test_rejects_bad_sizes(self):
         with pytest.raises(DomainError):
             compare_meanfield(trad06(), 0.1, [1])
+        for bad in (math.nan, math.inf, -math.inf, 2.5):
+            with pytest.raises(DomainError, match="n_atoms must be an integer >= 2"):
+                compare_meanfield(trad06(), 0.1, [bad])
+        with pytest.raises(DomainError, match="exceeds the ladder size cap"):
+            compare_meanfield(trad06(), 0.1, [10**400])
+        assert compare_meanfield(trad06(), 0.1, [np.int64(8)])["n_atoms"] == [8]
 
     def test_largest_ensemble_builds_no_ladder_sized_array(self):
         # the whole ladder at N = 1e6 would take 8 MB an array, ~30 MB at peak

@@ -14,7 +14,6 @@ from quasispin.meanfield import (
     critical_temperatures,
     free_energy_per_atom,
     gap_solve,
-    is_ordered,
     ordering_measure,
     population_inversion,
     rz_relaxation,
@@ -23,7 +22,8 @@ from quasispin.meanfield import (
     validity_report,
     zero_temperature_solution,
 )
-from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer
+from quasispin.exact import compare_meanfield
+from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer, sweep_table
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
 
 from oracles import bisection_solution
@@ -234,6 +234,19 @@ class TestCriticalTemperatures:
         table = critical_temperatures(trad(0.4), (1e-4, 2.0), grid_points=512)
         assert table == dict.fromkeys(CRITICAL_COLUMNS, [])
 
+    @pytest.mark.parametrize("params", [trad(1.0), ModelParams(1.0, 1.0, omega_k=1000.0)])
+    def test_vanishing_varpi_has_its_root_at_half_lam(self, params):
+        # varpi = 0 on every node below theta ~ 1.34 in both models (at
+        # omega_k = 1000 nbar underflows to 0 there), so the measure is
+        # lam/2 - theta; ratios 1 +- 1e-10 find the same root within tol
+        table = critical_temperatures(params, (1e-4, 2.0))
+        assert table["kind"] == [TransitionKind.VANISHING.value]
+        assert (table["nbar"], table["lambda"], table["varpi"]) == ([0.0], [1.0], [0.0])
+        assert table["theta_cr"][0] == pytest.approx(0.5, rel=1e-10)
+        for ratio in (1.0 - 1e-10, 1.0 + 1e-10):
+            (near,) = critical_temperatures(replace(params, chi=ratio), (1e-4, 2.0))["theta_cr"]
+            assert near == pytest.approx(table["theta_cr"][0], rel=1e-9)
+
     def test_reentrant_pair(self):
         table = critical_temperatures(prop(0.45), (1e-4, 2.0), grid_points=1024)
         assert table["kind"] == [TransitionKind.ONSET.value, TransitionKind.VANISHING.value]
@@ -376,6 +389,21 @@ class TestTransitionRoots:
         with pytest.raises(DomainError, match="float chi"):
             critical_temperatures(ModelParams(omega21=1.0, chi=np.array([0.45, 0.6])), (1e-4, 2.0))
 
+    @pytest.mark.parametrize(
+        "entry, call",
+        [
+            ("sweep_table", lambda params: sweep_table(params, 0.0, 1.0, 2)),
+            ("sweep_table", lambda params: sweep_table(params, 0.0, 1.0, 3)),
+            ("compare_meanfield", lambda params: compare_meanfield(params, 0.1, [8])),
+            ("validity_report", lambda params: validity_report(params, 0.1)),
+            ("proposed_normalizer", proposed_normalizer),
+        ],
+        ids=["sweep_table-2", "sweep_table-3", "exact", "validity", "normalizer"],
+    )
+    def test_entries_that_solve_one_model_reject_lanes(self, entry, call):
+        with pytest.raises(DomainError, match=f"{entry} takes a float chi"):
+            call(ModelParams(omega21=1.0, chi=np.array([0.6, 0.7])))
+
     def test_rejects_a_chi_of_more_than_one_dimension(self):
         params = ModelParams(omega21=1.0, chi=np.full((2, 2), 0.6))
         with pytest.raises(DomainError, match="1-D"):
@@ -384,17 +412,20 @@ class TestTransitionRoots:
 
 class TestPhaseClassification:
     def test_measure_sign_agrees_with_gap_solver(self):
-        for params in (trad(0.45), trad(0.5), trad(0.6), prop(0.45), prop(0.5), prop(0.6)):
+        models = [trad(0.45), trad(0.5), trad(0.6), prop(0.45), prop(0.5), prop(0.6)]
+        # varpi = 0 below theta ~ 1.34, where the measure is lam/2 - theta
+        models += [trad(1.0), ModelParams(1.0, 1.0, omega_k=1000.0)]
+        for params in models:
             for i in range(50):
                 theta = 0.02 + i * (1.0 - 0.02) / 49
                 cpl = couplings_at(params, theta)
-                assert is_ordered(cpl) == (gap_solve(cpl).phase is Phase.ORDERED)
+                assert (ordering_measure(cpl) > 0.0) == (gap_solve(cpl).phase is Phase.ORDERED)
 
     def test_degenerate_varpi_uses_half_lam(self):
         ordered = Couplings(theta=0.2, nbar=0.0, omega=0.5, lam=0.5, varpi=0.0)
         disordered = Couplings(theta=0.3, nbar=0.0, omega=0.5, lam=0.5, varpi=0.0)
-        assert is_ordered(ordered)
-        assert not is_ordered(disordered)
+        assert ordering_measure(ordered) > 0.0
+        assert not ordering_measure(disordered) > 0.0
 
     def test_measure_requires_positive_theta(self):
         cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
@@ -546,7 +577,8 @@ class TestArrayCore:
         for params in cases:
             cpl = couplings_at(params, thetas)
             warm = couplings_at(params, thetas[1:])
-            measure, ordered = ordering_measure(warm), is_ordered(warm)
+            measure = ordering_measure(warm)
+            ordered = measure > 0.0
             sol = gap_solve(warm)
             for i, theta in enumerate(thetas.tolist()):
                 one = couplings_at(params, theta)
@@ -556,7 +588,7 @@ class TestArrayCore:
                 if theta == 0.0:
                     continue
                 assert ordering_measure(one) == measure[i - 1]
-                assert is_ordered(one) == ordered[i - 1]
+                assert (ordering_measure(one) > 0.0) == ordered[i - 1]
                 scalar = gap_solve(one)
                 assert scalar.phase.value == sol.phase[i - 1]
                 assert scalar.c_abs == sol.c_abs[i - 1]

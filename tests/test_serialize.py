@@ -34,7 +34,6 @@ from quasispin.sweep import (
     sweep_table,
 )
 from quasispin.thermal import (
-    MicroscopicLevels,
     ModelParams,
     TransitionLevel,
     Variant,
@@ -239,8 +238,7 @@ def _compare_rows(ratio, theta, n_list):
 
 
 def _micro_rows():
-    levels = MicroscopicLevels(levels=(TransitionLevel(1.0, 1.0, 3.0, 2.0),), gamma_cav=0.5)
-    amplitude = transition_amplitude(levels, 1.0)
+    amplitude = transition_amplitude((TransitionLevel(1.0, 1.0, 3.0, 2.0),), 1.0)
     chi, gamma = coupling_constants(amplitude, 0.5, 1.0, 1.0)
     delta = 2.0 * 1.0 - 1.0  # 2*omega_k - omega21
     row = {"amplitude": amplitude, "chi": chi, "gamma": gamma, "chi_over_gamma": delta / 1.0}

@@ -14,7 +14,7 @@ from quasispin.meanfield import (
     NoCriticalPointError,
     critical_temperatures,
     gap_solve,
-    is_ordered,
+    ordering_measure,
     population_inversion,
     rz_relaxation,
 )
@@ -106,6 +106,9 @@ class TestTemperatureSweep:
                 sweep_table(trad(0.6), theta_min=0.0, theta_max=bad, points=10)
             with pytest.raises(DomainError, match=bad_range(bad, 0.5)):
                 sweep_table(trad(0.6), theta_min=bad, theta_max=0.5, points=10)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="theta_cr must be positive and finite"):
+                sweep_table(trad(0.6), 0.0, 0.5, 10, bad)
 
     def test_rejects_a_fractional_point_count(self):
         with pytest.raises(DomainError, match="whole number of points, got 4.5"):
@@ -267,7 +270,7 @@ class TestFigure2:
 def grid_classification(variant, ratios, thetas):
     """Ordered flags of every cell, theta rows by ratio columns, in one array call."""
     params = ModelParams(omega21=1.0, chi=np.array(ratios), variant=variant)
-    return is_ordered(couplings_at(params, np.array(thetas)[:, None]))
+    return ordering_measure(couplings_at(params, np.array(thetas)[:, None])) > 0.0
 
 
 class TestPhaseMap:
@@ -276,7 +279,7 @@ class TestPhaseMap:
         assert all(len(column) == 99 for column in cells.values())
         for row in table_records(cells):
             cpl = couplings_at(prop(row["chi_ratio"]), row["theta"])
-            assert (row["phase"] == "ordered") == is_ordered(cpl)
+            assert (row["phase"] == "ordered") == (ordering_measure(cpl) > 0.0)
 
     def test_boundary_matches_closed_form_per_column(self):
         _, boundary = phase_map(Variant.TRADITIONAL, (0.55, 0.95), (0.05, 0.5), nx=5, ny=64)
@@ -322,6 +325,24 @@ class TestPhaseMap:
             index = int(np.searchsorted(thetas, row["theta_cr"]))
             assert 0 < index < ny
             assert ordered[index - 1, column] != ordered[index, column]
+
+    @pytest.mark.parametrize("nx, ny", [(2, 5), (11, 40)])
+    def test_boundary_of_a_column_at_unit_ratio(self, nx, ny):
+        # the last column has varpi = 0 on every cell: ordered iff theta < 1/2
+        cells, boundary = phase_map(Variant.TRADITIONAL, (0.5, 1.0), (0.1, 0.9), nx=nx, ny=ny)
+        ratios, thetas = cells["chi_ratio"][:nx], np.array(cells["theta"][::nx])
+        ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
+        assert ordered[:, -1].tolist() == (thetas < 0.5).tolist()
+        for column, ratio in enumerate(ratios):
+            flips = np.flatnonzero(ordered[1:, column] != ordered[:-1, column])
+            roots = [
+                theta for r, theta in zip(boundary["chi_ratio"], boundary["theta_cr"]) if r == ratio
+            ]
+            assert len(roots) == flips.size, ratio
+            for flip, root in zip(flips, roots):
+                assert thetas[flip] < root < thetas[flip + 1]
+        assert (boundary["chi_ratio"][-1], boundary["kind"][-1]) == (1.0, "vanishing")
+        assert boundary["theta_cr"][-1] == pytest.approx(0.5, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(DomainError):

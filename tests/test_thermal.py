@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quasispin.thermal import (
     Couplings,
     DomainError,
-    MicroscopicLevels,
     ModelParams,
     SingularLevelError,
     TransitionLevel,
@@ -84,8 +83,11 @@ class TestModelParams:
             ModelParams(omega21=1.0, chi=0.5, omega_k=0.0)
         with pytest.raises(DomainError):
             ModelParams(omega21=1.0, chi=0.5, n_atoms=1)
-        with pytest.raises(DomainError):
-            ModelParams(omega21=1.0, chi=0.5, n_atoms=2.5)
+        for bad in (2.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="n_atoms must be an integer >= 2"):
+                ModelParams(omega21=1.0, chi=0.5, n_atoms=bad)
+        assert ModelParams(omega21=1.0, chi=0.5, n_atoms=np.int64(7)).n_atoms == 7
+        assert ModelParams(omega21=1.0, chi=0.5, n_atoms=10**400).n_atoms == 10**400
         with pytest.raises(ValueError):
             ModelParams(omega21=1.0, chi=0.5, variant="bogus")
 
@@ -165,47 +167,32 @@ class TestCouplingsAt:
 
 class TestMicroscopic:
     def test_single_level_amplitude(self):
-        table = MicroscopicLevels(
-            levels=(TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),),
-            gamma_cav=0.5,
-        )
-        assert transition_amplitude(table, 1.0) == pytest.approx(0.25, rel=1e-15)
+        levels = (TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),)
+        assert transition_amplitude(levels, 1.0) == pytest.approx(0.25, rel=1e-15)
 
     def test_two_levels_interfere_coherently(self):
         level = TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0)
         flipped = TransitionLevel(proj1=-1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0)
-        table = MicroscopicLevels(levels=(level, flipped), gamma_cav=0.5)
         # amplitudes cancel before squaring
-        assert transition_amplitude(table, 1.0) == 0.0
+        assert transition_amplitude((level, flipped), 1.0) == 0.0
 
     def test_resonant_level_is_reported_by_position(self):
-        table = MicroscopicLevels(
-            levels=(
-                TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),
-                TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=1.0, omega_2a=2.0),
-            ),
-            gamma_cav=0.5,
+        levels = (
+            TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),
+            TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=1.0, omega_2a=2.0),
         )
         with pytest.raises(SingularLevelError, match="level 1.*omega_a1"):
-            transition_amplitude(table, 1.0)
+            transition_amplitude(levels, 1.0)
 
     def test_near_resonant_within_tolerance_is_rejected(self):
-        table = MicroscopicLevels(
-            levels=(TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),),
-            gamma_cav=0.5,
-        )
+        levels = (TransitionLevel(proj1=1.0, proj2=1.0, omega_a1=3.0, omega_2a=2.0),)
         with pytest.raises(SingularLevelError):
-            transition_amplitude(table, 2.0 * (1.0 + 1e-14))
-
-    def test_levels_coerced_to_tuple(self):
-        table = MicroscopicLevels(
-            levels=[TransitionLevel(1.0, 1.0, 3.0, 2.0)], gamma_cav=0.5
-        )
-        assert isinstance(table.levels, tuple)
+            transition_amplitude(levels, 2.0 * (1.0 + 1e-14))
 
     def test_gamma_cav_must_be_positive(self):
-        with pytest.raises(DomainError):
-            MicroscopicLevels(levels=(), gamma_cav=0.0)
+        for gamma_cav in (0.0, -0.5):
+            with pytest.raises(DomainError, match="gamma_cav must be positive"):
+                coupling_constants(1.0, gamma_cav, omega21=1.0, omega_k=1.0)
 
     def test_coupling_constants_worked_example(self):
         chi, gamma = coupling_constants(1.0, 0.5, omega21=1.0, omega_k=1.0)
