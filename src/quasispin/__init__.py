@@ -29,11 +29,9 @@ _EXPORTS = {
             "mean_photon_number", "transition_amplitude",
         ),
         "meanfield": (
-            "GapSolution", "NoCriticalPointError", "Phase",
-            "TransitionKind", "ValidityReport", "critical_temperatures",
-            "free_energy_per_atom", "gap_solve", "ordering_measure",
+            "GapSolution", "NoCriticalPointError", "Phase", "TransitionKind",
+            "critical_temperatures", "free_energy_per_atom", "gap_solve", "ordering_measure",
             "population_inversion", "rz_relaxation", "transition_roots", "uniform_grid",
-            "validity_report", "zero_temperature_solution",
         ),
         "exact": (
             "DickeSpectrum", "GibbsObservables",
@@ -41,7 +39,7 @@ _EXPORTS = {
             "gibbs_observables", "ground_state_m",
         ),
         "sweep": (
-            "OutputFormat", "THERMO_COLUMNS", "concat_tables", "figure1_table",
+            "THERMO_COLUMNS", "concat_tables", "figure1_table",
             "figure2_table", "phase_map", "plot_script", "proposed_normalizer", "serialize",
             "sweep_table",
         ),

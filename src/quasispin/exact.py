@@ -180,8 +180,8 @@ def gibbs_observables(spectrum: DickeSpectrum, theta: float) -> GibbsObservables
     computed with the lowest energy subtracted, so no exponential can
     overflow; the shift is restored in the free energy.
     """
-    if theta <= 0.0:
-        raise DomainError(f"gibbs_observables needs theta > 0, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"gibbs_observables needs 0 < theta < inf, got {theta}")
     energies = spectrum.energies
     e_min = float(energies.min())
     # A tiny theta sends the exponent of a level above the lowest past the

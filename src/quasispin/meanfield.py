@@ -25,17 +25,14 @@ __all__ = [
     "Phase",
     "TransitionKind",
     "GapSolution",
-    "ValidityReport",
     "free_energy_per_atom",
     "gap_solve",
-    "zero_temperature_solution",
     "ordering_measure",
     "uniform_grid",
     "transition_roots",
     "critical_temperatures",
     "population_inversion",
     "rz_relaxation",
-    "validity_report",
 ]
 
 # Hard cap on the Newton steps of one gap solve.
@@ -75,20 +72,6 @@ class GapSolution:
     phase: Phase
     residual: float  # |self-consistency residual| at c_abs
     free_energy_per_atom: float
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Standing of the mean-field treatment against its validity bounds.
-
-    Margins are signed distances to the bounds: positive means satisfied.
-    """
-
-    bloch_ok: bool  # |varpi| < n_atoms * lam (collective-coupling bound)
-    window_ok: bool  # 2*nbar^2 < omega21/chi < 2*(1 + nbar)^2, strictly
-    bloch_margin: float
-    window_lower_margin: float
-    window_upper_margin: float
 
 
 def _free_energy(c_abs, lam, varpi, theta):
@@ -140,66 +123,6 @@ def _newton_splitting(lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"gap solve: {todo.size} lanes not converged in {_NEWTON_CAP} Newton steps")
 
 
-def _solve(theta, lam, varpi, caller: str) -> GapSolution:
-    # Gap solution of float or array couplings with theta >= 0. Lanes at
-    # theta = 0 take the saturated limit (tanh -> 1, root E = lam) with its
-    # closed-form free energy; lanes with theta < lam/2 get the Newton root.
-    values = [np.asarray(v, dtype=float) for v in (theta, lam, varpi)]
-    theta, lam, varpi = np.broadcast_arrays(*map(np.atleast_1d, values))
-    if not np.all(lam > 0.0):
-        raise DomainError(f"{caller} needs lam > 0, got {values[1]}")
-    cold = theta == 0.0
-    warm_theta = np.where(cold, 1.0, theta)  # finite stand-in on the cold lanes
-    abs_varpi = np.abs(varpi)
-    rooted = ~cold & (theta < 0.5 * lam)
-    splitting = np.array(lam)
-    splitting[rooted] = _newton_splitting(lam[rooted], theta[rooted])
-    # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
-    candidate = (cold | rooted) & (splitting > abs_varpi)
-    # The squares pass the float range where |varpi| or lam exceeds ~1e154
-    # (|varpi| ~ nbar**2*chi does so first as theta grows), 2*lam where lam
-    # exceeds ~9e307, and cold_square/(4*lam) where lam is tiny against |varpi|
-    # (chi = 5e-324). A candidate lane has |varpi| < splitting <= lam, so its
-    # squares overflow only together with lam**2 + varpi**2, which is rejected
-    # here, and its cold energy is at most lam/2; every other overflow sits on
-    # a lane that the masks below discard, or makes a free energy that is not
-    # finite, which is rejected at the end.
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = splitting * splitting - varpi * varpi
-        cold_square = lam * lam + varpi * varpi
-        if not np.all(np.isfinite(cold_square[candidate])):
-            raise DomainError(f"{caller}: lam = {lam[candidate].max():g} overflows its square")
-        c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
-        ordered = candidate & (c_abs > 0.0)
-        c_abs = np.where(ordered, c_abs, 0.0)
-        recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
-        gap = lam * c_abs * np.tanh(recomputed / (2.0 * warm_theta)) / recomputed
-        cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
-        free_energy = np.where(cold, cold_energy, _free_energy(c_abs, lam, varpi, warm_theta))
-    # A warm lane also needs 2*lam in range, since the ordered branch divides
-    # by it: the solver's float range ends at lam ~ 9e307 even on a disordered
-    # lane, whose free energy is finite there.
-    wide = ~cold & (lam > 0.5 * np.finfo(float).max)
-    if wide.any():
-        raise DomainError(f"{caller}: 2*lam is past the float range at lam = {lam[wide].max():g}")
-    finite = np.isfinite(free_energy)
-    if not finite.all():
-        raise DomainError(
-            f"{caller}: the free energy is past the float range at lam = {lam[~finite].max():g}"
-        )
-    fields = {
-        "c_abs": c_abs,
-        "splitting": np.where(ordered, splitting, abs_varpi),
-        "phase": _PHASE_NAMES[ordered.astype(np.intp)],
-        "residual": np.where(ordered & ~cold, np.abs(c_abs - gap), 0.0),
-        "free_energy_per_atom": free_energy,
-    }
-    if all(value.ndim == 0 for value in values):
-        fields = {name: column.tolist()[0] for name, column in fields.items()}
-        fields["phase"] = Phase(fields["phase"])
-    return GapSolution(**fields)
-
-
 def gap_solve(cpl: Couplings) -> GapSolution:
     """Solve the self-consistency condition for the order parameter.
 
@@ -213,29 +136,74 @@ def gap_solve(cpl: Couplings) -> GapSolution:
     every lane of an array at once. It runs to float convergence, so the
     reported residuals sit at rounding level (about 1e-16).
 
+    At ``theta = 0`` tanh saturates to 1: the root is ``E = lam``, the order
+    parameter ``sqrt(lam**2 - varpi**2)/(2*lam)`` when ``lam > |varpi|`` and
+    0 otherwise, with free energies ``-(lam**2 + varpi**2)/(4*lam)`` and
+    ``-|varpi|/2``, and a residual of 0.
+
     Parameters
     ----------
     cpl : Couplings
-        Effective couplings; requires ``lam > 0`` and ``theta > 0``. Array
+        Effective couplings; requires ``lam > 0`` and ``theta >= 0``. Array
         couplings give array fields, with ``phase`` holding the
-        :class:`Phase` values as strings; their ``theta = 0`` lanes take the
-        :func:`zero_temperature_solution` limit.
+        :class:`Phase` values as strings.
     """
-    theta = np.asarray(cpl.theta, dtype=float)
-    if not np.all(theta > 0.0 if theta.ndim == 0 else theta >= 0.0):
-        raise DomainError(f"gap_solve needs theta > 0, got {cpl.theta}")
-    return _solve(theta, cpl.lam, cpl.varpi, "gap_solve")
-
-
-def zero_temperature_solution(cpl: Couplings) -> GapSolution:
-    """Analytic zero-temperature limit of :func:`gap_solve`.
-
-    With tanh saturated to 1 the order parameter is
-    ``sqrt(lam**2 - varpi**2)/(2*lam)`` when ``lam > |varpi|`` and 0
-    otherwise, with free energies ``-(lam**2 + varpi**2)/(4*lam)`` and
-    ``-|varpi|/2``. ``cpl.theta`` is ignored; ``lam`` must be positive.
-    """
-    return _solve(0.0, cpl.lam, cpl.varpi, "zero_temperature_solution")
+    values = [np.asarray(v, dtype=float) for v in (cpl.theta, cpl.lam, cpl.varpi)]
+    theta, lam, varpi = np.broadcast_arrays(*map(np.atleast_1d, values))
+    if not np.all(theta >= 0.0):
+        raise DomainError(f"gap_solve needs theta >= 0, got {cpl.theta}")
+    if not np.all(lam > 0.0):
+        raise DomainError(f"gap_solve needs lam > 0, got {cpl.lam}")
+    cold = theta == 0.0
+    abs_varpi = np.abs(varpi)
+    rooted = ~cold & (theta < 0.5 * lam)
+    splitting = np.array(lam)
+    splitting[rooted] = _newton_splitting(lam[rooted], theta[rooted])
+    # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
+    candidate = (cold | rooted) & (splitting > abs_varpi)
+    # The squares pass the float range where |varpi| or lam exceeds ~1e154
+    # (|varpi| ~ nbar**2*chi does so first as theta grows), 2*lam where lam
+    # exceeds ~9e307, and cold_square/(4*lam) where lam is tiny against |varpi|
+    # (chi = 5e-324). A candidate lane has |varpi| < splitting <= lam, so its
+    # squares overflow only together with lam**2 + varpi**2, which is rejected
+    # here, and its cold energy is at most lam/2; every other overflow sits on
+    # a lane that the masks below discard, or makes a free energy that is not
+    # finite, which is rejected at the end. On a theta = 0 lane E/theta is
+    # +inf, whose tanh is exactly the saturated 1.0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        excess = splitting * splitting - varpi * varpi
+        cold_square = lam * lam + varpi * varpi
+        if not np.all(np.isfinite(cold_square[candidate])):
+            raise DomainError(f"gap_solve: lam = {lam[candidate].max():g} overflows its square")
+        c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
+        ordered = candidate & (c_abs > 0.0)
+        c_abs = np.where(ordered, c_abs, 0.0)
+        recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
+        gap = lam * c_abs * np.tanh(recomputed / (2.0 * theta)) / recomputed
+        cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
+        free_energy = np.where(cold, cold_energy, _free_energy(c_abs, lam, varpi, theta))
+    # A warm lane also needs 2*lam in range, since the ordered branch divides
+    # by it: the solver's float range ends at lam ~ 9e307 even on a disordered
+    # lane, whose free energy is finite there.
+    wide = ~cold & (lam > 0.5 * np.finfo(float).max)
+    if wide.any():
+        raise DomainError(f"gap_solve: 2*lam is past the float range at lam = {lam[wide].max():g}")
+    finite = np.isfinite(free_energy)
+    if not finite.all():
+        raise DomainError(
+            f"gap_solve: the free energy is past the float range at lam = {lam[~finite].max():g}"
+        )
+    fields = {
+        "c_abs": c_abs,
+        "splitting": np.where(ordered, splitting, abs_varpi),
+        "phase": _PHASE_NAMES[ordered.astype(np.intp)],
+        "residual": np.where(ordered & ~cold, np.abs(c_abs - gap), 0.0),
+        "free_energy_per_atom": free_energy,
+    }
+    if all(value.ndim == 0 for value in values):
+        fields = {name: column.tolist()[0] for name, column in fields.items()}
+        fields["phase"] = Phase(fields["phase"])
+    return GapSolution(**fields)
 
 
 def ordering_measure(cpl: Couplings) -> float:
@@ -414,10 +382,10 @@ def population_inversion(cpl: Couplings, sol: GapSolution) -> float:
     theta, splitting, varpi = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (cpl.theta, sol.splitting, cpl.varpi))
     )
-    flat, cold = splitting == 0.0, theta == 0.0
+    flat = splitting == 0.0
     safe = np.where(flat, 1.0, splitting)
-    with np.errstate(over="ignore"):
-        saturation = np.where(cold, 1.0, np.tanh(safe / (2.0 * np.where(cold, 1.0, theta))))
+    with np.errstate(over="ignore", divide="ignore"):  # theta = 0: tanh(inf) is exactly 1.0
+        saturation = np.tanh(safe / (2.0 * theta))
     rz = np.where(flat, 0.0, -0.5 * (varpi / safe) * saturation)
     return float(rz) if rz.ndim == 0 else rz
 
@@ -443,19 +411,3 @@ def rz_relaxation(cpl: Couplings) -> float:
         raise DomainError(f"rz_relaxation: -varpi/(2*lam) is past the float range at lam = {lam:g}")
     return float(rz) if rz.ndim == 0 else rz
 
-
-def validity_report(params: ModelParams, theta: float) -> ValidityReport:
-    """Check the collective-coupling and critical-window bounds at ``theta``."""
-    _check_float_chi(params, "validity_report")
-    cpl = couplings_at(params, theta)
-    bloch_margin = params.n_atoms * cpl.lam - abs(cpl.varpi)
-    ratio = params.omega21 / params.chi
-    lower_margin = ratio - 2.0 * cpl.nbar * cpl.nbar
-    upper_margin = 2.0 * (1.0 + cpl.nbar) ** 2 - ratio
-    return ValidityReport(
-        bloch_ok=bloch_margin > 0.0,
-        window_ok=lower_margin > 0.0 and upper_margin > 0.0,
-        bloch_margin=bloch_margin,
-        window_lower_margin=lower_margin,
-        window_upper_margin=upper_margin,
-    )

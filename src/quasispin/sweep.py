@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
-from enum import Enum
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,7 +40,6 @@ from .meanfield import (
 from .thermal import ModelParams, Variant, _check_float_chi, couplings_at
 
 __all__ = [
-    "OutputFormat",
     "THERMO_COLUMNS",
     "sweep_table",
     "proposed_normalizer",
@@ -83,11 +81,6 @@ FIG2_AXIS_MAX = 2.0
 _SCAN_FLOOR = 1e-4
 _SCAN_CEIL = 2.0
 _SCAN_GRID = 1024
-
-
-class OutputFormat(str, Enum):
-    CSV = "csv"
-    JSON = "json"
 
 
 def sweep_table(
@@ -397,7 +390,7 @@ def _encode_rows(head: str, lines: Iterator[str], count: int, sep: str, tail: st
 
 def serialize(
     table: Table,
-    output_format: OutputFormat | str = OutputFormat.CSV,
+    output_format: str = "csv",
     precision: int = 9,
 ) -> bytes:
     """Deterministic CSV or JSON bytes for a column table.
@@ -415,13 +408,15 @@ def serialize(
     text exists whole only as the returned bytes. Identical inputs give
     byte-identical output.
     """
-    if int(precision) != precision or not 6 <= precision <= 17:
+    if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
-    output_format = OutputFormat(output_format)
+    if output_format not in ("csv", "json"):
+        raise DomainError(f"output format must be 'csv' or 'json', got {output_format!r}")
+    precision = int(precision)  # 9.0 and np.int64(9) format as 9
     if len(set(map(len, table.values()))) > 1:
         raise ValueError(f"table columns differ in length: {list(map(len, table.values()))}")
     count = len(next(iter(table.values()), ()))
-    if output_format is OutputFormat.CSV:
+    if output_format == "csv":
         lone = len(table) == 1
         fields = [_csv_column(column, precision, lone) for column in table.values()]
         header = ",".join(_csv_quote(name, lone) for name in table) + "\n"
@@ -478,15 +473,6 @@ for variant, pts in sorted(series.items()):
 plt.xlabel("theta")
 plt.ylabel("polarization per atom")
 """,
-    "phase": """\
-for phase, marker in (("ordered", "s"), ("disordered", ".")):
-    pts = [row for row in rows if row["phase"] == phase]
-    plt.scatter([float(p["chi_ratio"]) for p in pts],
-                [float(p["theta"]) for p in pts],
-                marker=marker, s=6, label=phase)
-plt.xlabel("chi / omega21")
-plt.ylabel("theta")
-""",
 }
 
 _PLOT_FOOTER = """\
@@ -497,7 +483,7 @@ plt.show()
 
 
 def plot_script(figure: str, csv_path: str) -> str:
-    """Plain-text plotting script for a written CSV (fig1, fig2 or phase)."""
+    """Plain-text plotting script for a written CSV (fig1 or fig2)."""
     if figure not in _PLOT_BODIES:
         raise DomainError(f"unknown figure kind {figure!r}; expected one of {sorted(_PLOT_BODIES)}")
     header = _PLOT_HEADER.format(what=figure, csv_path=csv_path)

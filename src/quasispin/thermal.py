@@ -65,7 +65,6 @@ class ModelParams:
     omega21: float  # bare two-level splitting, > 0
     chi: float | np.ndarray  # vacuum exchange coupling, > 0 (an array: one per lane)
     omega_k: float | None = None  # cavity mode energy, > 0
-    n_atoms: int = 100  # ensemble size, >= 2
     variant: Variant = Variant.PROPOSED
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class ModelParams:
             value = getattr(self, name)
             if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
                 raise DomainError(f"{name} must be positive and finite, got {value}")
-        if not 2 <= self.n_atoms < math.inf or int(self.n_atoms) != self.n_atoms:
-            raise DomainError(f"n_atoms must be an integer >= 2, got {self.n_atoms}")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 

@@ -125,8 +125,10 @@ class TestGibbs:
 
     def test_requires_positive_theta(self):
         spectrum = dicke_spectrum(4, 0.1, 0.5)
-        with pytest.raises(DomainError):
-            gibbs_observables(spectrum, 0.0)
+        # unchecked, nan gives nan observables and inf gives f_per_atom = -inf
+        for theta in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="gibbs_observables needs 0 < theta < inf"):
+                gibbs_observables(spectrum, theta)
 
 
 def full_ladder_weights(spectrum, theta):

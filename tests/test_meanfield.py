@@ -19,8 +19,6 @@ from quasispin.meanfield import (
     rz_relaxation,
     transition_roots,
     uniform_grid,
-    validity_report,
-    zero_temperature_solution,
 )
 from quasispin.exact import compare_meanfield
 from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer, sweep_table
@@ -176,16 +174,44 @@ class TestGapSolve:
 
     def test_rejects_bad_arguments(self):
         good = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
-        with pytest.raises(DomainError):
-            gap_solve(replace(good, theta=0.0))
+        for theta in (-1e-300, -0.2, math.nan):
+            with pytest.raises(DomainError, match="gap_solve needs theta >= 0"):
+                gap_solve(replace(good, theta=theta))
         with pytest.raises(DomainError):
             gap_solve(replace(good, lam=0.0))
+
+    @pytest.mark.parametrize(
+        "lam, varpi",
+        [(0.6, 0.4), (0.4, 0.6), (0.5, 0.5), (0.5, -0.5), (0.5, 0.0), (1e308, -0.5)],
+        ids=["ordered", "disordered", "marginal", "marginal-negative", "zero-varpi", "huge-lam"],
+    )
+    def test_scalar_zero_temperature_is_the_zero_lane_of_an_array(self, lam, varpi):
+        # one solver for every shape: a float theta = 0 gives the bits of a theta = 0 lane
+        scalar = Couplings(theta=0.0, nbar=0.0, omega=lam + varpi, lam=lam, varpi=varpi)
+        lanes = Couplings(
+            theta=np.array([0.0, 0.2]), nbar=np.zeros(2), omega=np.full(2, lam + varpi),
+            lam=np.full(2, lam), varpi=np.full(2, varpi),
+        )
+        if lam == 1e308:
+            messages = []
+            for cpl in (scalar, lanes):
+                with pytest.raises(DomainError) as error:
+                    gap_solve(cpl)
+                messages.append(str(error.value))
+            assert messages[0] == messages[1] == "gap_solve: lam = 1e+308 overflows its square"
+            return
+        one, many = gap_solve(scalar), gap_solve(lanes)
+        assert one.phase is Phase(many.phase[0])
+        for name in ("c_abs", "splitting", "residual", "free_energy_per_atom"):
+            value, lane = getattr(one, name), getattr(many, name)[0]
+            assert type(value) is float
+            assert np.array([value]).tobytes() == np.array([lane]).tobytes(), name
 
 
 class TestZeroTemperature:
     def test_ordered_endpoint(self):
         cpl = couplings_at(trad(0.6), 0.0)
-        sol = zero_temperature_solution(cpl)
+        sol = gap_solve(cpl)
         assert sol.phase is Phase.ORDERED
         assert sol.c_abs == pytest.approx(0.3726779962499649, rel=1e-15)
         assert sol.splitting == 0.6
@@ -193,7 +219,7 @@ class TestZeroTemperature:
 
     def test_disordered_endpoint(self):
         cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.4, varpi=0.6)
-        sol = zero_temperature_solution(cpl)
+        sol = gap_solve(cpl)
         assert sol.phase is Phase.DISORDERED
         assert sol.c_abs == 0.0
         assert sol.splitting == 0.6
@@ -201,14 +227,12 @@ class TestZeroTemperature:
 
     def test_marginal_coupling_is_disordered(self):
         cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.5, varpi=0.5)
-        assert zero_temperature_solution(cpl).phase is Phase.DISORDERED
+        assert gap_solve(cpl).phase is Phase.DISORDERED
 
     def test_continuity_with_small_theta(self):
         cpl0 = couplings_at(trad(0.6), 0.0)
         cpl = couplings_at(trad(0.6), 1e-8)
-        assert gap_solve(cpl).c_abs == pytest.approx(
-            zero_temperature_solution(cpl0).c_abs, abs=1e-9
-        )
+        assert gap_solve(cpl).c_abs == pytest.approx(gap_solve(cpl0).c_abs, abs=1e-9)
 
 
 class TestCriticalTemperatures:
@@ -395,10 +419,9 @@ class TestTransitionRoots:
             ("sweep_table", lambda params: sweep_table(params, 0.0, 1.0, 2)),
             ("sweep_table", lambda params: sweep_table(params, 0.0, 1.0, 3)),
             ("compare_meanfield", lambda params: compare_meanfield(params, 0.1, [8])),
-            ("validity_report", lambda params: validity_report(params, 0.1)),
             ("proposed_normalizer", proposed_normalizer),
         ],
-        ids=["sweep_table-2", "sweep_table-3", "exact", "validity", "normalizer"],
+        ids=["sweep_table-2", "sweep_table-3", "exact", "normalizer"],
     )
     def test_entries_that_solve_one_model_reject_lanes(self, entry, call):
         with pytest.raises(DomainError, match=f"{entry} takes a float chi"):
@@ -451,12 +474,12 @@ class TestPopulationInversion:
 
     def test_saturates_at_zero_temperature(self):
         cpl = couplings_at(trad(0.6), 0.0)
-        sol = zero_temperature_solution(cpl)
+        sol = gap_solve(cpl)
         assert population_inversion(cpl, sol) == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_zero_temperature_disordered_is_fully_polarized(self):
         cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.4, varpi=0.6)
-        sol = zero_temperature_solution(cpl)
+        sol = gap_solve(cpl)
         assert population_inversion(cpl, sol) == -0.5
 
     def test_symmetric_point_is_unpolarized(self):
@@ -483,34 +506,6 @@ class TestPopulationInversion:
         cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.0, varpi=1.0)
         with pytest.raises(DomainError):
             rz_relaxation(cpl)
-
-
-class TestValidityReport:
-    def test_constant_coupling_inside_window(self):
-        report = validity_report(trad(0.6), 0.3)
-        assert report.bloch_ok
-        assert report.window_ok
-        assert report.bloch_margin == pytest.approx(100 * 0.6 - 0.4, rel=1e-12)
-        assert report.window_lower_margin == pytest.approx(1.0 / 0.6, rel=1e-12)
-        assert report.window_upper_margin == pytest.approx(2.0 - 1.0 / 0.6, rel=1e-12)
-
-    def test_weak_coupling_leaves_window(self):
-        report = validity_report(trad(0.4), 0.1)
-        assert not report.window_ok
-        assert report.window_upper_margin < 0.0
-
-    def test_heating_leaves_window(self):
-        cold = validity_report(prop(0.6), 0.05)
-        hot = validity_report(prop(0.6), 3.0)
-        assert cold.window_ok
-        assert not hot.window_ok
-        assert hot.window_lower_margin < 0.0
-
-    def test_collective_bound_fails_for_tiny_ensembles(self):
-        params = ModelParams(omega21=1.0, chi=0.1, n_atoms=2, variant=Variant.TRADITIONAL)
-        report = validity_report(params, 0.1)
-        assert not report.bloch_ok
-        assert report.bloch_margin < 0.0
 
 
 def _half_lam_crossing(params: ModelParams) -> float | None:

@@ -67,7 +67,6 @@ class TestModelParams:
     def test_defaults(self):
         params = ModelParams(omega21=2.0, chi=0.8)
         assert params.omega_k == 1.0  # half the bare splitting
-        assert params.n_atoms == 100
         assert params.variant is Variant.PROPOSED
 
     def test_variant_coercion_from_string(self):
@@ -81,13 +80,6 @@ class TestModelParams:
             ModelParams(omega21=1.0, chi=-0.5)
         with pytest.raises(DomainError):
             ModelParams(omega21=1.0, chi=0.5, omega_k=0.0)
-        with pytest.raises(DomainError):
-            ModelParams(omega21=1.0, chi=0.5, n_atoms=1)
-        for bad in (2.5, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="n_atoms must be an integer >= 2"):
-                ModelParams(omega21=1.0, chi=0.5, n_atoms=bad)
-        assert ModelParams(omega21=1.0, chi=0.5, n_atoms=np.int64(7)).n_atoms == 7
-        assert ModelParams(omega21=1.0, chi=0.5, n_atoms=10**400).n_atoms == 10**400
         with pytest.raises(ValueError):
             ModelParams(omega21=1.0, chi=0.5, variant="bogus")
 
