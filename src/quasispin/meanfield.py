@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import Table
 from .thermal import Couplings, DomainError, ModelParams, couplings_at
-from .thermal import _check_float_chi, _lane_couplings
+from .thermal import _check_float_chi, _check_temperature, _lane_couplings
 
 __all__ = [
     "NoCriticalPointError",
@@ -76,9 +76,11 @@ class GapSolution:
 
 def _free_energy(c_abs, lam, varpi, theta):
     splitting = np.hypot(varpi, lam * (2.0 * c_abs))  # 2*lam alone overflows past ~9e307
-    with np.errstate(over="ignore"):  # splitting/theta -> inf is the saturated limit
-        depth = 0.5 * splitting + theta * np.log1p(np.exp(-splitting / theta))
-    return lam * c_abs * c_abs - depth
+    # splitting/theta -> inf is the saturated limit, where the entropy term is
+    # exactly 0; at theta = 0 it is masked, since splitting = 0 makes it 0/0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        entropy = theta * np.log1p(np.exp(-splitting / theta))
+    return lam * c_abs * c_abs - (0.5 * splitting + np.where(theta == 0.0, 0.0, entropy))
 
 
 def free_energy_per_atom(c_abs: float, cpl: Couplings) -> float:
@@ -87,21 +89,21 @@ def free_energy_per_atom(c_abs: float, cpl: Couplings) -> float:
     f(c) = -theta*ln(2*cosh(E/(2*theta))) + lam*c**2 with
     E = sqrt(varpi**2 + 4*lam**2*c**2), evaluated in the overflow-safe form
     -(E/2 + theta*ln(1 + exp(-E/theta))) + lam*c**2, which is finite for
-    temperatures all the way down to the underflow limit.
+    every ``theta >= 0``; at ``theta = 0`` it is the limit ``lam*c**2 - E/2``.
     """
     c_abs = np.asarray(c_abs, dtype=float)
     theta = np.asarray(cpl.theta, dtype=float)
     if not np.all(c_abs >= 0.0):
         raise DomainError(f"c_abs must be non-negative, got {c_abs}")
-    if not np.all(theta > 0.0):
-        raise DomainError(f"free energy needs theta > 0, got {cpl.theta}")
+    _check_temperature(theta)
     energy = _free_energy(c_abs, cpl.lam, cpl.varpi, theta)
     return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def _newton_splitting(lam: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # Root of g(E) = lam*tanh(E/(2*theta)) - E on (0, lam], lane by lane; the
-    # caller guarantees theta < lam/2, so g'(0) > 0 and the root exists. g is
+    # caller guarantees theta < lam/2, so g'(0) > 0 and the root exists (at
+    # theta = 0 the first step is nan, and E = lam is the saturated root). g is
     # concave with g(lam) <= 0, so Newton from E = lam falls monotonically onto
     # the root without a bracket (Numerical Recipes 9.4): a lane is done once a
     # step no longer lowers E. Far above the root a step shrinks E by about a
@@ -136,56 +138,49 @@ def gap_solve(cpl: Couplings) -> GapSolution:
     every lane of an array at once. It runs to float convergence, so the
     reported residuals sit at rounding level (about 1e-16).
 
-    At ``theta = 0`` tanh saturates to 1: the root is ``E = lam``, the order
-    parameter ``sqrt(lam**2 - varpi**2)/(2*lam)`` when ``lam > |varpi|`` and
-    0 otherwise, with free energies ``-(lam**2 + varpi**2)/(4*lam)`` and
-    ``-|varpi|/2``, and a residual of 0.
+    At ``theta = 0`` the quotient ``E/theta`` is +inf and tanh saturates to
+    exactly 1, so the same formulas give the root ``E = lam``: the order
+    parameter is ``sqrt(lam**2 - varpi**2)/(2*lam)`` when ``lam > |varpi|``
+    and 0 otherwise, and the free energy is ``lam*c**2 - E/2``.
 
     Parameters
     ----------
     cpl : Couplings
-        Effective couplings; requires ``lam > 0`` and ``theta >= 0``. Array
-        couplings give array fields, with ``phase`` holding the
+        Effective couplings; requires ``lam > 0`` and ``0 <= theta < inf``.
+        Array couplings give array fields, with ``phase`` holding the
         :class:`Phase` values as strings.
     """
     values = [np.asarray(v, dtype=float) for v in (cpl.theta, cpl.lam, cpl.varpi)]
+    _check_temperature(values[0])
     theta, lam, varpi = np.broadcast_arrays(*map(np.atleast_1d, values))
-    if not np.all(theta >= 0.0):
-        raise DomainError(f"gap_solve needs theta >= 0, got {cpl.theta}")
     if not np.all(lam > 0.0):
         raise DomainError(f"gap_solve needs lam > 0, got {cpl.lam}")
-    cold = theta == 0.0
     abs_varpi = np.abs(varpi)
-    rooted = ~cold & (theta < 0.5 * lam)
+    rooted = theta < 0.5 * lam
     splitting = np.array(lam)
     splitting[rooted] = _newton_splitting(lam[rooted], theta[rooted])
     # The minimum sits at c > 0 iff the root exceeds |varpi|; otherwise at c = 0.
-    candidate = (cold | rooted) & (splitting > abs_varpi)
+    candidate = rooted & (splitting > abs_varpi)
     # The squares pass the float range where |varpi| or lam exceeds ~1e154
-    # (|varpi| ~ nbar**2*chi does so first as theta grows), 2*lam where lam
-    # exceeds ~9e307, and cold_square/(4*lam) where lam is tiny against |varpi|
-    # (chi = 5e-324). A candidate lane has |varpi| < splitting <= lam, so its
-    # squares overflow only together with lam**2 + varpi**2, which is rejected
-    # here, and its cold energy is at most lam/2; every other overflow sits on
-    # a lane that the masks below discard, or makes a free energy that is not
-    # finite, which is rejected at the end. On a theta = 0 lane E/theta is
-    # +inf, whose tanh is exactly the saturated 1.0.
+    # (|varpi| ~ nbar**2*chi does so first as theta grows), and 2*lam where
+    # lam exceeds ~9e307. A candidate lane has |varpi| < splitting <= lam, so
+    # its squares overflow only together with lam**2 + varpi**2, which is
+    # rejected here; every other overflow sits on a lane that the masks below
+    # discard, or makes a free energy that is not finite, which is rejected at
+    # the end. On a theta = 0 lane E/theta is +inf, whose tanh is exactly 1.0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         excess = splitting * splitting - varpi * varpi
-        cold_square = lam * lam + varpi * varpi
-        if not np.all(np.isfinite(cold_square[candidate])):
+        if not np.all(np.isfinite(lam * lam + varpi * varpi)[candidate]):
             raise DomainError(f"gap_solve: lam = {lam[candidate].max():g} overflows its square")
         c_abs = np.sqrt(np.maximum(excess, 0.0)) / (2.0 * lam)
         ordered = candidate & (c_abs > 0.0)
         c_abs = np.where(ordered, c_abs, 0.0)
         recomputed = np.where(ordered, np.hypot(varpi, 2.0 * lam * c_abs), 1.0)
         gap = lam * c_abs * np.tanh(recomputed / (2.0 * theta)) / recomputed
-        cold_energy = np.where(ordered, -cold_square / (4.0 * lam), -0.5 * abs_varpi)
-        free_energy = np.where(cold, cold_energy, _free_energy(c_abs, lam, varpi, theta))
-    # A warm lane also needs 2*lam in range, since the ordered branch divides
-    # by it: the solver's float range ends at lam ~ 9e307 even on a disordered
-    # lane, whose free energy is finite there.
-    wide = ~cold & (lam > 0.5 * np.finfo(float).max)
+        free_energy = _free_energy(c_abs, lam, varpi, theta)
+    # The ordered branch divides by 2*lam, so the solver's float range ends at
+    # lam ~ 9e307 even on a disordered lane, whose free energy is finite there.
+    wide = lam > 0.5 * np.finfo(float).max
     if wide.any():
         raise DomainError(f"gap_solve: 2*lam is past the float range at lam = {lam[wide].max():g}")
     finite = np.isfinite(free_energy)
@@ -197,7 +192,7 @@ def gap_solve(cpl: Couplings) -> GapSolution:
         "c_abs": c_abs,
         "splitting": np.where(ordered, splitting, abs_varpi),
         "phase": _PHASE_NAMES[ordered.astype(np.intp)],
-        "residual": np.where(ordered & ~cold, np.abs(c_abs - gap), 0.0),
+        "residual": np.where(ordered, np.abs(c_abs - gap), 0.0),
         "free_energy_per_atom": free_energy,
     }
     if all(value.ndim == 0 for value in values):
@@ -210,16 +205,21 @@ def ordering_measure(cpl: Couplings) -> float:
     """Signed measure whose positive sign marks the ordered phase.
 
     ``lam*tanh(|varpi|/(2*theta)) - |varpi|`` is strictly positive iff the
-    self-consistent order parameter is nonzero. At ``varpi = 0``, where that
-    form vanishes identically, the measure is ``lam/2 - theta``: the ordering
-    condition there is ``theta < lam/2``. So the sign is the phase of
-    :func:`gap_solve` everywhere. Array couplings give an array.
+    self-consistent order parameter is nonzero; at ``theta = 0`` it is
+    ``lam - |varpi|``. At ``varpi = 0``, where that form vanishes
+    identically, the measure is ``lam/2 - theta``: the ordering condition
+    there is ``theta < lam/2``. Array couplings give an array.
+
+    The sign is the phase of :func:`gap_solve` except within a few tens of
+    ulps of theta around a transition root, where the two round differently;
+    there the solver was right more often against 60-digit arithmetic, so it
+    is the reference.
     """
     theta = np.asarray(cpl.theta, dtype=float)
-    if not np.all(theta > 0.0):
-        raise DomainError(f"ordering measure needs theta > 0, got {cpl.theta}")
+    _check_temperature(theta)
     abs_varpi = np.abs(cpl.varpi)
-    with np.errstate(over="ignore"):
+    # theta = 0: |varpi|/0 is +inf, whose tanh is 1; at varpi = 0 the 0/0 is masked below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tilted = cpl.lam * np.tanh(abs_varpi / (2.0 * theta)) - abs_varpi
     measure = np.where(abs_varpi == 0.0, 0.5 * cpl.lam - theta, tilted)
     return float(measure) if measure.ndim == 0 else measure
@@ -347,8 +347,8 @@ def critical_temperatures(
         the proposed variant's window is about ``sqrt(r - r*)`` wide, so
         close to r* a grid must be finer to see it: at r* + 1e-7, 512, 1024
         and 2048 nodes on (1e-4, 2) find no root, and 4096 find the onset
-        0.3472538 and the vanishing point 0.3477906. ROADMAP item 2 plans a
-        grid node at the window's centre.
+        0.3472538 and the vanishing point 0.3477906. ROADMAP item 1 plans a
+        scan node at every fold of the phase boundary.
     tol : float
         Relative tolerance on each root, > 0.
     """
@@ -386,7 +386,7 @@ def population_inversion(cpl: Couplings, sol: GapSolution) -> float:
     safe = np.where(flat, 1.0, splitting)
     with np.errstate(over="ignore", divide="ignore"):  # theta = 0: tanh(inf) is exactly 1.0
         saturation = np.tanh(safe / (2.0 * theta))
-    rz = np.where(flat, 0.0, -0.5 * (varpi / safe) * saturation)
+    rz = np.where(flat, 0.0, -0.5 * (varpi / safe) * saturation) + 0.0  # no -0.0 at varpi = 0
     return float(rz) if rz.ndim == 0 else rz
 
 
@@ -404,7 +404,7 @@ def rz_relaxation(cpl: Couplings) -> float:
     # (chi = 5e-324): both are rejected below.
     with np.errstate(over="ignore"):
         twice = 2.0 * np.asarray(cpl.lam, dtype=float)
-        rz = -np.asarray(cpl.varpi, dtype=float) / twice
+        rz = -np.asarray(cpl.varpi, dtype=float) / twice + 0.0  # no -0.0 at varpi = 0
     finite = np.isfinite(rz) & np.isfinite(twice)
     if not finite.all():
         lam = np.broadcast_to(np.asarray(cpl.lam, dtype=float), finite.shape)[~finite][0]

@@ -93,9 +93,8 @@ class Couplings:
 
     theta: float  # temperature, >= 0
     nbar: float  # cavity occupation entering the couplings
-    omega: float  # dressed level splitting
     lam: float  # exchange integral, > 0
-    varpi: float  # splitting left over after exchange, omega - lam
+    varpi: float  # dressed splitting left over after exchange, omega21 - 2*nbar**2*chi - lam
 
 
 def _check_temperature(theta: np.ndarray) -> None:
@@ -150,16 +149,15 @@ def _lane_couplings(params: ModelParams, chi, theta) -> Couplings:
             nbar = np.zeros_like(theta_arr)
         else:
             nbar = np.asarray(mean_photon_number(theta_arr, params.omega_k))
-        omega = params.omega21 - 2.0 * nbar * nbar * chi
         lam = chi * (1.0 + 2.0 * nbar)
-        varpi = omega - lam
+        varpi = params.omega21 - 2.0 * nbar * nbar * chi - lam
     finite = np.isfinite(nbar) & np.isfinite(lam) & np.isfinite(varpi)
     if not finite.all():
         lowest = np.broadcast_to(theta_arr, finite.shape)[~finite].min()
         raise DomainError(f"couplings overflow at theta = {lowest:g}; lower the temperature range")
     if np.ndim(varpi) == 0:
-        return Couplings(theta, *map(float, (nbar, omega, lam, varpi)))
-    return Couplings(theta=theta_arr, nbar=nbar, omega=omega, lam=lam, varpi=varpi)
+        return Couplings(theta, *map(float, (nbar, lam, varpi)))
+    return Couplings(theta=theta_arr, nbar=nbar, lam=lam, varpi=varpi)
 
 
 def transition_amplitude(levels: Sequence[TransitionLevel], omega_k: float) -> float:

@@ -296,6 +296,16 @@ class TestSweep:
         assert default != wide
 
 
+    def test_zero_varpi_polarizations_print_unsigned_zero(self, capsys):
+        # varpi = +0.0 at ratio 1 with constant couplings: no "-0" cell, cold or warm
+        argv = ["sweep", "--chi-ratio", "1", "--variant", "traditional", "--points", "4"]
+        code, out, err = run_silently(capsys, argv + ["--theta-max", "0.6"])
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[6:8] for row in rows] == [["0", "0"]] * 4
+        assert [row[8] for row in rows] == ["ordered"] * 3 + ["disordered"]
+
+
 class TestCritical:
     def test_json_by_default(self, capsys):
         code, out, _ = run(capsys, ["critical", "--chi-ratio", "0.45"])

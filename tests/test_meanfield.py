@@ -23,6 +23,7 @@ from quasispin.meanfield import (
 from quasispin.exact import compare_meanfield
 from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer, sweep_table
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
+from quasispin.thermal import mean_photon_number
 
 from oracles import bisection_solution
 from oracles import free_energy as oracle_free_energy
@@ -46,7 +47,7 @@ def prop(chi: float) -> ModelParams:
 
 class TestFreeEnergy:
     def test_frozen_value(self):
-        cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
+        cpl = Couplings(theta=0.2, nbar=0.0, lam=0.6, varpi=0.4)
         assert free_energy_per_atom(0.0, cpl) == pytest.approx(
             -0.2253856022085945, abs=1e-14
         )
@@ -54,14 +55,14 @@ class TestFreeEnergy:
     def test_matches_textbook_form(self):
         for theta in (0.05, 0.2, 0.7, 3.0):
             for lam, varpi in ((0.6, 0.4), (0.5, 0.5), (1.2, -0.3), (0.9, 0.0)):
-                cpl = Couplings(theta=theta, nbar=0.0, omega=lam + varpi, lam=lam, varpi=varpi)
+                cpl = Couplings(theta=theta, nbar=0.0, lam=lam, varpi=varpi)
                 for c in (0.0, 0.1, 0.25, 0.5):
                     assert free_energy_per_atom(c, cpl) == pytest.approx(
                         oracle_free_energy(c, lam, varpi, theta), rel=1e-12
                     )
 
     def test_no_overflow_at_tiny_temperature(self):
-        cpl = Couplings(theta=1e-12, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
+        cpl = Couplings(theta=1e-12, nbar=0.0, lam=0.6, varpi=0.4)
         value = free_energy_per_atom(0.3, cpl)
         assert math.isfinite(value)
         # saturated limit: lam*c^2 - E/2
@@ -70,15 +71,14 @@ class TestFreeEnergy:
 
     def test_huge_coupling_at_zero_order_stays_finite(self):
         # 2*lam alone overflows to inf, and inf*0 is nan; RuntimeWarnings are errors here
-        cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=1e308, varpi=-1e308)
+        cpl = Couplings(theta=0.1, nbar=0.0, lam=1e308, varpi=-1e308)
         assert free_energy_per_atom(0.0, cpl) == -0.5e308
 
     def test_rejects_bad_arguments(self):
-        cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
-        with pytest.raises(DomainError):
-            free_energy_per_atom(-0.1, cpl)
-        with pytest.raises(DomainError):
-            free_energy_per_atom(0.1, replace(cpl, theta=0.0))
+        cpl = Couplings(theta=0.2, nbar=0.0, lam=0.6, varpi=0.4)
+        for c_abs in (-0.1, math.nan):
+            with pytest.raises(DomainError, match="c_abs must be non-negative"):
+                free_energy_per_atom(c_abs, cpl)
 
 
 class TestGapSolve:
@@ -128,7 +128,7 @@ class TestGapSolve:
 
     def test_disordered_above_half_lam(self):
         # no root of the gap equation exists at all for theta >= lam/2
-        cpl = Couplings(theta=0.31, nbar=0.0, omega=0.7, lam=0.6, varpi=0.1)
+        cpl = Couplings(theta=0.31, nbar=0.0, lam=0.6, varpi=0.1)
         assert gap_solve(cpl).phase is Phase.DISORDERED
 
     @settings(max_examples=60, deadline=None)
@@ -161,21 +161,21 @@ class TestGapSolve:
             gap_solve(cpl)
         # a lane disordered by a wide margin solves without a warning
         lanes = Couplings(
-            theta=np.full(2, 0.1), nbar=np.zeros(2), omega=np.ones(2),
+            theta=np.full(2, 0.1), nbar=np.zeros(2),
             lam=np.array([0.6, 1.0]), varpi=np.array([0.4, -1e300]),
         )
         assert list(gap_solve(lanes).phase) == ["ordered", "disordered"]
 
     def test_a_free_energy_past_the_float_range_is_rejected(self):
         # 2*lam overflows on a disordered lane: past the solver's float range
-        cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=1e308, varpi=-1e308)
+        cpl = Couplings(theta=0.1, nbar=0.0, lam=1e308, varpi=-1e308)
         with pytest.raises(DomainError, match=re.escape("past the float range at lam = 1e+308")):
             gap_solve(cpl)
 
     def test_rejects_bad_arguments(self):
-        good = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
-        for theta in (-1e-300, -0.2, math.nan):
-            with pytest.raises(DomainError, match="gap_solve needs theta >= 0"):
+        good = Couplings(theta=0.2, nbar=0.0, lam=0.6, varpi=0.4)
+        for theta in (-1e-300, -0.2, math.nan, math.inf):
+            with pytest.raises(DomainError, match="theta must be non-negative and finite"):
                 gap_solve(replace(good, theta=theta))
         with pytest.raises(DomainError):
             gap_solve(replace(good, lam=0.0))
@@ -186,12 +186,24 @@ class TestGapSolve:
         ids=["ordered", "disordered", "marginal", "marginal-negative", "zero-varpi", "huge-lam"],
     )
     def test_scalar_zero_temperature_is_the_zero_lane_of_an_array(self, lam, varpi):
-        # one solver for every shape: a float theta = 0 gives the bits of a theta = 0 lane
-        scalar = Couplings(theta=0.0, nbar=0.0, omega=lam + varpi, lam=lam, varpi=varpi)
+        # one core for every shape: a float theta = 0 gives the bits of a theta = 0
+        # lane, the saturated limit of the same formulas
+        scalar = Couplings(theta=0.0, nbar=0.0, lam=lam, varpi=varpi)
         lanes = Couplings(
-            theta=np.array([0.0, 0.2]), nbar=np.zeros(2), omega=np.full(2, lam + varpi),
+            theta=np.array([0.0, 0.2]), nbar=np.zeros(2),
             lam=np.full(2, lam), varpi=np.full(2, varpi),
         )
+        measure = ordering_measure(scalar)
+        assert type(measure) is float
+        limit = lam - abs(varpi) if varpi else 0.5 * lam
+        assert _bits(measure) == _bits(ordering_measure(lanes)[0]) == _bits(limit)
+        for c_abs in (0.0, 0.25):
+            energy = free_energy_per_atom(c_abs, scalar)
+            assert type(energy) is float
+            limit = lam * c_abs * c_abs - 0.5 * np.hypot(varpi, lam * (2.0 * c_abs))
+            assert _bits(energy) == _bits(free_energy_per_atom(c_abs, lanes)[0]) == _bits(limit)
+        if varpi == 0.0:
+            assert _bits(free_energy_per_atom(0.0, scalar)) == _bits(0.0)
         if lam == 1e308:
             messages = []
             for cpl in (scalar, lanes):
@@ -202,6 +214,8 @@ class TestGapSolve:
             return
         one, many = gap_solve(scalar), gap_solve(lanes)
         assert one.phase is Phase(many.phase[0])
+        assert (measure > 0.0) == (one.phase is Phase.ORDERED)
+        assert one.free_energy_per_atom == free_energy_per_atom(one.c_abs, scalar)
         for name in ("c_abs", "splitting", "residual", "free_energy_per_atom"):
             value, lane = getattr(one, name), getattr(many, name)[0]
             assert type(value) is float
@@ -218,7 +232,7 @@ class TestZeroTemperature:
         assert sol.free_energy_per_atom == pytest.approx(-0.21666666666666667, rel=1e-15)
 
     def test_disordered_endpoint(self):
-        cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.4, varpi=0.6)
+        cpl = Couplings(theta=0.0, nbar=0.0, lam=0.4, varpi=0.6)
         sol = gap_solve(cpl)
         assert sol.phase is Phase.DISORDERED
         assert sol.c_abs == 0.0
@@ -226,13 +240,41 @@ class TestZeroTemperature:
         assert sol.free_energy_per_atom == -0.3
 
     def test_marginal_coupling_is_disordered(self):
-        cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.5, varpi=0.5)
+        cpl = Couplings(theta=0.0, nbar=0.0, lam=0.5, varpi=0.5)
         assert gap_solve(cpl).phase is Phase.DISORDERED
 
     def test_continuity_with_small_theta(self):
         cpl0 = couplings_at(trad(0.6), 0.0)
         cpl = couplings_at(trad(0.6), 1e-8)
         assert gap_solve(cpl).c_abs == pytest.approx(gap_solve(cpl0).c_abs, abs=1e-9)
+
+
+class TestTemperatureDomain:
+    # One range check, 0 <= theta < inf, for every core function of a temperature
+    CALLS = {
+        "couplings_at-proposed": lambda theta: couplings_at(prop(0.6), theta),
+        "couplings_at-traditional": lambda theta: couplings_at(trad(0.6), theta),
+        "mean_photon_number": lambda theta: mean_photon_number(theta, 0.5),
+        "gap_solve": lambda theta: gap_solve(Couplings(theta, 0.0, 0.6, 0.4)),
+        "free_energy_per_atom": lambda theta: free_energy_per_atom(
+            0.1, Couplings(theta, 0.0, 0.6, 0.4)
+        ),
+        "ordering_measure": lambda theta: ordering_measure(Couplings(theta, 0.0, 0.6, 0.4)),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_one_temperature_range(self, name):
+        call = self.CALLS[name]
+        for theta in (0.0, 5e-324):
+            call(theta)  # every warning is an error here
+        for theta in (-1e-300, math.nan, math.inf):
+            with pytest.raises(DomainError) as error:
+                call(theta)
+            assert str(error.value) == f"theta must be non-negative and finite, got {theta!r}"
+
+
+def _bits(value: float) -> bytes:
+    return np.array([value], dtype=float).tobytes()
 
 
 class TestCriticalTemperatures:
@@ -445,15 +487,29 @@ class TestPhaseClassification:
                 assert (ordering_measure(cpl) > 0.0) == (gap_solve(cpl).phase is Phase.ORDERED)
 
     def test_degenerate_varpi_uses_half_lam(self):
-        ordered = Couplings(theta=0.2, nbar=0.0, omega=0.5, lam=0.5, varpi=0.0)
-        disordered = Couplings(theta=0.3, nbar=0.0, omega=0.5, lam=0.5, varpi=0.0)
+        ordered = Couplings(theta=0.2, nbar=0.0, lam=0.5, varpi=0.0)
+        disordered = Couplings(theta=0.3, nbar=0.0, lam=0.5, varpi=0.0)
         assert ordering_measure(ordered) > 0.0
         assert not ordering_measure(disordered) > 0.0
 
-    def test_measure_requires_positive_theta(self):
-        cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
-        with pytest.raises(DomainError):
-            ordering_measure(cpl)
+    def test_measure_sign_agrees_with_gap_solver_off_the_last_ulps_of_a_root(self):
+        # The two tests round differently within a few tens of ulps of theta
+        # around a root; 1e4 ulps away, on either side, they agree on every lane.
+        ratios = np.linspace(0.3, 1.5, 200)
+        for variant in Variant:
+            params = ModelParams(omega21=1.0, chi=ratios, variant=variant)
+            roots = transition_roots(params, uniform_grid(1e-4, 2.0, 1024), tol=1e-300)
+            theta_cr = np.array([root for root, _, _ in roots])
+            lane = np.array([lane for _, _, lane in roots])
+            assert len(roots) >= 150
+            shift = 1e4 * np.spacing(theta_cr)
+            thetas = np.concatenate([theta_cr - shift, theta_cr + shift])
+            chi = np.concatenate([ratios[lane], ratios[lane]])
+            cpl = couplings_at(ModelParams(omega21=1.0, chi=chi, variant=variant), thetas)
+            ordered = gap_solve(cpl).phase == Phase.ORDERED.value
+            assert np.array_equal(ordering_measure(cpl) > 0.0, ordered), variant
+            # each root separates the phases at this distance
+            assert np.all(ordered[: len(roots)] != ordered[len(roots):]), variant
 
 
 class TestPopulationInversion:
@@ -478,14 +534,28 @@ class TestPopulationInversion:
         assert population_inversion(cpl, sol) == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_zero_temperature_disordered_is_fully_polarized(self):
-        cpl = Couplings(theta=0.0, nbar=0.0, omega=1.0, lam=0.4, varpi=0.6)
+        cpl = Couplings(theta=0.0, nbar=0.0, lam=0.4, varpi=0.6)
         sol = gap_solve(cpl)
         assert population_inversion(cpl, sol) == -0.5
 
     def test_symmetric_point_is_unpolarized(self):
-        cpl = Couplings(theta=0.2, nbar=0.0, omega=0.5, lam=0.5, varpi=0.0)
+        cpl = Couplings(theta=0.2, nbar=0.0, lam=0.5, varpi=0.0)
         sol = gap_solve(cpl)
         assert abs(population_inversion(cpl, sol)) <= 1e-14
+
+    def test_zero_varpi_is_unsigned_zero(self):
+        # -varpi/... would read -0.0 on a varpi = +0.0 lane, cold or warm
+        lanes = Couplings(
+            theta=np.array([0.0, 0.2, 0.3]), nbar=np.zeros(3),
+            lam=np.full(3, 0.5), varpi=np.zeros(3),
+        )
+        assert gap_solve(lanes).phase.tolist() == ["ordered", "ordered", "disordered"]
+        zeros = np.zeros(3).tobytes()
+        assert population_inversion(lanes, gap_solve(lanes)).tobytes() == zeros
+        assert rz_relaxation(lanes).tobytes() == zeros
+        one = Couplings(theta=0.0, nbar=0.0, lam=0.5, varpi=0.0)
+        assert _bits(population_inversion(one, gap_solve(one))) == _bits(0.0)
+        assert _bits(rz_relaxation(one)) == _bits(0.0)
 
     def test_bounded_by_half(self):
         for params in (trad(0.6), prop(0.5), prop(0.9)):
@@ -498,12 +568,12 @@ class TestPopulationInversion:
     @pytest.mark.parametrize("lam, varpi", [(5e-324, 1.0), (1e308, -1e308)])
     def test_relaxation_value_past_the_float_range_is_rejected(self, lam, varpi):
         # -varpi/(2*lam) read -inf at a subnormal lam, and 0 (not 0.5) once 2*lam overflowed
-        cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=lam, varpi=varpi)
+        cpl = Couplings(theta=0.2, nbar=0.0, lam=lam, varpi=varpi)
         with pytest.raises(DomainError, match=re.escape(f"past the float range at lam = {lam:g}")):
             rz_relaxation(cpl)
 
     def test_relaxation_requires_positive_lam(self):
-        cpl = Couplings(theta=0.2, nbar=0.0, omega=1.0, lam=0.0, varpi=1.0)
+        cpl = Couplings(theta=0.2, nbar=0.0, lam=0.0, varpi=1.0)
         with pytest.raises(DomainError):
             rz_relaxation(cpl)
 
@@ -577,9 +647,7 @@ class TestArrayCore:
             sol = gap_solve(warm)
             for i, theta in enumerate(thetas.tolist()):
                 one = couplings_at(params, theta)
-                assert (one.nbar, one.omega, one.lam, one.varpi) == (
-                    cpl.nbar[i], cpl.omega[i], cpl.lam[i], cpl.varpi[i]
-                )
+                assert (one.nbar, one.lam, one.varpi) == (cpl.nbar[i], cpl.lam[i], cpl.varpi[i])
                 if theta == 0.0:
                     continue
                 assert ordering_measure(one) == measure[i - 1]

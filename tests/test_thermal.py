@@ -109,7 +109,7 @@ class TestCouplingsAt:
         nbar = mean_photon_number(0.5, 0.5)
         assert cpl.nbar == nbar
         assert cpl.lam == pytest.approx(0.6 * (1.0 + 2.0 * nbar), rel=1e-15)
-        assert cpl.omega == pytest.approx(1.0 - 2.0 * nbar * nbar * 0.6, rel=1e-15)
+        assert cpl.varpi + cpl.lam == pytest.approx(1.0 - 2.0 * nbar * nbar * 0.6, rel=1e-15)
 
     @settings(max_examples=200)
     @given(
@@ -119,11 +119,12 @@ class TestCouplingsAt:
         ratio_k=st.floats(0.1, 2.0),
     )
     def test_detuned_splitting_identity_is_exact(self, theta, chi, omega21, ratio_k):
-        # varpi must equal omega - lam bitwise: downstream phase tests rely
-        # on the sign of varpi flipping exactly where omega crosses lam.
+        # varpi must equal omega - lam bitwise, omega = omega21 - 2*nbar**2*chi:
+        # downstream phase tests rely on the sign of varpi flipping exactly
+        # where omega crosses lam.
         params = ModelParams(omega21=omega21, chi=chi, omega_k=ratio_k * omega21)
         cpl = couplings_at(params, theta)
-        assert cpl.varpi == cpl.omega - cpl.lam
+        assert cpl.varpi == omega21 - 2.0 * cpl.nbar * cpl.nbar * chi - cpl.lam
 
     def test_array_temperatures_broadcast(self):
         params = ModelParams(omega21=1.0, chi=np.array([0.4, 0.6]))
@@ -215,7 +216,7 @@ class TestMicroscopic:
 
 
 def test_couplings_is_immutable():
-    cpl = Couplings(theta=0.1, nbar=0.0, omega=1.0, lam=0.6, varpi=0.4)
+    cpl = Couplings(theta=0.1, nbar=0.0, lam=0.6, varpi=0.4)
     with pytest.raises(AttributeError):
         cpl.lam = 0.7
 
