@@ -19,8 +19,9 @@ __all__ = [
 ]
 
 # A column table, the one result type of the library and the CLI: column name
-# -> one cell per row; key order is column order.
-Table = dict[str, list]
+# -> one cell per row, as a list or a 1-D numpy array (named as a string, so
+# this module loads no numpy); key order is column order.
+Table = dict[str, "list | numpy.ndarray"]
 
 # Default grid sizes of the figure datasets, shared with the CLI.
 FIG1_POINTS = 400

@@ -32,7 +32,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .base import FIG1_POINTS, FIG2_POINTS, DomainError, Table, TransitionLevel, default_theta_max
@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
     # full stdout fails the run (exit 3); argparse would drop the OSError.
     def _print_message(self, message: str, file=None) -> None:
         if message and file is sys.stdout:
-            _write_bytes(None, message.encode("utf-8"))
+            _write_bytes(None, (message.encode("utf-8"),))
         else:
             super()._print_message(message, file)
 
@@ -206,30 +206,36 @@ def _one_variant(args: argparse.Namespace) -> str:
     return args.variant
 
 
-def _write_stdout(data: bytes) -> None:
-    # Straight to the unbuffered binary stream, looping until every byte
-    # lands: a raw stream may take part of the data, and a failed write then
-    # leaves no buffered bytes for the interpreter's final flush to fail on.
+def _write_stdout(blocks: Iterable[bytes]) -> None:
+    # Straight to the unbuffered binary stream, looping until every byte of
+    # each block lands: a raw stream may take part of the data, and a failed
+    # write then leaves no buffered bytes for the interpreter's final flush
+    # to fail on.
     sys.stdout.flush()
     stream = getattr(sys.stdout, "buffer", None)
     if stream is None:  # a text-only stand-in, such as io.StringIO
-        sys.stdout.write(data.decode("utf-8"))
+        for data in blocks:
+            sys.stdout.write(data.decode("utf-8"))
         return
     stream = getattr(stream, "raw", stream)
-    view = memoryview(data)
-    while view:
-        written = stream.write(view)
-        if written is None:  # a non-blocking stream that would block
-            raise BlockingIOError("stdout would block")
-        view = view[written:]
+    for data in blocks:
+        view = memoryview(data)
+        while view:
+            written = stream.write(view)
+            if written is None:  # a non-blocking stream that would block
+                raise BlockingIOError("stdout would block")
+            view = view[written:]
 
 
-def _write_bytes(out: str | None, data: bytes) -> None:
+def _write_bytes(out: str | None, blocks: Iterable[bytes]) -> None:
+    # Each block is written as soon as it is produced, to stdout or to the
+    # file out, which is opened before the first block is asked for.
     try:
         if out is None:
-            _write_stdout(data)
+            _write_stdout(blocks)
         else:
-            Path(out).write_bytes(data)
+            with open(out, "wb") as handle:
+                handle.writelines(blocks)
     except OSError as exc:
         where = "to stdout" if out is None else f"output file {out}"
         raise DomainError(f"cannot write {where}: {exc}") from exc
@@ -244,13 +250,14 @@ def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:
 
 def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
     """Write each table to the file its output flag names; no --out means stdout."""
-    from .sweep import plot_script, serialize
+    from .sweep import plot_script, serialize_blocks
 
     for dest, table in tables.items():
         if dest == "out" or getattr(args, dest) is not None:
-            _write_bytes(getattr(args, dest), serialize(table, args.format, args.precision))
+            blocks = serialize_blocks(table, args.format, args.precision)
+            _write_bytes(getattr(args, dest), blocks)
     if getattr(args, "plot_script", None) is not None:
-        _write_bytes(args.plot_script, plot_script(args.command, args.out).encode("utf-8"))
+        _write_bytes(args.plot_script, (plot_script(args.command, args.out).encode("utf-8"),))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 Every grid is solved in one array call to the physics core (couplings,
 ordering measure and gap solve of :mod:`quasispin.meanfield`). Results leave
 only as column tables (:data:`quasispin.base.Table`): a ``dict`` of
-equal-length lists whose key order is the column order, built from the
-``.tolist()`` columns of the core's arrays (:func:`sweep_table`,
-:func:`figure1_table`, :func:`figure2_table` and the ``(cells, boundary)``
-pair of :func:`phase_map` here; ``meanfield.critical_temperatures`` and
-``exact.compare_meanfield`` return tables of the same kind).
-:func:`serialize` writes a table to CSV or JSON: a float column that repeats
-few values is formatted once per distinct value, other float columns format
-inside a row template, rows of text cells only are joined with commas, and
-rows are encoded one bounded block at a time. Nothing here draws randomness
-or runs threads, so identical inputs give identical output bytes.
+equal-length columns, each a list or a 1-D numpy array, whose key order is
+the column order. :func:`sweep_table`, :func:`figure1_table` and
+:func:`figure2_table` keep the core's arrays as columns (a ratio or
+variant column is a list of one shared value), and :func:`concat_tables`
+stacks array columns with ``np.concatenate``; the ``(cells, boundary)`` pair of
+:func:`phase_map` holds lists, as do ``meanfield.critical_temperatures`` and
+``exact.compare_meanfield``. :func:`serialize_blocks` writes a table to CSV
+or JSON one block of rows at a time, boxing only that block of an array
+column: in each block a float column that repeats few values is formatted
+once per distinct value, other float columns format inside a row template,
+and rows of text cells only are joined with commas. :func:`serialize` joins
+the blocks. Nothing here draws randomness or runs threads, so identical
+inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,6 +51,7 @@ __all__ = [
     "phase_map",
     "concat_tables",
     "serialize",
+    "serialize_blocks",
     "plot_script",
 ]
 
@@ -108,28 +112,39 @@ def sweep_table(
     thetas = uniform_grid(theta_min, theta_max, points)
     cpl = couplings_at(params, thetas)
     sol = gap_solve(cpl)
-    normalized = {} if theta_cr is None else {"theta_norm": (thetas / theta_cr).tolist()}
+    normalized = {} if theta_cr is None else {"theta_norm": thetas / theta_cr}
     return {
         **normalized,
-        "theta": thetas.tolist(),
-        "nbar": cpl.nbar.tolist(),
-        "lambda": cpl.lam.tolist(),
-        "varpi": cpl.varpi.tolist(),
-        "c_abs": sol.c_abs.tolist(),
-        "f_per_atom": sol.free_energy_per_atom.tolist(),
-        "rz_eq10": population_inversion(cpl, sol).tolist(),
-        "rz_eq4": rz_relaxation(cpl).tolist(),
-        "phase": sol.phase.tolist(),
+        "theta": thetas,
+        "nbar": cpl.nbar,
+        "lambda": cpl.lam,
+        "varpi": cpl.varpi,
+        "c_abs": sol.c_abs,
+        "f_per_atom": sol.free_energy_per_atom,
+        "rz_eq10": population_inversion(cpl, sol),
+        "rz_eq4": rz_relaxation(cpl),
+        "phase": sol.phase,
         "variant": [params.variant.value] * thetas.size,
     }
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:
-    """Stack tables with the same columns, row blocks in order."""
+    """Stack tables with the same columns, row blocks in order.
+
+    A column that is an array in every table stays an array; any other
+    column becomes a list.
+    """
     first = tables[0]
     if any(list(table) != list(first) for table in tables):
         raise ValueError("tables to concatenate must have the same columns")
-    return {name: list(chain.from_iterable(table[name] for table in tables)) for name in first}
+    stacked = {}
+    for name in first:
+        columns = [table[name] for table in tables]
+        if all(isinstance(column, np.ndarray) for column in columns):
+            stacked[name] = np.concatenate(columns)
+        else:
+            stacked[name] = list(chain.from_iterable(columns))
+    return stacked
 
 
 def _largest_roots(params: ModelParams, tol: float) -> list[float]:
@@ -286,30 +301,33 @@ def phase_map(
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # json.dumps spellings of the non-finite floats.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# A float column is formatted once per distinct value when its first
-# _MEMO_PROBE cells hold at most 1/_MEMO_SHARE as many distinct values as
-# cells. A phase map's two float columns hold one value per grid line and
-# pass; a sweep's hold about half distinct values and fail, and memoizing
-# them anyway took the CSV of a 24000-row sweep table from 79 to 193 ms, since
-# %g inside a row template (~300 ns a cell) is cheaper than a separate format
-# plus a lookup. Probing 1024 cells costs 25-75 us per column, against ~20 ms
-# to format a 65536-cell column.
+# Rows are rendered and encoded this many at a time, and each block is yielded
+# as soon as it is encoded, so neither the text nor its bytes exist whole. On
+# the 256x256 phase-map CSV (~170 kB a block) warm timings are flat from 256
+# to 4096 rows and rise 3 % at 16384; one block for the whole table is 25 %
+# slower.
+_ROW_BLOCK = 4096
+# A float column's cells in one row block are formatted once per distinct
+# value when the block's first _MEMO_PROBE cells, and then the whole block,
+# hold at most 1/_MEMO_SHARE as many distinct values as cells. A phase map's
+# two float columns hold one value per grid line and pass; a sweep's hold
+# about half distinct values and fail, and memoizing them anyway took the CSV
+# of a 24000-row sweep table from 79 to 193 ms, since %g inside a row template
+# (~300 ns a cell) is cheaper than a separate format plus a lookup. Deciding
+# per block keeps a sweep's saturated low-theta head, where six columns repeat
+# one value, from memoizing the distinct cells after it: deciding once per
+# column from its head took the CSV of a 200000-row sweep table from 0.46 to
+# 1.72 s.
 _MEMO_PROBE = 1024
 _MEMO_SHARE = 4
-# Rows are rendered and encoded this many at a time, so the output exists
-# whole only as the returned bytes. On the 256x256 phase-map CSV (~170 kB a
-# block) warm timings are flat from 256 to 4096 rows and rise 3 % at 16384;
-# one block for the whole table is 25 % slower and peaks at 3.35x the output
-# size under tracemalloc, against 2.02x.
-_ROW_BLOCK = 4096
 
 
-def _cell_text(value: object, precision: int) -> str:
+def _cell_text(value: object, fmt: str) -> str:
     # CSV text of a cell in a column that is neither all floats nor all strings
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.*g" % (precision, value)
+        return fmt % value
     return str(value)
 
 
@@ -321,71 +339,160 @@ def _csv_quote(text: str, lone: bool) -> str:
     return text
 
 
-def _memoized(column: list, render: Callable[[float], str]) -> Iterator[str] | None:
-    # Texts of a float column that repeats few values, each value rendered
-    # once, or None. 0.0 and -0.0 are one key but print differently, so a
-    # column holding zeros of both signs is rendered cell by cell; a NaN is
+def _column_kind(column) -> type | None:
+    # float or str when every cell of the column is one, else None; an
+    # array's dtype answers without a pass over its cells
+    dtype = getattr(column, "dtype", None)
+    if dtype is not None and dtype.kind in "fU":
+        return float if dtype.kind == "f" else str
+    kinds = set(map(type, column))
+    return float if kinds <= {float} else str if kinds <= {str} else None
+
+
+def _row_blocks(table: Table, count: int) -> Iterator[list[tuple[type | None, list, dict]]]:
+    # (kind, cells, known) of every column, one row block at a time: an
+    # array's block becomes a list here, so only one block of it is boxed at
+    # a time, and known is the column's memo of texts (see _memoized)
+    columns = [(_column_kind(column), column, {}) for column in table.values()]
+    for start in range(0, count, _ROW_BLOCK):
+        block = []
+        for kind, column, known in columns:
+            cells = column[start : start + _ROW_BLOCK]
+            block.append((kind, cells.tolist() if isinstance(cells, np.ndarray) else cells, known))
+        yield block
+
+
+def _memoized(cells: list, render: Callable[[float], str], known: dict) -> Iterator[str] | None:
+    # Texts of one row block of a float column that repeats few values, or
+    # None. Each value is rendered once: known holds the texts of the
+    # column's last memoized block, as a phase map's ratios recur in every
+    # block, and is left holding this block's. 0.0 and -0.0 are one key but
+    # print differently, so a block holding zeros of both signs is rendered
+    # cell by cell, and a zero is never taken from another block; a NaN is
     # found by identity, so each NaN object is a key of its own.
-    probe = column[:_MEMO_PROBE]
+    probe = cells[:_MEMO_PROBE]
     if len(set(probe)) * _MEMO_SHARE > len(probe):
         return None
-    distinct = set(column)
-    if 0.0 in distinct and len(set(map(str, filter((0.0).__eq__, column)))) > 1:
+    distinct = set(cells)
+    if len(distinct) * _MEMO_SHARE > len(cells):
         return None
-    return map(dict(zip(distinct, map(render, distinct))).__getitem__, column)
+    if 0.0 in distinct:
+        if len(set(map(str, filter((0.0).__eq__, cells)))) > 1:
+            return None
+        known.pop(0.0, None)
+    texts = {value: known[value] if value in known else render(value) for value in distinct}
+    known.clear()
+    known.update(texts)
+    return map(texts.__getitem__, cells)
 
 
-def _csv_column(column: list, precision: int, lone: bool) -> tuple[str, Iterable]:
-    # (row-template field, cells for it): a float column formats in the
-    # template unless it repeats few values, which are formatted once
-    kinds = set(map(type, column))
-    if kinds <= {float}:
-        fmt = f"%.{precision}g"
-        texts = _memoized(column, fmt.__mod__)
-        return (fmt, column) if texts is None else ("%s", texts)
-    if not kinds <= {str}:
-        column = [_cell_text(value, precision) for value in column]
-    quoted = {text: _csv_quote(text, lone) for text in set(column)}
+def _csv_field(
+    kind: type | None, cells: list, known: dict, fmt: str, lone: bool
+) -> tuple[str, Iterable]:
+    # (row-template field, cells for it) of one column's row block: floats
+    # format in the template unless the block repeats few values, which are
+    # formatted once
+    if kind is float:
+        texts = _memoized(cells, fmt.__mod__, known)
+        return (fmt, cells) if texts is None else ("%s", texts)
+    if kind is None:
+        cells = [_cell_text(value, fmt) for value in cells]
+    quoted = {text: _csv_quote(text, lone) for text in set(cells)}
     if any(text != cell for text, cell in quoted.items()):
-        column = list(map(quoted.__getitem__, column))
-    return "%s", column
+        cells = list(map(quoted.__getitem__, cells))
+    return "%s", cells
 
 
-def _json_column(column: list, precision: int) -> Iterable[str]:
-    # JSON text of every cell, as json.dumps writes the cell rounded to precision
+def _csv_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
+    # The CSV lines of each row block, without their line ends
+    lone = len(table) == 1
+    for block in _row_blocks(table, count):
+        fields = [_csv_field(*column, fmt, lone) for column in block]
+        rows = zip(*(cells for _, cells in fields))
+        if all(field == "%s" for field, _ in fields):
+            yield map(",".join, rows)
+        else:
+            yield map(",".join(field for field, _ in fields).__mod__, rows)
+
+
+def _json_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
+    # The JSON objects of each row block, as json.dumps writes each cell
+    # rounded to fmt
     import json
 
-    kinds = set(map(type, column))
-    fmt = f"%.{precision}g"
-    if kinds <= {float}:
-        memo = _memoized(column, lambda value: json.dumps(float(fmt % value)))
+    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
+    template = "  {\n" + ",\n".join(keys) + "\n  }"
+
+    def render(value: float) -> str:
+        return json.dumps(float(fmt % value))
+
+    def texts(kind: type | None, cells: list, known: dict) -> Iterable[str]:
+        if kind is str:
+            return map({text: json.dumps(text) for text in set(cells)}.__getitem__, cells)
+        if kind is None:
+            return [render(value) if isinstance(value, float) else json.dumps(value)
+                    for value in cells]
+        memo = _memoized(cells, render, known)
         if memo is not None:
             return memo
-        # Lazy, so the texts are rendered a row block at a time; the
-        # translation also covers a finite cell that rounds to inf
-        # (1.797...e308 at precision 10).
-        texts = map(repr, map(float, map(fmt.__mod__, column)))
-        return (_JSON_NON_FINITE.get(text, text) for text in texts)
-    if kinds <= {str}:
-        return list(map({text: json.dumps(text) for text in set(column)}.__getitem__, column))
-    return [
-        json.dumps(float(fmt % value) if isinstance(value, float) else value) for value in column
-    ]
+        # the translation also covers a finite cell that rounds to inf
+        # (1.797...e308 at precision 10)
+        spelled = map(repr, map(float, map(fmt.__mod__, cells)))
+        return (_JSON_NON_FINITE.get(text, text) for text in spelled)
+
+    for block in _row_blocks(table, count):
+        yield map(template.__mod__, zip(*(texts(*column) for column in block)))
 
 
-def _encode_rows(head: str, lines: Iterator[str], count: int, sep: str, tail: str) -> bytes:
-    # UTF-8 of head, the count lines joined by sep, and tail. The lines are
-    # rendered and encoded one block at a time, straight from the lazy row
-    # iterator: a list of row tuples would stop zip from reusing its tuple,
-    # and joining the whole text before encoding would copy it twice.
-    chunks = [head.encode("utf-8")]
-    between = sep.encode("utf-8")
-    for start in range(0, count, _ROW_BLOCK):
-        if start:
-            chunks.append(between)
-        chunks.append(sep.join(islice(lines, _ROW_BLOCK)).encode("utf-8"))
-    chunks.append(tail.encode("utf-8"))
-    return b"".join(chunks)
+def _encoded(head: str, blocks: Iterator[Iterator[str]], sep: str, tail: str) -> Iterator[bytes]:
+    # UTF-8 of head, every line of every block joined by sep, and tail, one
+    # block at a time: each block after the first starts with sep. The lines
+    # come straight from the lazy row iterator: a list of row tuples would
+    # stop zip from reusing its tuple.
+    yield head.encode("utf-8")
+    lead: tuple[str, ...] = ()
+    for lines in blocks:
+        yield sep.join(chain(lead, lines)).encode("utf-8")
+        lead = ("",)
+    yield tail.encode("utf-8")
+
+
+def serialize_blocks(
+    table: Table,
+    output_format: str = "csv",
+    precision: int = 9,
+) -> Iterator[bytes]:
+    """Deterministic CSV or JSON bytes of a column table, a block of rows at a time.
+
+    Yields the encoded header, each block of up to 4096 rows, then the tail;
+    their concatenation is the whole text. The table's keys name the columns,
+    in order; every column is a list or a 1-D numpy array with one cell per
+    row, and an array's cells are those of its ``tolist()``. Floats are
+    written in round-trip ``g`` form limited to ``precision`` significant
+    digits (6..17, default 9), booleans as ``true``/``false``. CSV has LF
+    line endings and RFC 4180 quotes around any string cell holding a comma,
+    quote, CR or LF; JSON is a list of objects in column order, indented by
+    two spaces, with ``NaN`` and ``Infinity`` for non-finite floats. In each
+    row block, a float column that repeats few values is formatted once per
+    distinct value. Other CSV float columns format inside a row template,
+    and a CSV row of text cells only is joined with commas. The format,
+    precision and column lengths are checked by this call, before the first
+    block is asked for. Identical inputs give byte-identical output.
+    """
+    if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
+        raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
+    if output_format not in ("csv", "json"):
+        raise DomainError(f"output format must be 'csv' or 'json', got {output_format!r}")
+    fmt = f"%.{int(precision)}g"  # 9.0 and np.int64(9) format as 9
+    if len(set(map(len, table.values()))) > 1:
+        raise ValueError(f"table columns differ in length: {list(map(len, table.values()))}")
+    count = len(next(iter(table.values()), ()))
+    if output_format == "csv":
+        header = ",".join(_csv_quote(name, len(table) == 1) for name in table) + "\n"
+        return _encoded(header, _csv_lines(table, count, fmt), "\n", "\n" if count else "")
+    if not count:
+        return iter((b"[]\n",))
+    return _encoded("[\n", _json_lines(table, count, fmt), ",\n", "\n]\n")
 
 
 def serialize(
@@ -393,47 +500,8 @@ def serialize(
     output_format: str = "csv",
     precision: int = 9,
 ) -> bytes:
-    """Deterministic CSV or JSON bytes for a column table.
-
-    The table's keys name the columns, in order; every column holds one cell
-    per row. Floats are written in round-trip ``g`` form limited to
-    ``precision`` significant digits (6..17, default 9), booleans as
-    ``true``/``false``. CSV has LF line endings and RFC 4180 quotes around
-    any string cell holding a comma, quote, CR or LF; JSON is a list of
-    objects in column order, indented by two spaces, with ``NaN`` and
-    ``Infinity`` for non-finite floats. A float column that repeats few
-    values is formatted once per distinct value. Other CSV float columns
-    format inside a row template, and a CSV row of text cells only is joined
-    with commas. Rows are rendered and encoded a block at a time, so the
-    text exists whole only as the returned bytes. Identical inputs give
-    byte-identical output.
-    """
-    if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
-        raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
-    if output_format not in ("csv", "json"):
-        raise DomainError(f"output format must be 'csv' or 'json', got {output_format!r}")
-    precision = int(precision)  # 9.0 and np.int64(9) format as 9
-    if len(set(map(len, table.values()))) > 1:
-        raise ValueError(f"table columns differ in length: {list(map(len, table.values()))}")
-    count = len(next(iter(table.values()), ()))
-    if output_format == "csv":
-        lone = len(table) == 1
-        fields = [_csv_column(column, precision, lone) for column in table.values()]
-        header = ",".join(_csv_quote(name, lone) for name in table) + "\n"
-        rows = zip(*(cells for _, cells in fields))
-        if all(field == "%s" for field, _ in fields):
-            lines = map(",".join, rows)
-        else:
-            lines = map(",".join(field for field, _ in fields).__mod__, rows)
-        return _encode_rows(header, lines, count, "\n", "\n" if count else "")
-    if not count:
-        return b"[]\n"
-    import json
-
-    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
-    template = "  {\n" + ",\n".join(keys) + "\n  }"
-    rows = zip(*(_json_column(column, precision) for column in table.values()))
-    return _encode_rows("[\n", map(template.__mod__, rows), count, ",\n", "\n]\n")
+    """The whole output of :func:`serialize_blocks` as one ``bytes``."""
+    return b"".join(serialize_blocks(table, output_format, precision))
 
 
 _PLOT_HEADER = """\

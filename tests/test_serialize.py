@@ -1,12 +1,12 @@
 """The column-table serializer against the row-dict writer it replaced.
 
 ``oracles.serialize_records`` writes one dict per row through ``csv.writer``
-or ``json.dumps``. The package writes column tables a block of rows at a
-time, formatting a float column that repeats few values once per distinct
-value. Both must give the same bytes: on generated tables with hostile
-cells, on seeded tables long enough to cross row blocks and the repeat
-probe, and on every CLI subcommand, whose oracle rows are the rows of the
-library's tables.
+or ``json.dumps``. The package writes column tables, of lists or 1-D arrays,
+a block of rows at a time, formatting a row block of a float column that
+repeats few values once per distinct value. Both must give the same bytes:
+on generated tables with hostile cells, on seeded tables long enough to
+cross row blocks and the repeat probe, and on every CLI subcommand, whose
+oracle rows are the rows of the library's tables.
 """
 
 import math
@@ -15,13 +15,15 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_records, table_records
-from quasispin.base import default_theta_max
-from quasispin.cli import EXIT_OK, main
+from quasispin import sweep
+from quasispin.base import DomainError, default_theta_max
+from quasispin.cli import EXIT_OK, _write_bytes, main
 from quasispin.exact import compare_meanfield
 from quasispin.meanfield import critical_temperatures
 from quasispin.sweep import (
@@ -31,6 +33,7 @@ from quasispin.sweep import (
     phase_map,
     proposed_normalizer,
     serialize,
+    serialize_blocks,
     sweep_table,
 )
 from quasispin.thermal import (
@@ -146,6 +149,124 @@ def test_long_tables_match_the_row_dict_writer(output_format, long_tables):
         assert serialize(table, output_format) == expected
 
 
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array(SPECIAL_FLOATS * 300),  # 4800 cells: past one row block
+        np.array([0.1, -0.0, 1e-7, 3.0e38, math.nan, -math.inf], dtype=np.float32),
+        np.array([0.25, -0.0, 0.5] * 2000),  # repeats, with zeros of both signs
+        # repeats, with one sign of zero in each row block
+        np.array([0.0, 0.5] * 2048 + [-0.0, 0.5] * 2048 + [0.0, 0.5] * 8),
+        np.array(["ordered", "a,b", "", 'say "x"'] * 1100),
+        np.array(["ordered", "disordered", 3, 0.5] * 1100, dtype=object),
+        np.array([True, False, True]),
+        np.array([-(2**62), 0, 7], dtype=np.int64),
+    ],
+    ids=["float64", "float32", "repeats", "zeros-by-block", "str", "object", "bool", "int64"],
+)
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_an_array_column_writes_the_bytes_of_its_list(column, output_format):
+    cells = column.tolist()
+    for table in ({"x": column}, {"x": column, "y": cells}):
+        as_list = {name: cells for name in table}
+        for precision in (6, 17):
+            expected = serialize(as_list, output_format, precision)
+            assert serialize(table, output_format, precision) == expected
+    assert serialize({"x": column}, output_format) == serialize_records(
+        table_records({"x": cells}), output_format, 9, ["x"]
+    )
+
+
+def test_the_blocks_are_the_header_each_row_block_and_the_tail():
+    rows = 2 * sweep._ROW_BLOCK + 1
+    table = {"x": np.arange(rows, dtype=float), "phase": ["ordered"] * rows}
+    csv_blocks = list(serialize_blocks(table))
+    assert len(csv_blocks) == 5
+    assert csv_blocks[0] == b"x,phase\n" and csv_blocks[-1] == b"\n"
+    assert [block.count(b"\n") for block in csv_blocks[1:-1]] == [4095, 4096, 1]
+    json_blocks = list(serialize_blocks(table, "json"))
+    assert (len(json_blocks), json_blocks[0], json_blocks[-1]) == (5, b"[\n", b"\n]\n")
+    for output_format, blocks in (("csv", csv_blocks), ("json", json_blocks)):
+        assert b"".join(blocks) == serialize(table, output_format)
+
+
+@pytest.mark.parametrize(
+    "table, output_format, precision, error, message",
+    [
+        ({"x": [1.0]}, "csv", 5, DomainError, "precision must be an integer in"),
+        ({"x": [1.0]}, "csv", 9.5, DomainError, "precision must be an integer in"),
+        ({"x": [1.0]}, "xml", 9, DomainError, "output format must be"),
+        ({"x": np.zeros(3), "y": [1.0, 2.0]}, "json", 9, ValueError, "columns differ in length"),
+    ],
+)
+def test_the_arguments_are_checked_when_the_generator_is_made(
+    table, output_format, precision, error, message, tmp_path
+):
+    # before any block is asked for, so the CLI opens no output file
+    with pytest.raises(error, match=message):
+        serialize_blocks(table, output_format, precision)
+    out = tmp_path / "out"
+    with pytest.raises(error, match=message):
+        _write_bytes(str(out), serialize_blocks(table, output_format, precision))
+    assert not out.exists()
+
+
+def _memo_spy(monkeypatch):
+    # (cells, memoized) of every call to the memo, in order
+    calls = []
+    memoized = sweep._memoized
+
+    def spy(cells, render, known):
+        texts = memoized(cells, render, known)
+        calls.append((len(cells), texts is not None))
+        return texts
+
+    monkeypatch.setattr(sweep, "_memoized", spy)
+    return calls
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_repeating_head_memoizes_no_block_after_its_own(output_format, monkeypatch):
+    # A sweep's saturated low-theta head repeats one value; the cells after
+    # it are distinct, and formatting them through a memo is several times
+    # slower than formatting them in the row template.
+    head = [0.25] * sweep._MEMO_PROBE
+    distinct = [1.0 + index / 7.0 for index in range(3 * sweep._ROW_BLOCK)]
+    table = {"f_per_atom": np.array(head + distinct)}
+    calls = _memo_spy(monkeypatch)
+    expected = serialize_records(table_records(table), output_format, 9, list(table))
+    assert serialize(table, output_format) == expected
+    assert len(calls) == 4
+    assert sum(cells for cells, memoized in calls if memoized) <= sweep._ROW_BLOCK
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_phase_maps_ratio_and_temperature_columns_are_memoized(output_format, monkeypatch):
+    cells, _ = _phase_map(256, 64)
+    calls = _memo_spy(monkeypatch)
+    serialize(cells, output_format)
+    assert calls and all(memoized for _, memoized in calls)
+    assert sum(count for count, _ in calls) == 2 * 256 * 64
+
+
+def test_writing_a_large_table_through_the_block_path_stays_bounded(tmp_path):
+    # 200 000 sweep rows are about 22 MB of CSV; the blocks are written as
+    # they are produced, so the writer holds about one block of text and of
+    # boxed cells, whatever the table's length. Writing the whole output as
+    # one bytes object would peak at about twice its size.
+    base = ModelParams(omega21=1.0, chi=0.6)
+    table = sweep_table(base, 0.0, default_theta_max(0.6), 200_000)
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        _write_bytes(str(out), serialize_blocks(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 20_000_000
+    assert peak < 4 * 2**20
+
+
 def _peak_and_size(table, output_format):
     # tracemalloc peak while serializing, and the size of the output
     tracemalloc.start()
@@ -159,8 +280,8 @@ def _peak_and_size(table, output_format):
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_phase_map_serialization_peaks_below_three_times_its_output(output_format):
-    # The text is rendered a block at a time and exists whole only as the
-    # returned bytes; the blocks and those bytes together are about twice it.
+    # The blocks are rendered one at a time and joined into the returned
+    # bytes; the blocks and those bytes together are about twice the output.
     cells, _ = _phase_map(256, 256)
     peak, size = _peak_and_size(cells, output_format)
     assert peak < 3 * size

@@ -200,9 +200,12 @@ def _sweep(points):
     [
         pytest.param("closed", _sweep("3"), id="closed-3"),  # within one pipe buffer
         pytest.param("closed", _sweep("4000"), id="closed-4000"),  # past one pipe buffer
+        pytest.param("closed", _sweep("10000"), id="closed-10000"),  # three row blocks
         # Nobody reads the pipe until the child exits, so a write past its
         # buffer would block; the raw stream then returns None, not a count.
         pytest.param("full", _sweep("4000"), id="full-4000"),
+        # the header block fits the pipe's buffer, and a row block after it fills it
+        pytest.param("full", _sweep("10000"), id="full-10000"),
         # argparse prints help and version text itself and would drop the error
         pytest.param("closed", ["--version"], id="closed-version"),
         pytest.param("closed", ["sweep", "--help"], id="closed-sweep-help"),
@@ -230,6 +233,16 @@ def test_a_closed_or_full_stdout_is_a_domain_failure(pipe, argv, unbuffered):
     assert done.returncode == 3
     assert done.stderr.startswith(b"error: cannot write to stdout: ")
     assert done.stderr.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_output_file_is_a_domain_failure():
+    # The header block fits the file's buffer; the row block after it finds
+    # the device full.
+    code, out, err = run_child(["-m", "quasispin", *_sweep("10000"), "--out", "/dev/full"])
+    assert (code, out) == (3, b"")
+    assert err.startswith(b"error: cannot write output file /dev/full: ")
+    assert err.count(b"\n") == 1
 
 
 SUBCOMMANDS = ("sweep", "critical", "phase", "fig1", "fig2", "exact-compare", "micro")

@@ -42,6 +42,14 @@ def prop(chi: float) -> ModelParams:
     return ModelParams(omega21=1.0, chi=chi, variant=Variant.PROPOSED)
 
 
+def as_lists(table: dict) -> dict:
+    """The table with each array column as the list of its cells."""
+    return {
+        name: column.tolist() if isinstance(column, np.ndarray) else column
+        for name, column in table.items()
+    }
+
+
 def sweep_rows(params: ModelParams, theta_min: float, theta_max: float, points: int) -> list:
     return table_records(sweep_table(params, theta_min, theta_max, points))
 
@@ -78,7 +86,7 @@ class TestThermoPoint:
 
 class TestTemperatureSweep:
     def test_grid_endpoints_are_exact(self):
-        assert sweep_table(trad(0.6), 0.0, 0.75, 4)["theta"] == [0.0, 0.25, 0.5, 0.75]
+        assert sweep_table(trad(0.6), 0.0, 0.75, 4)["theta"].tolist() == [0.0, 0.25, 0.5, 0.75]
 
     def test_transition_is_visible(self):
         rows = sweep_rows(trad(0.6), 0.0, 0.75, 120)
@@ -112,15 +120,18 @@ class TestTemperatureSweep:
     def test_rejects_a_fractional_point_count(self):
         with pytest.raises(DomainError, match="whole number of points, got 4.5"):
             sweep_table(trad(0.6), 0.0, 0.5, 4.5)
-        assert sweep_table(trad(0.6), 0.0, 0.75, np.int64(4))["theta"] == [0.0, 0.25, 0.5, 0.75]
+        thetas = sweep_table(trad(0.6), 0.0, 0.75, np.int64(4))["theta"]
+        assert thetas.tolist() == [0.0, 0.25, 0.5, 0.75]
 
     def test_normalized_table_starts_with_theta_norm(self):
         grid = (0.0, 0.6, 80)
         normalized = sweep_table(prop(0.5), *grid, theta_cr=0.3)
         assert list(normalized) == ["theta_norm", *THERMO_COLUMNS]
         assert normalized["theta_norm"][-1] == 0.6 / 0.3
+        normalized = as_lists(normalized)
         assert normalized["theta_norm"] == [theta / 0.3 for theta in normalized["theta"]]
-        assert {name: normalized[name] for name in THERMO_COLUMNS} == sweep_table(prop(0.5), *grid)
+        plain = as_lists(sweep_table(prop(0.5), *grid))
+        assert {name: normalized[name] for name in THERMO_COLUMNS} == plain
 
     def test_masked_branches_raise_no_runtime_warnings(self):
         # theta = 0 lanes, subnormal-scale temperatures and varpi = 0 (ratio 0.5
@@ -204,7 +215,7 @@ class TestFigure1:
             sweep_table(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
             for v in Variant
         ])
-        assert {name: table[name] for name in sweeps} == sweeps
+        assert as_lists({name: table[name] for name in sweeps}) == as_lists(sweeps)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -251,7 +262,7 @@ class TestFigure2:
         # the columns of the variant's sweep on [0, 2 * theta_cr]
         theta_cr = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)["theta_cr"][-1]
         sweep = sweep_table(prop(0.6), 0.0, 2.0 * theta_cr, 5)
-        assert table == {name: sweep[name] for name in table}
+        assert as_lists(table) == as_lists({name: sweep[name] for name in table})
 
     def test_missing_transition_is_reported(self):
         with pytest.raises(NoCriticalPointError):
