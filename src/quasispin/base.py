@@ -4,9 +4,9 @@ The CLI parses its flags, prints help and rejects bad invocations without
 numpy, so the names it needs before a subcommand runs live here: the root of
 the package's exceptions (exit 3 in ``main()``), the level record that
 ``--level`` parses into (a ``NamedTuple``: a dataclass would load ``inspect``),
-the column-table type that every handler returns, the figure grid sizes that
-the help shows as defaults, and the default sweep extent of the ``sweep``
-range check. The physics modules import them from here.
+the column-table type that every handler returns, the root tolerance and grid
+sizes that the help shows as defaults, and the default sweep extent of the
+``sweep`` range check. The physics modules import them from here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import math
 from typing import NamedTuple
 
 __all__ = [
-    "DomainError", "TransitionLevel", "Table", "FIG1_POINTS", "FIG2_POINTS", "default_theta_max",
+    "DomainError", "TransitionLevel", "Table", "ROOT_TOL", "CRITICAL_POINTS", "FIG1_POINTS",
+    "FIG2_POINTS", "default_theta_max",
 ]
 
 # A column table, the one result type of the library and the CLI: column name
@@ -23,7 +24,10 @@ __all__ = [
 # this module loads no numpy); key order is column order.
 Table = dict[str, "list | numpy.ndarray"]
 
-# Default grid sizes of the figure datasets, shared with the CLI.
+# Defaults shared with the CLI: the relative tolerance of every transition
+# root, and the grid sizes of the critical scan and the figure datasets.
+ROOT_TOL = 1e-10
+CRITICAL_POINTS = 512
 FIG1_POINTS = 400
 FIG2_POINTS = 200
 

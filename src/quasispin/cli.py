@@ -35,7 +35,8 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError, Table, TransitionLevel, default_theta_max
+from .base import CRITICAL_POINTS, FIG1_POINTS, FIG2_POINTS, ROOT_TOL, DomainError, Table
+from .base import TransitionLevel, default_theta_max
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main"]
 
@@ -386,25 +387,25 @@ _COMMANDS = {
         _cmd_sweep, "equilibrium observables on a temperature grid", "csv",
         variant="proposed", chi_ratio=_REQUIRED, theta_min=0.0,
         theta_max=_Implicit("3x the constant-coupling transition if there is one, else 2"),
-        points=200, normalize=False, tol=1e-10, threads=None,
+        points=200, normalize=False, tol=ROOT_TOL, threads=None,
     ),
     "critical": _command(
         _cmd_critical, "scan for order/disorder transition temperatures", "json",
-        variant="proposed", chi_ratio=_REQUIRED, theta_min=1e-4, theta_max=2.0, points=512,
-        tol=1e-10,
+        variant="proposed", chi_ratio=_REQUIRED, theta_min=1e-4, theta_max=2.0,
+        points=CRITICAL_POINTS, tol=ROOT_TOL,
     ),
     "phase": _command(
         _cmd_phase, "phase classification on a ratio x temperature grid", "csv",
         variant="proposed", chi_min=0.05, chi_max=0.95, theta_min=0.01, theta_max=1.0,
-        nx=64, ny=64, tol=1e-10, threads=None, boundary_out=None,
+        nx=64, ny=64, tol=ROOT_TOL, threads=None, boundary_out=None,
     ),
     "fig1": _command(
         _cmd_fig1, "order-parameter curves for both variants on a normalized axis", "csv",
-        ratios=_REQUIRED, points=FIG1_POINTS, tol=1e-10, threads=None, plot_script=None,
+        ratios=_REQUIRED, points=FIG1_POINTS, tol=ROOT_TOL, threads=None, plot_script=None,
     ),
     "fig2": _command(
         _cmd_fig2, "equilibrium vs relaxation polarization across the transition", "csv",
-        chi_ratio=_REQUIRED, variant="proposed", points=FIG2_POINTS, tol=1e-10, threads=None,
+        chi_ratio=_REQUIRED, variant="proposed", points=FIG2_POINTS, tol=ROOT_TOL, threads=None,
         plot_script=None,
     ),
     "exact-compare": _command(

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .base import Table
+from .base import CRITICAL_POINTS, ROOT_TOL, Table
 from .thermal import Couplings, DomainError, ModelParams, couplings_at
 from .thermal import _check_float_chi, _check_temperature, _lane_couplings
 
@@ -250,20 +249,17 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _sign_change_roots(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    tol: float,
-    lanes: int,
+    params: ModelParams, chi: np.ndarray, grid: np.ndarray, tol: float
 ) -> list[tuple[float, TransitionKind, int]]:
     # Bisect every strict sign change between consecutive nonzero values of
-    # fn(theta, lane) along the theta grid, for each of `lanes` independent
-    # lanes (fn broadcasts a lane index array against theta). Exact zeros are
-    # saturation plateaus (tanh rounds to 1.0 at marginal couplings), not
-    # roots: counting them would invent transitions where lam*tanh < lam =
+    # the ordering measure along the theta grid, in every chi lane. Exact
+    # zeros are saturation plateaus (tanh rounds to 1.0 at marginal couplings),
+    # not roots: counting them would invent transitions where lam*tanh < lam =
     # |varpi| holds strictly in exact arithmetic. (A varpi = 0 lane is zero
     # only at theta = lam/2, between nodes of opposite sign.) All brackets are
-    # bisected in lockstep. Returns (root, kind, lane), ordered by lane, then theta.
-    values = np.broadcast_to(fn(grid[:, None], np.arange(lanes)[None, :]), (grid.size, lanes))
+    # bisected in lockstep, each with its lane's chi. Returns (root, kind,
+    # lane), ordered by lane, then theta.
+    values = ordering_measure(_lane_couplings(params, chi[None, :], grid[:, None]))
     lane_of, node = np.nonzero(values.T)
     kept = values[node, lane_of]
     positive = kept > 0.0
@@ -279,7 +275,7 @@ def _sign_change_roots(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        mid_val = fn(mid[idx], lane[idx])
+        mid_val = ordering_measure(_lane_couplings(params, chi[lane[idx]], mid[idx]))
         same = (mid_val != 0.0) & ((mid_val > 0.0) == (lo_val[idx] > 0.0))
         lo[idx[same]], lo_val[idx[same]] = mid[idx[same]], mid_val[same]
         hi[idx[~same]] = mid[idx[~same]]
@@ -288,7 +284,7 @@ def _sign_change_roots(
 
 
 def transition_roots(
-    params: ModelParams, grid: np.ndarray, tol: float = 1e-10
+    params: ModelParams, grid: np.ndarray, tol: float = ROOT_TOL
 ) -> list[tuple[float, TransitionKind, int]]:
     """Order/disorder transition temperatures of every coupling lane on a grid.
 
@@ -311,19 +307,14 @@ def transition_roots(
     chi = np.atleast_1d(np.asarray(params.chi, dtype=float))
     if chi.ndim != 1:
         raise DomainError(f"chi must be a float or a 1-D array, got shape {chi.shape}")
-
-    def measure(theta: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        # Each bracket takes the chi of its lane; params were checked when built.
-        return ordering_measure(_lane_couplings(params, chi[lane], theta))
-
-    return _sign_change_roots(measure, grid, tol, chi.size)
+    return _sign_change_roots(params, chi, grid, tol)
 
 
 def critical_temperatures(
     params: ModelParams,
     theta_range: tuple[float, float],
-    grid_points: int = 512,
-    tol: float = 1e-10,
+    grid_points: int = CRITICAL_POINTS,
+    tol: float = ROOT_TOL,
 ) -> Table:
     """Locate all order/disorder transition temperatures in a range.
 

@@ -11,11 +11,11 @@ stacks array columns with ``np.concatenate``; the ``(cells, boundary)`` pair of
 :func:`phase_map` holds lists, as do ``meanfield.critical_temperatures`` and
 ``exact.compare_meanfield``. :func:`serialize_blocks` writes a table to CSV
 or JSON one block of rows at a time, boxing only that block of an array
-column: in each block a float column that repeats few values is formatted
-once per distinct value, other float columns format inside a row template,
-and rows of text cells only are joined with commas. :func:`serialize` joins
-the blocks. Nothing here draws randomness or runs threads, so identical
-inputs give identical output bytes.
+column: in each block a float column that repeats few values and holds no
+zero is formatted once per distinct value, other float columns format inside
+a row template, and rows of text cells only are joined with commas.
+:func:`serialize` joins the blocks. Nothing here draws randomness or runs
+threads, so identical inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .base import FIG1_POINTS, FIG2_POINTS, DomainError, Table
+from .base import FIG1_POINTS, FIG2_POINTS, ROOT_TOL, DomainError, Table
 from .meanfield import (
     MAX_PHASE_CELLS,
     NoCriticalPointError,
@@ -132,8 +132,11 @@ def concat_tables(tables: Sequence[Table]) -> Table:
     """Stack tables with the same columns, row blocks in order.
 
     A column that is an array in every table stays an array; any other
-    column becomes a list.
+    column becomes a list. Raises ``ValueError`` for no tables, or for
+    tables whose columns differ.
     """
+    if not tables:
+        raise ValueError("no tables to concatenate")
     first = tables[0]
     if any(list(table) != list(first) for table in tables):
         raise ValueError("tables to concatenate must have the same columns")
@@ -164,7 +167,7 @@ def _largest_roots(params: ModelParams, tol: float) -> list[float]:
     return [largest[lane] for lane in range(len(ratios))]
 
 
-def proposed_normalizer(params: ModelParams, tol: float = 1e-10) -> float:
+def proposed_normalizer(params: ModelParams, tol: float = ROOT_TOL) -> float:
     """Largest transition temperature of the Proposed-variant counterpart.
 
     Normalized figure axes divide theta by this root. Raises
@@ -180,7 +183,7 @@ def figure1_table(
     chi_ratios: Sequence[float],
     points: int = FIG1_POINTS,
     omega_k: float | None = None,
-    tol: float = 1e-10,
+    tol: float = ROOT_TOL,
 ) -> Table:
     """Order-parameter curves of both variants on a shared normalized axis.
 
@@ -217,7 +220,7 @@ def figure2_table(
     points: int = FIG2_POINTS,
     variant: Variant = Variant.PROPOSED,
     omega_k: float | None = None,
-    tol: float = 1e-10,
+    tol: float = ROOT_TOL,
 ) -> Table:
     """Equilibrium vs relaxation polarization across the variant's transition.
 
@@ -243,7 +246,7 @@ def phase_map(
     nx: int,
     ny: int,
     omega_k: float | None = None,
-    tol: float = 1e-10,
+    tol: float = ROOT_TOL,
 ) -> tuple[Table, Table]:
     """Classify the phase on a coupling-ratio x temperature grid.
 
@@ -328,7 +331,7 @@ def _cell_text(value: object, fmt: str) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt % value
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _csv_quote(text: str, lone: bool) -> str:
@@ -363,23 +366,19 @@ def _row_blocks(table: Table, count: int) -> Iterator[list[tuple[type | None, li
 
 
 def _memoized(cells: list, render: Callable[[float], str], known: dict) -> Iterator[str] | None:
-    # Texts of one row block of a float column that repeats few values, or
-    # None. Each value is rendered once: known holds the texts of the
-    # column's last memoized block, as a phase map's ratios recur in every
-    # block, and is left holding this block's. 0.0 and -0.0 are one key but
-    # print differently, so a block holding zeros of both signs is rendered
-    # cell by cell, and a zero is never taken from another block; a NaN is
-    # found by identity, so each NaN object is a key of its own.
+    # Texts of one row block of a float column that repeats few values and
+    # holds no zero, or None. Each value is rendered once: known holds the
+    # texts of the column's last memoized block, as a phase map's ratios
+    # recur in every block, and is left holding this block's. 0.0 and -0.0
+    # are one key but print differently, so a block holding a zero is
+    # rendered cell by cell; a NaN is found by identity, so each NaN object
+    # is a key of its own.
     probe = cells[:_MEMO_PROBE]
     if len(set(probe)) * _MEMO_SHARE > len(probe):
         return None
     distinct = set(cells)
-    if len(distinct) * _MEMO_SHARE > len(cells):
+    if len(distinct) * _MEMO_SHARE > len(cells) or 0.0 in distinct:
         return None
-    if 0.0 in distinct:
-        if len(set(map(str, filter((0.0).__eq__, cells)))) > 1:
-            return None
-        known.pop(0.0, None)
     texts = {value: known[value] if value in known else render(value) for value in distinct}
     known.clear()
     known.update(texts)
@@ -469,15 +468,16 @@ def serialize_blocks(
     in order; every column is a list or a 1-D numpy array with one cell per
     row, and an array's cells are those of its ``tolist()``. Floats are
     written in round-trip ``g`` form limited to ``precision`` significant
-    digits (6..17, default 9), booleans as ``true``/``false``. CSV has LF
-    line endings and RFC 4180 quotes around any string cell holding a comma,
-    quote, CR or LF; JSON is a list of objects in column order, indented by
-    two spaces, with ``NaN`` and ``Infinity`` for non-finite floats. In each
-    row block, a float column that repeats few values is formatted once per
-    distinct value. Other CSV float columns format inside a row template,
-    and a CSV row of text cells only is joined with commas. The format,
-    precision and column lengths are checked by this call, before the first
-    block is asked for. Identical inputs give byte-identical output.
+    digits (6..17, default 9), booleans as ``true``/``false``, ``None`` as an
+    empty CSV field or JSON ``null``. CSV has LF line endings and RFC 4180
+    quotes around any string cell holding a comma, quote, CR or LF; JSON is a
+    list of objects in column order, indented by two spaces, with ``NaN`` and
+    ``Infinity`` for non-finite floats. In each row block, a float column that
+    repeats few values and holds no zero is formatted once per distinct
+    value. Other CSV float columns format inside a row template, and a CSV
+    row of text cells only is joined with commas. The format, precision and
+    column lengths are checked by this call, before the first block is asked
+    for. Identical inputs give byte-identical output.
     """
     if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")

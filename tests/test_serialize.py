@@ -58,7 +58,7 @@ CELLS = {
     "int": st.integers(min_value=-(10**30), max_value=10**30),
     "bool": st.booleans(),
     "str": TEXT,
-    "mixed": st.one_of(FLOATS, st.integers(), st.booleans(), TEXT),
+    "mixed": st.one_of(FLOATS, st.integers(), st.booleans(), TEXT, st.none()),
 }
 
 
@@ -238,6 +238,22 @@ def test_a_repeating_head_memoizes_no_block_after_its_own(output_format, monkeyp
     assert serialize(table, output_format) == expected
     assert len(calls) == 4
     assert sum(cells for cells, memoized in calls if memoized) <= sweep._ROW_BLOCK
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_only_a_block_without_a_zero_is_memoized(output_format, monkeypatch):
+    # 0.0 and -0.0 are one memo key but print differently, so a block holding
+    # a zero of either sign formats cell by cell
+    repeats = [0.5, 0.25, 1.0 / 3.0]
+    blocks = [[zero, *repeats] * (sweep._ROW_BLOCK // 4) for zero in (0.0, -0.0, 0.75)]
+    table = {"x": np.array([cell for block in blocks for cell in block])}
+    calls = _memo_spy(monkeypatch)
+    for precision in (6, 17):
+        calls.clear()
+        expected = serialize_records(table_records(table), output_format, precision, ["x"])
+        assert serialize(table, output_format, precision) == expected
+        assert calls == [(sweep._ROW_BLOCK, False), (sweep._ROW_BLOCK, False),
+                         (sweep._ROW_BLOCK, True)]
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])

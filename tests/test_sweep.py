@@ -441,6 +441,8 @@ class TestSerialize:
         assert concat_tables([{"a": []}]) == {"a": []}
         with pytest.raises(ValueError):
             concat_tables([first, {"b": ["y"], "a": [2.0]}])
+        with pytest.raises(ValueError, match="no tables to concatenate"):
+            concat_tables([])
 
 
 class TestPlotScript:
