@@ -41,7 +41,7 @@ _EXPORTS = {
         "sweep": (
             "THERMO_COLUMNS", "concat_tables", "figure1_table",
             "figure2_table", "phase_map", "plot_script", "proposed_normalizer", "serialize",
-            "serialize_blocks", "sweep_table",
+            "serialize_blocks", "sweep_blocks", "sweep_table",
         ),
     }.items()
     for name in names

@@ -8,6 +8,12 @@ failures (no solution in range, resonant level, oversized grid, a result
 past the float range, unwritable output). Any other exception is a bug and
 ends in a traceback.
 
+A failure writes nothing and creates no output file, with one exception:
+``sweep`` solves and writes its rows one block of rows at a time
+(``sweep.sweep_blocks``), so a failure in a block after the first exits 3
+after the header and the whole blocks before it were written. Its first
+block is solved before the output file is opened.
+
 Two tables drive the parser, the help text and the config-file merge:
 ``_FLAGS`` declares each flag once, ``_COMMANDS`` gives each subcommand its
 handler and the default of each flag it takes. A value comes from its flag,
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -249,8 +256,8 @@ def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:
     _check(ok, f"need 0 {floor} {axis}-min < {axis}-max, got [{lo}, {hi}]")
 
 
-def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
-    """Write each table to the file its output flag names; no --out means stdout."""
+def _write_outputs(args: argparse.Namespace, tables: dict[str, Table | Iterable[Table]]) -> None:
+    """Write each table, or sequence of tables, to the file its output flag names or stdout."""
     from .sweep import plot_script, serialize_blocks
 
     for dest, table in tables.items():
@@ -263,32 +270,39 @@ def _write_outputs(args: argparse.Namespace, tables: dict[str, Table]) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each gets every option of its subcommand resolved and
-# returns its tables, keyed by the dest of the flag that names their file; each
-# imports the physics it runs after its own checks, so a usage error skips numpy
+# returns its tables, keyed by the dest of the flag that names their file (a
+# sequence of tables is written as their rows in order); each imports the
+# physics it runs after its own checks, so a usage error skips numpy
 
 
-def _cmd_sweep(args: argparse.Namespace) -> dict[str, Table]:
+def _cmd_sweep(args: argparse.Namespace) -> dict[str, Iterable[Table]]:
     if args.theta_max is None:
         args.theta_max = default_theta_max(args.chi_ratio)
     _check_range(args, "theta", "<=")
-    from .sweep import concat_tables, proposed_normalizer, sweep_table
+    from .sweep import proposed_normalizer, sweep_blocks
     from .thermal import ModelParams
 
     base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
     theta_cr = proposed_normalizer(base, tol=args.tol) if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
-    tables = []
-    for variant in _variant_list(args.variant):
-        params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-        tables.append(sweep_table(params, *grid, theta_cr))
-    return {"out": concat_tables(tables)}
+    # The variants' rows in turn, each solved a row block at a time as it is
+    # written, so only one variant's grid exists at a time. Its checks run
+    # when the first block is asked for, before the output file is opened;
+    # they do not depend on the variant.
+    variants = (
+        sweep_blocks(
+            ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant),
+            *grid, theta_cr,
+        )
+        for variant in _variant_list(args.variant)
+    )
+    return {"out": chain.from_iterable(variants)}
 
 
-def _cmd_critical(args: argparse.Namespace) -> dict[str, Table]:
+def _cmd_critical(args: argparse.Namespace) -> dict[str, list[Table]]:
     _check(args.points >= 64, f"--points must be >= 64 for a critical scan, got {args.points}")
     _check_range(args, "theta")
     from .meanfield import critical_temperatures
-    from .sweep import concat_tables
     from .thermal import ModelParams
 
     tables = [
@@ -298,7 +312,7 @@ def _cmd_critical(args: argparse.Namespace) -> dict[str, Table]:
         )
         for variant in _variant_list(args.variant)
     ]
-    return {"out": concat_tables(tables)}
+    return {"out": tables}
 
 
 def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
@@ -321,9 +335,9 @@ def _cmd_fig1(args: argparse.Namespace) -> dict[str, Table]:
     return {"out": table}
 
 
-def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
+def _cmd_fig2(args: argparse.Namespace) -> dict[str, list[Table]]:
     _check(args.chi_ratio < 1.0, f"--chi-ratio must lie in (0, 1), got {args.chi_ratio}")
-    from .sweep import concat_tables, figure2_table
+    from .sweep import figure2_table
 
     tables = [
         figure2_table(
@@ -331,7 +345,7 @@ def _cmd_fig2(args: argparse.Namespace) -> dict[str, Table]:
         )
         for variant in _variant_list(args.variant)
     ]
-    return {"out": concat_tables(tables)}
+    return {"out": tables}
 
 
 def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
@@ -370,7 +384,7 @@ _REQUIRED = object()
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace], dict[str, Table]]
+    handler: Callable[[argparse.Namespace], dict[str, Table | Iterable[Table]]]
     description: str
     defaults: dict[str, object]  # dest -> default, _REQUIRED or an _Implicit
 

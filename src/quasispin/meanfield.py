@@ -241,7 +241,10 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not float(points).is_integer():
         raise DomainError(f"a grid needs a whole number of points, got {points}")
     step = (hi - lo) / (points - 1)
-    grid = lo + np.arange(points) * step
+    # lo + i*step, computed in place: no temporary as large as the grid
+    grid = np.arange(points, dtype=float)
+    grid *= step
+    grid += lo
     grid[-1] = hi  # keep the endpoint exact
     if not np.all(grid[1:] > grid[:-1]):
         raise DomainError(f"{points} grid points on [{lo!r}, {hi!r}] are not all distinct")
@@ -249,17 +252,17 @@ def uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _sign_change_roots(
-    params: ModelParams, chi: np.ndarray, grid: np.ndarray, tol: float
+    params: ModelParams, chi: np.ndarray, grid: np.ndarray, tol: float, values: np.ndarray
 ) -> list[tuple[float, TransitionKind, int]]:
     # Bisect every strict sign change between consecutive nonzero values of
-    # the ordering measure along the theta grid, in every chi lane. Exact
+    # the ordering measure along the theta grid, in every chi lane: values is
+    # that measure at the nodes, one row per node and one column per lane. Exact
     # zeros are saturation plateaus (tanh rounds to 1.0 at marginal couplings),
     # not roots: counting them would invent transitions where lam*tanh < lam =
     # |varpi| holds strictly in exact arithmetic. (A varpi = 0 lane is zero
     # only at theta = lam/2, between nodes of opposite sign.) All brackets are
     # bisected in lockstep, each with its lane's chi. Returns (root, kind,
     # lane), ordered by lane, then theta.
-    values = ordering_measure(_lane_couplings(params, chi[None, :], grid[:, None]))
     lane_of, node = np.nonzero(values.T)
     kept = values[node, lane_of]
     positive = kept > 0.0
@@ -307,7 +310,8 @@ def transition_roots(
     chi = np.atleast_1d(np.asarray(params.chi, dtype=float))
     if chi.ndim != 1:
         raise DomainError(f"chi must be a float or a 1-D array, got shape {chi.shape}")
-    return _sign_change_roots(params, chi, grid, tol)
+    values = ordering_measure(_lane_couplings(params, chi[None, :], grid[:, None]))
+    return _sign_change_roots(params, chi, grid, tol, values)
 
 
 def critical_temperatures(

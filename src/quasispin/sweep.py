@@ -1,21 +1,26 @@
 """Temperature sweeps, figure datasets, phase maps, and their serialization.
 
 Every grid is solved in one array call to the physics core (couplings,
-ordering measure and gap solve of :mod:`quasispin.meanfield`). Results leave
-only as column tables (:data:`quasispin.base.Table`): a ``dict`` of
-equal-length columns, each a list or a 1-D numpy array, whose key order is
-the column order. :func:`sweep_table`, :func:`figure1_table` and
-:func:`figure2_table` keep the core's arrays as columns (a ratio or
-variant column is a list of one shared value), and :func:`concat_tables`
-stacks array columns with ``np.concatenate``; the ``(cells, boundary)`` pair of
-:func:`phase_map` holds lists, as do ``meanfield.critical_temperatures`` and
-``exact.compare_meanfield``. :func:`serialize_blocks` writes a table to CSV
-or JSON one block of rows at a time, boxing only that block of an array
-column: in each block a float column that repeats few values and holds no
-zero is formatted once per distinct value, other float columns format inside
-a row template, and rows of text cells only are joined with commas.
-:func:`serialize` joins the blocks. Nothing here draws randomness or runs
-threads, so identical inputs give identical output bytes.
+ordering measure and gap solve of :mod:`quasispin.meanfield`), or in one
+call per block of rows or columns. Results leave only as column tables
+(:data:`quasispin.base.Table`): a ``dict`` of equal-length columns, each a
+list or a 1-D numpy array, whose key order is the column order.
+:func:`sweep_table`, :func:`figure1_table` and :func:`figure2_table` keep the
+core's arrays as columns (a ratio or variant column is a list of one shared
+value), and :func:`concat_tables` stacks array columns with
+``np.concatenate``; the ``(cells, boundary)`` pair of :func:`phase_map` holds
+lists, as do ``meanfield.critical_temperatures`` and
+``exact.compare_meanfield``. :func:`sweep_blocks` gives the rows of
+:func:`sweep_table` as a sequence of row-block tables, each solved when it is
+asked for. :func:`serialize_blocks` writes a table, or a sequence of tables
+as their concatenation, to CSV or JSON one block of rows at a time, boxing
+only that block of an array column: in each block a float column that
+repeats few values and holds no zero is formatted once per distinct value,
+other float columns format inside a row template, and rows of text cells
+only are joined with commas. So a sweep written from :func:`sweep_blocks`
+holds one block of rows and its grid, whatever its length. :func:`serialize`
+joins the blocks. Nothing here draws randomness or runs threads, so
+identical inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .meanfield import (
     MAX_PHASE_CELLS,
     NoCriticalPointError,
     Phase,
+    _sign_change_roots,
     gap_solve,
     ordering_measure,
     population_inversion,
@@ -45,6 +51,7 @@ from .thermal import ModelParams, Variant, _check_float_chi, couplings_at
 __all__ = [
     "THERMO_COLUMNS",
     "sweep_table",
+    "sweep_blocks",
     "proposed_normalizer",
     "figure1_table",
     "figure2_table",
@@ -58,6 +65,14 @@ __all__ = [
 # Phase maps are classified in blocks of whole columns holding about this
 # many cells, so each float temporary stays near 0.5 MB whatever the grid size.
 _BLOCK_CELLS = 1 << 16
+# Sweeps are solved, and tables are serialized, this many rows at a time, and
+# each block is written before the next is made, so neither a sweep's columns
+# nor the output's text and bytes exist whole. On a 12000-point CSV sweep of
+# both variants (2-vCPU VM) the process peaked at 30.3 / 31.2 / 33.5 MB with
+# 1024 / 2048 / 4096 rows (35.2 MB with whole tables); 1024 rows took about
+# 20 ms more than 4096 in process, as each block runs its own gap_solve Newton
+# loop and memo probes.
+_ROW_BLOCK = 2048
 
 # Columns of a sweep table, in order.
 THERMO_COLUMNS = (
@@ -87,21 +102,10 @@ _SCAN_CEIL = 2.0
 _SCAN_GRID = 1024
 
 
-def sweep_table(
-    params: ModelParams,
-    theta_min: float,
-    theta_max: float,
-    points: int,
-    theta_cr: float | None = None,
-) -> Table:
-    """Column table of one sweep, with the :data:`THERMO_COLUMNS` columns.
-
-    One row per node of a ``uniform_grid`` of ``points >= 2`` temperatures
-    with ``0 <= theta_min < theta_max`` (finite), all solved in one array
-    call; ``theta = 0`` takes the saturated limit. With ``theta_cr`` (positive,
-    finite) the table starts with ``theta_norm = theta / theta_cr``. ``params.chi``
-    must be a float.
-    """
+def _sweep_grid(
+    params: ModelParams, theta_min: float, theta_max: float, points: int, theta_cr: float | None
+) -> np.ndarray:
+    # The checked nodes of a sweep
     _check_float_chi(params, "sweep_table")
     if theta_cr is not None and not 0.0 < theta_cr < math.inf:
         raise DomainError(f"theta_cr must be positive and finite, got {theta_cr}")
@@ -109,7 +113,11 @@ def sweep_table(
         raise DomainError(f"need 0 <= theta_min < theta_max, got [{theta_min}, {theta_max}]")
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
-    thetas = uniform_grid(theta_min, theta_max, points)
+    return uniform_grid(theta_min, theta_max, points)
+
+
+def _sweep_rows(params: ModelParams, thetas: np.ndarray, theta_cr: float | None) -> Table:
+    # The sweep table of the nodes thetas, from one couplings_at -> gap_solve call
     cpl = couplings_at(params, thetas)
     sol = gap_solve(cpl)
     normalized = {} if theta_cr is None else {"theta_norm": thetas / theta_cr}
@@ -126,6 +134,50 @@ def sweep_table(
         "phase": sol.phase,
         "variant": [params.variant.value] * thetas.size,
     }
+
+
+def sweep_table(
+    params: ModelParams,
+    theta_min: float,
+    theta_max: float,
+    points: int,
+    theta_cr: float | None = None,
+) -> Table:
+    """Column table of one sweep, with the :data:`THERMO_COLUMNS` columns.
+
+    One row per node of a ``uniform_grid`` of ``points >= 2`` temperatures
+    with ``0 <= theta_min < theta_max`` (finite), all solved in one array
+    call; ``theta = 0`` takes the saturated limit. With ``theta_cr`` (positive,
+    finite) the table starts with ``theta_norm = theta / theta_cr``. ``params.chi``
+    must be a float.
+    """
+    grid = _sweep_grid(params, theta_min, theta_max, points, theta_cr)
+    return _sweep_rows(params, grid, theta_cr)
+
+
+def sweep_blocks(
+    params: ModelParams,
+    theta_min: float,
+    theta_max: float,
+    points: int,
+    theta_cr: float | None = None,
+) -> Iterator[Table]:
+    """The rows of :func:`sweep_table`, as tables of consecutive row blocks.
+
+    The arguments are checked and the grid is made by this call; each block
+    of up to 2048 nodes (``_ROW_BLOCK``) is solved in one array call when it
+    is asked for, so a sweep of any length needs memory for one block of rows
+    and the grid. The blocks' rows, in order, are those of
+    :func:`sweep_table` with the same arguments, and :func:`serialize_blocks`
+    writes the sequence as it would write that table.
+    """
+    grid = _sweep_grid(params, theta_min, theta_max, points, theta_cr)
+    # each block's nodes are a copy: a view of the grid would keep the whole
+    # grid alive for as long as the caller holds the block
+    starts = range(0, grid.size, _ROW_BLOCK)
+    return (
+        _sweep_rows(params, grid[start : start + _ROW_BLOCK].copy(), theta_cr) for start in starts
+    )
 
 
 def concat_tables(tables: Sequence[Table]) -> Table:
@@ -255,9 +307,10 @@ def phase_map(
     temperature, temperatures ascending. A cell is ordered where the ordering
     measure is positive. ``boundary`` has the columns ``chi_ratio, theta_cr,
     kind, variant``: the sign changes of that same measure along each ratio
-    column's theta grid, by ratio and then by temperature: one
-    :func:`transition_roots` call per block of whole columns, whose lanes are
-    the block's ratios.
+    column's theta grid, by ratio and then by temperature, found as
+    :func:`transition_roots` finds them. Cells and roots come a block of
+    whole columns at a time, whose ratios are the lanes of one scan, and the
+    measure is evaluated once per block for both.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -273,6 +326,8 @@ def phase_map(
         raise DomainError(f"nx and ny must be >= 2, got nx={nx}, ny={ny}")
     if nx * ny > MAX_PHASE_CELLS:
         raise DomainError(f"grid of {nx}x{ny} cells exceeds the cap of {MAX_PHASE_CELLS}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     ratios = uniform_grid(ratio_lo, ratio_hi, nx)
     thetas = uniform_grid(theta_lo, theta_hi, ny)
     ratio_list = ratios.tolist()
@@ -283,9 +338,10 @@ def phase_map(
         block = ModelParams(
             omega21=1.0, chi=ratios[start : start + width], omega_k=omega_k, variant=variant
         )
+        # the measure of the cells is the node measure of the block's scan
         measure = ordering_measure(couplings_at(block, thetas[:, None]))
         ordered[:, start : start + width] = measure > 0.0
-        for root, kind, lane in transition_roots(block, thetas, tol):
+        for root, kind, lane in _sign_change_roots(block, block.chi, thetas, tol, measure):
             boundary["chi_ratio"].append(ratio_list[start + lane])
             boundary["theta_cr"].append(root)
             boundary["kind"].append(kind.value)
@@ -304,12 +360,6 @@ def phase_map(
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # json.dumps spellings of the non-finite floats.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Rows are rendered and encoded this many at a time, and each block is yielded
-# as soon as it is encoded, so neither the text nor its bytes exist whole. On
-# the 256x256 phase-map CSV (~170 kB a block) warm timings are flat from 256
-# to 4096 rows and rise 3 % at 16384; one block for the whole table is 25 %
-# slower.
-_ROW_BLOCK = 4096
 # A float column's cells in one row block are formatted once per distinct
 # value when the block's first _MEMO_PROBE cells, and then the whole block,
 # hold at most 1/_MEMO_SHARE as many distinct values as cells. A phase map's
@@ -320,7 +370,8 @@ _ROW_BLOCK = 4096
 # per block keeps a sweep's saturated low-theta head, where six columns repeat
 # one value, from memoizing the distinct cells after it: deciding once per
 # column from its head took the CSV of a 200000-row sweep table from 0.46 to
-# 1.72 s.
+# 1.72 s. The probe is not tied to _ROW_BLOCK: the ratio row of a 256-wide
+# phase map repeats every 256 cells, so only a probe of 4*256 cells passes it.
 _MEMO_PROBE = 1024
 _MEMO_SHARE = 4
 
@@ -352,17 +403,35 @@ def _column_kind(column) -> type | None:
     return float if kinds <= {float} else str if kinds <= {str} else None
 
 
-def _row_blocks(table: Table, count: int) -> Iterator[list[tuple[type | None, list, dict]]]:
-    # (kind, cells, known) of every column, one row block at a time: an
-    # array's block becomes a list here, so only one block of it is boxed at
-    # a time, and known is the column's memo of texts (see _memoized)
-    columns = [(_column_kind(column), column, {}) for column in table.values()]
-    for start in range(0, count, _ROW_BLOCK):
-        block = []
-        for kind, column, known in columns:
-            cells = column[start : start + _ROW_BLOCK]
-            block.append((kind, cells.tolist() if isinstance(cells, np.ndarray) else cells, known))
-        yield block
+def _row_count(table: Table, names: list[str]) -> int:
+    # The rows of a table with the columns names, all of one length
+    if list(table) != names:
+        raise ValueError(f"tables to serialize must have the same columns, got {list(table)}")
+    lengths = list(map(len, table.values()))
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    return lengths[0] if lengths else 0
+
+
+def _row_blocks(
+    tables: Iterable[Table], names: list[str]
+) -> Iterator[list[tuple[type | None, list, dict]]]:
+    # (kind, cells, known) of every column, one row block of one table at a
+    # time: an array's block becomes a list here, so only one block of it is
+    # boxed at a time, and known is the column's memo of texts (see
+    # _memoized), carried from table to table
+    memos = [{} for _ in names]
+    for table in tables:
+        count = _row_count(table, names)
+        columns = [(_column_kind(column), column, known)
+                   for column, known in zip(table.values(), memos)]
+        for start in range(0, count, _ROW_BLOCK):
+            block = []
+            for kind, column, known in columns:
+                cells = column[start : start + _ROW_BLOCK]
+                cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+                block.append((kind, cells, known))
+            yield block
 
 
 def _memoized(cells: list, render: Callable[[float], str], known: dict) -> Iterator[str] | None:
@@ -374,7 +443,11 @@ def _memoized(cells: list, render: Callable[[float], str], known: dict) -> Itera
     # rendered cell by cell; a NaN is found by identity, so each NaN object
     # is a key of its own.
     probe = cells[:_MEMO_PROBE]
-    if len(set(probe)) * _MEMO_SHARE > len(probe):
+    # A head of distinct values already holds more than 1/_MEMO_SHARE of the
+    # probe's cells, so it fails the probe for a quarter of the hashing: most
+    # blocks of a sweep, whose cells are nearly all distinct, stop there.
+    head = probe[: len(probe) // _MEMO_SHARE + 1]
+    if len(set(head)) == len(head) or len(set(probe)) * _MEMO_SHARE > len(probe):
         return None
     distinct = set(cells)
     if len(distinct) * _MEMO_SHARE > len(cells) or 0.0 in distinct:
@@ -402,10 +475,9 @@ def _csv_field(
     return "%s", cells
 
 
-def _csv_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
+def _csv_lines(blocks: Iterable[list], fmt: str, lone: bool) -> Iterator[Iterator[str]]:
     # The CSV lines of each row block, without their line ends
-    lone = len(table) == 1
-    for block in _row_blocks(table, count):
+    for block in blocks:
         fields = [_csv_field(*column, fmt, lone) for column in block]
         rows = zip(*(cells for _, cells in fields))
         if all(field == "%s" for field, _ in fields):
@@ -414,12 +486,12 @@ def _csv_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
             yield map(",".join(field for field, _ in fields).__mod__, rows)
 
 
-def _json_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
+def _json_lines(blocks: Iterable[list], names: list[str], fmt: str) -> Iterator[Iterator[str]]:
     # The JSON objects of each row block, as json.dumps writes each cell
     # rounded to fmt
     import json
 
-    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
+    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in names)
     template = "  {\n" + ",\n".join(keys) + "\n  }"
 
     def render(value: float) -> str:
@@ -439,69 +511,80 @@ def _json_lines(table: Table, count: int, fmt: str) -> Iterator[Iterator[str]]:
         spelled = map(repr, map(float, map(fmt.__mod__, cells)))
         return (_JSON_NON_FINITE.get(text, text) for text in spelled)
 
-    for block in _row_blocks(table, count):
+    for block in blocks:
         yield map(template.__mod__, zip(*(texts(*column) for column in block)))
 
 
-def _encoded(head: str, blocks: Iterator[Iterator[str]], sep: str, tail: str) -> Iterator[bytes]:
+def _encoded(
+    blocks: Iterable[Iterable[str]], head: str, sep: str, tail: str, empty: str
+) -> Iterator[bytes]:
     # UTF-8 of head, every line of every block joined by sep, and tail, one
-    # block at a time: each block after the first starts with sep. The lines
-    # come straight from the lazy row iterator: a list of row tuples would
-    # stop zip from reusing its tuple.
-    yield head.encode("utf-8")
-    lead: tuple[str, ...] = ()
+    # block at a time: each block after the first starts with sep. Without
+    # any line it is the UTF-8 of empty alone. The lines come straight from
+    # the lazy row iterator: a list of row tuples would stop zip from reusing
+    # its tuple.
+    lead = None
     for lines in blocks:
-        yield sep.join(chain(lead, lines)).encode("utf-8")
+        if lead is None:
+            yield head.encode("utf-8")
+        yield sep.join(chain(lead or (), lines)).encode("utf-8")
         lead = ("",)
-    yield tail.encode("utf-8")
+    yield (empty if lead is None else tail).encode("utf-8")
 
 
 def serialize_blocks(
-    table: Table,
+    tables: Table | Iterable[Table],
     output_format: str = "csv",
     precision: int = 9,
 ) -> Iterator[bytes]:
     """Deterministic CSV or JSON bytes of a column table, a block of rows at a time.
 
-    Yields the encoded header, each block of up to 4096 rows, then the tail;
-    their concatenation is the whole text. The table's keys name the columns,
-    in order; every column is a list or a 1-D numpy array with one cell per
-    row, and an array's cells are those of its ``tolist()``. Floats are
-    written in round-trip ``g`` form limited to ``precision`` significant
-    digits (6..17, default 9), booleans as ``true``/``false``, ``None`` as an
-    empty CSV field or JSON ``null``. CSV has LF line endings and RFC 4180
-    quotes around any string cell holding a comma, quote, CR or LF; JSON is a
-    list of objects in column order, indented by two spaces, with ``NaN`` and
-    ``Infinity`` for non-finite floats. In each row block, a float column that
-    repeats few values and holds no zero is formatted once per distinct
-    value. Other CSV float columns format inside a row template, and a CSV
-    row of text cells only is joined with commas. The format, precision and
-    column lengths are checked by this call, before the first block is asked
-    for. Identical inputs give byte-identical output.
+    ``tables`` is one table, or an iterable of tables with the same columns
+    whose rows are written in order, as :func:`concat_tables` would stack
+    them. Yields the encoded header, each block of up to 2048 rows
+    (``_ROW_BLOCK``) of a table, then the tail; their concatenation is the
+    whole text. The first table's keys name the columns, in order; every
+    column is a list or a 1-D numpy array with one cell per row, and an
+    array's cells are those of its ``tolist()``. Floats are written in
+    round-trip ``g`` form limited to ``precision`` significant digits (6..17,
+    default 9), booleans as ``true``/``false``, ``None`` as an empty CSV field
+    or JSON ``null``. CSV has LF line endings and RFC 4180 quotes around any
+    string cell holding a comma, quote, CR or LF; JSON is a list of objects in
+    column order, indented by two spaces, with ``NaN`` and ``Infinity`` for
+    non-finite floats. In each row block, a float column that repeats few
+    values and holds no zero is formatted once per distinct value. Other CSV
+    float columns format inside a row template, and a CSV row of text cells
+    only is joined with commas. The format, the precision and the first table
+    are taken and checked by this call, before the first block is asked for; a
+    later table is taken when its rows are due, and raises ``ValueError`` if
+    its columns differ. Identical inputs give byte-identical output.
     """
     if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
     if output_format not in ("csv", "json"):
         raise DomainError(f"output format must be 'csv' or 'json', got {output_format!r}")
     fmt = f"%.{int(precision)}g"  # 9.0 and np.int64(9) format as 9
-    if len(set(map(len, table.values()))) > 1:
-        raise ValueError(f"table columns differ in length: {list(map(len, table.values()))}")
-    count = len(next(iter(table.values()), ()))
+    tables = iter((tables,) if isinstance(tables, dict) else tables)
+    first = next(tables, None)
+    if first is None:
+        raise ValueError("no tables to serialize")
+    names = list(first)
+    _row_count(first, names)
+    blocks = _row_blocks(chain((first,), tables), names)
     if output_format == "csv":
-        header = ",".join(_csv_quote(name, len(table) == 1) for name in table) + "\n"
-        return _encoded(header, _csv_lines(table, count, fmt), "\n", "\n" if count else "")
-    if not count:
-        return iter((b"[]\n",))
-    return _encoded("[\n", _json_lines(table, count, fmt), ",\n", "\n]\n")
+        lone = len(names) == 1
+        header = ",".join(_csv_quote(name, lone) for name in names) + "\n"
+        return _encoded(_csv_lines(blocks, fmt, lone), header, "\n", "\n", header)
+    return _encoded(_json_lines(blocks, names, fmt), "[\n", ",\n", "\n]\n", "[]\n")
 
 
 def serialize(
-    table: Table,
+    tables: Table | Iterable[Table],
     output_format: str = "csv",
     precision: int = 9,
 ) -> bytes:
     """The whole output of :func:`serialize_blocks` as one ``bytes``."""
-    return b"".join(serialize_blocks(table, output_format, precision))
+    return b"".join(serialize_blocks(tables, output_format, precision))
 
 
 _PLOT_HEADER = """\

@@ -1,13 +1,15 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
+from itertools import islice
 
 import pytest
 
-from quasispin import thermal
+from quasispin import sweep, thermal
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from quasispin.sweep import THERMO_COLUMNS, figure1_table, figure2_table
+from quasispin.sweep import THERMO_COLUMNS, figure1_table, figure2_table, serialize, sweep_blocks
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 
@@ -214,6 +216,42 @@ class TestSweep:
         assert out == ""
         assert "overflow at theta = 5e+307" in err
         assert "Warning" not in err and not caught
+
+    def test_a_failure_in_a_later_row_block_keeps_the_rows_before_it(self, capsys, tmp_path):
+        # Rows are solved and written a block at a time. Node 9481 of this grid
+        # overflows: the run fails there, after the header and the whole row
+        # blocks before that node's block were written.
+        argv = ["sweep", "--chi-ratio", "0.6", "--theta-max", "1e154", "--points", "20000"]
+        blocks = sweep_blocks(thermal.ModelParams(omega21=1.0, chi=0.6), 0.0, 1e154, 20_000)
+        kept = list(islice(blocks, 9481 // sweep._ROW_BLOCK))
+        expected = serialize(kept).decode()
+        assert expected.count("\n") == 1 + 9481 // sweep._ROW_BLOCK * sweep._ROW_BLOCK
+        message = "error: couplings overflow at theta = 4.74074e+153; lower the temperature range\n"
+        code, out, err = run_silently(capsys, argv)
+        assert (code, err) == (EXIT_DOMAIN, message)
+        assert out + "\n" == expected
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run_silently(capsys, [*argv, "--out", str(out_file)])
+        assert (code, out, err) == (EXIT_DOMAIN, "", message)
+        assert out_file.read_text(encoding="utf-8") + "\n" == expected
+
+    def test_memory_does_not_grow_with_the_points(self, capsys, tmp_path):
+        # Each row block is solved, written and dropped before the next, so
+        # ten times the points add only the grids (8-24 bytes a node) to the
+        # peak; a whole table takes about 80 bytes a node and variant.
+        def peak(points):
+            argv = ["sweep", "--chi-ratio", "0.6", "--variant", "both", "--points", str(points),
+                    "--out", str(tmp_path / "sweep.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3_000)  # a first call may still import and cache
+        small = peak(3_000)
+        assert peak(30_000) - small < 1_000_000
 
     def test_couplings_whose_squares_overflow_solve_silently(self, capsys):
         # varpi ~ -1e300 squares past the float range, only on lanes that

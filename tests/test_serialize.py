@@ -89,6 +89,96 @@ def test_empty_and_one_column_tables_match_the_row_dict_writer(output_format):
         assert serialize(table, output_format) == expected
 
 
+# --- a sequence of tables against their concatenation ---
+
+
+@st.composite
+def table_sequences(draw):
+    # tables with the same columns, each column of any cell kind in each table
+    names = draw(st.lists(TEXT, unique=True, max_size=3))
+    sequence = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        rows = draw(st.integers(min_value=0, max_value=3))
+        sequence.append({
+            name: draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))],
+                                min_size=rows, max_size=rows))
+            for name in names
+        })
+    return sequence
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=table_sequences(), output_format=st.sampled_from(["csv", "json"]),
+       precision=st.integers(min_value=6, max_value=17))
+def test_a_table_sequence_writes_the_bytes_of_its_concatenation(tables, output_format, precision):
+    expected = serialize(concat_tables(tables), output_format, precision)
+    assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
+
+
+def _sequence_table(rows, seed, arrays):
+    # past a row block, with a repeating float column (memoized), a distinct
+    # one (templated), quoted text as arrays or lists, and a list of ints
+    rng = np.random.default_rng(seed)
+    columns = {
+        "ratio": rng.choice([0.25, 0.5, 1.0 / 3.0, 1e-7], rows),
+        "theta": rng.uniform(-1e3, 1e3, rows),
+        "phase": np.array(["ordered", "a,b", 'say "x"', ""])[rng.integers(0, 4, rows)],
+    }
+    table = {name: column if arrays else column.tolist() for name, column in columns.items()}
+    return {**table, "n": rng.integers(-(2**40), 2**40, rows).tolist()}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("precision", [6, 9, 17])
+def test_long_table_sequences_write_the_bytes_of_their_concatenation(output_format, precision):
+    rows = sweep._ROW_BLOCK + 5
+    full = [_sequence_table(rows, seed, arrays) for seed, arrays in ((1, True), (2, False))]
+    empty = {name: column[:0] for name, column in full[0].items()}
+    lone = [{"x": ["", "a", ""]}, {"x": []}, {"x": [""]}]
+    sequences = [
+        [empty, *full], [full[0], empty, full[1]], [*full, empty],  # an empty table anywhere
+        [empty, empty], [{"x": []}, {"x": []}],  # no rows at all
+        lone,  # the one cell of a one-column row is quoted when empty
+        [full[1], full[0], full[1]],  # a column an array in one table, a list in the next
+    ]
+    for tables in sequences:
+        expected = serialize(concat_tables(tables), output_format, precision)
+        assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
+    assert serialize([empty, empty], "json") == b"[]\n"
+    assert serialize([empty, empty], "csv") == b"ratio,theta,phase,n\n"
+
+
+def test_a_later_table_with_other_columns_raises():
+    first = {"a": [1.0], "b": ["x"]}
+    for later in ({"b": ["y"], "a": [2.0]}, {"a": [2.0]}, {"a": [2.0], "b": ["y"], "c": [3]}):
+        for output_format in ("csv", "json"):
+            blocks = serialize_blocks([first, later], output_format)  # the first table is fine
+            with pytest.raises(ValueError, match="must have the same columns"):
+                b"".join(blocks)
+    with pytest.raises(ValueError, match="columns differ in length"):
+        serialize([first, {"a": [2.0, 3.0], "b": ["y"]}])
+    with pytest.raises(ValueError, match="no tables to serialize"):
+        serialize_blocks([])
+
+
+def test_the_first_table_is_taken_when_the_generator_is_made(tmp_path):
+    # A failure while the first table is made reaches the caller before an
+    # output file is opened; a failure in a later one after the blocks before it
+    def tables(fail_at):
+        for index in range(3):
+            if index == fail_at:
+                raise DomainError(f"table {index}")
+            yield {"x": [float(index)] * 3}
+
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match="table 0"):
+        _write_bytes(str(out), serialize_blocks(tables(0)))
+    assert not out.exists()
+    with pytest.raises(DomainError, match="table 2"):
+        _write_bytes(str(out), serialize_blocks(tables(2)))
+    assert out.read_bytes() == b"x\n0\n0\n0\n1\n1\n1"
+
+
 @pytest.mark.parametrize("precision", [10, 11, 15, 16])
 def test_a_finite_cell_that_rounds_past_the_float_range_matches_the_row_dict_writer(precision):
     # the largest float rounds up to inf at these precisions, and JSON spells
@@ -178,12 +268,13 @@ def test_an_array_column_writes_the_bytes_of_its_list(column, output_format):
 
 
 def test_the_blocks_are_the_header_each_row_block_and_the_tail():
-    rows = 2 * sweep._ROW_BLOCK + 1
+    B = sweep._ROW_BLOCK
+    rows = 2 * B + 1
     table = {"x": np.arange(rows, dtype=float), "phase": ["ordered"] * rows}
     csv_blocks = list(serialize_blocks(table))
     assert len(csv_blocks) == 5
     assert csv_blocks[0] == b"x,phase\n" and csv_blocks[-1] == b"\n"
-    assert [block.count(b"\n") for block in csv_blocks[1:-1]] == [4095, 4096, 1]
+    assert [block.count(b"\n") for block in csv_blocks[1:-1]] == [B - 1, B, 1]
     json_blocks = list(serialize_blocks(table, "json"))
     assert (len(json_blocks), json_blocks[0], json_blocks[-1]) == (5, b"[\n", b"\n]\n")
     for output_format, blocks in (("csv", csv_blocks), ("json", json_blocks)):
@@ -254,6 +345,25 @@ def test_only_a_block_without_a_zero_is_memoized(output_format, monkeypatch):
         assert serialize(table, output_format, precision) == expected
         assert calls == [(sweep._ROW_BLOCK, False), (sweep._ROW_BLOCK, False),
                          (sweep._ROW_BLOCK, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.integers(min_value=1, max_value=600),
+       rows=st.integers(min_value=1, max_value=2 * sweep._MEMO_PROBE),
+       order=st.sampled_from(["drawn", "sorted", "cycled"]), seed=st.integers(0, 2**32))
+def test_the_memo_decides_by_its_share_of_distinct_values(pool, rows, order, seed):
+    # memoized iff the probe and the whole block each hold at most
+    # 1/_MEMO_SHARE as many distinct values as cells; the head of the probe
+    # only decides sooner
+    rng = random.Random(seed)
+    values = [1.0 + index / 7.0 for index in range(pool)]
+    cells = [values[index % pool] if order == "cycled" else rng.choice(values)
+             for index in range(rows)]
+    if order == "sorted":
+        cells.sort()
+    share, probe = sweep._MEMO_SHARE, cells[:sweep._MEMO_PROBE]
+    rule = len(set(probe)) * share <= len(probe) and len(set(cells)) * share <= len(cells)
+    assert (sweep._memoized(cells, repr, {}) is not None) == rule
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])

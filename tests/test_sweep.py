@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import table_records
+from quasispin import meanfield, sweep
 from quasispin.base import default_theta_max
 from quasispin.meanfield import (
     MAX_PHASE_CELLS,
@@ -27,6 +28,7 @@ from quasispin.sweep import (
     plot_script,
     proposed_normalizer,
     serialize,
+    sweep_blocks,
     sweep_table,
 )
 from quasispin.thermal import DomainError, ModelParams, Variant, couplings_at
@@ -144,6 +146,33 @@ class TestTemperatureSweep:
             for variant in Variant:
                 cells, _ = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
                 assert cells["chi_ratio"][2] == 0.5
+
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("theta_min", [0.0, 0.05])
+    @pytest.mark.parametrize("theta_cr", [None, 0.37])
+    def test_the_blocks_stack_to_the_sweep_table(self, variant, theta_min, theta_cr):
+        block = sweep._ROW_BLOCK
+        args = (ModelParams(omega21=1.0, chi=0.6, variant=variant), theta_min,
+                default_theta_max(0.6), 2 * block + 123, theta_cr)
+        blocks = list(sweep_blocks(*args))
+        assert [len(table["theta"]) for table in blocks] == [block, block, 123]
+        stacked, whole = concat_tables(blocks), sweep_table(*args)
+        assert list(stacked) == list(whole)
+        assert set(whole["phase"]) == {"ordered", "disordered"}
+        for name, column in whole.items():
+            if name in ("phase", "variant"):
+                assert list(stacked[name]) == list(column)
+            else:
+                assert np.array_equal(stacked[name], column), name
+
+    def test_the_arguments_are_checked_by_the_call(self):
+        for args in ((0.5, 0.2, 10), (0.0, 1.0, 1), (0.0, 1.0, 4, -1.0)):
+            with pytest.raises(DomainError):
+                sweep_blocks(trad(0.6), *args)
+        with pytest.raises(DomainError, match="takes a float chi"):
+            sweep_blocks(ModelParams(omega21=1.0, chi=np.array([0.6])), 0.0, 1.0, 4)
 
 
 class TestNormalizerAndDefaults:
@@ -367,6 +396,27 @@ class TestPhaseMap:
             phase_map(Variant.PROPOSED, (0.1, 0.5), (0.1, 0.5), nx=1, ny=4)
         with pytest.raises(DomainError):
             phase_map(Variant.PROPOSED, (0.1, 0.5), (0.1, 0.5), nx=4000, ny=3000)
+        with pytest.raises(DomainError, match="tol must be positive"):
+            phase_map(Variant.PROPOSED, (0.1, 0.5), (0.1, 0.5), nx=4, ny=4, tol=0.0)
+
+    def test_each_column_blocks_measure_is_evaluated_once(self, monkeypatch):
+        # The cells' measure is the node measure of the block's scan: one
+        # (ny, width) evaluation per block of columns; the bisection's
+        # midpoints are 1-D.
+        shapes = []
+
+        def spy(cpl):
+            measure = ordering_measure(cpl)
+            shapes.append(np.shape(measure))
+            return measure
+
+        monkeypatch.setattr(sweep, "ordering_measure", spy)
+        monkeypatch.setattr(meanfield, "ordering_measure", spy)
+        ny = 256
+        nx = sweep._BLOCK_CELLS // ny + 44
+        _, boundary = phase_map(Variant.PROPOSED, (0.05, 0.95), (0.01, 1.0), nx=nx, ny=ny)
+        assert [shape for shape in shapes if len(shape) == 2] == [(ny, nx - 44), (ny, 44)]
+        assert boundary["theta_cr"]
 
 
 class TestSerialize:
