@@ -20,8 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "base": (
-            "CRITICAL_POINTS", "DomainError", "FIG1_POINTS", "FIG2_POINTS", "ROOT_TOL", "Table",
-            "TransitionLevel", "default_theta_max",
+            "CRITICAL_POINTS", "Coded", "DomainError", "FIG1_POINTS", "FIG2_POINTS", "ROOT_TOL",
+            "Table", "TransitionLevel", "default_theta_max",
         ),
         "thermal": (
             "Couplings", "ModelParams", "SingularLevelError",

@@ -4,23 +4,24 @@ Every grid is solved in one array call to the physics core (couplings,
 ordering measure and gap solve of :mod:`quasispin.meanfield`), or in one
 call per block of rows or columns. Results leave only as column tables
 (:data:`quasispin.base.Table`): a ``dict`` of equal-length columns, each a
-list or a 1-D numpy array, whose key order is the column order.
+list, a 1-D numpy array or a :class:`~quasispin.base.Coded` column (codes
+into a list of distinct cells), whose key order is the column order.
 :func:`sweep_table`, :func:`figure1_table` and :func:`figure2_table` keep the
-core's arrays as columns (a ratio or variant column is a list of one shared
-value), and :func:`concat_tables` stacks array columns with
-``np.concatenate``; the ``(cells, boundary)`` pair of :func:`phase_map` holds
-lists, as do ``meanfield.critical_temperatures`` and
+core's arrays as columns, with the phase, variant and ratio columns coded;
+the cell table of :func:`phase_map` is coded throughout, its ratios and
+temperatures by grid line. :func:`concat_tables` stacks array columns with
+``np.concatenate`` and coded ones by their codes. The boundary of
+:func:`phase_map` holds lists, as do ``meanfield.critical_temperatures`` and
 ``exact.compare_meanfield``. :func:`sweep_blocks` gives the rows of
 :func:`sweep_table` as a sequence of row-block tables, each solved when it is
 asked for. :func:`serialize_blocks` writes a table, or a sequence of tables
 as their concatenation, to CSV or JSON one block of rows at a time, boxing
-only that block of an array column: in each block a float column that
-repeats few values and holds no zero is formatted once per distinct value,
-other float columns format inside a row template, and rows of text cells
-only are joined with commas. So a sweep written from :func:`sweep_blocks`
-holds one block of rows and its grid, whatever its length. :func:`serialize`
-joins the blocks. Nothing here draws randomness or runs threads, so
-identical inputs give identical output bytes.
+only that block of an array column: a coded column's values are rendered
+once per table and gathered by code, float columns format inside a row
+template, and rows of text cells only are joined with commas. So a sweep
+written from :func:`sweep_blocks` holds one block of rows and its grid,
+whatever its length. :func:`serialize` joins the blocks. Nothing here draws
+randomness or runs threads, so identical inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .base import FIG1_POINTS, FIG2_POINTS, ROOT_TOL, DomainError, Table
+from .base import FIG1_POINTS, FIG2_POINTS, ROOT_TOL, Coded, DomainError, Table
 from .meanfield import (
     MAX_PHASE_CELLS,
     NoCriticalPointError,
     Phase,
+    _PHASE_NAMES,
     _sign_change_roots,
     gap_solve,
     ordering_measure,
@@ -71,7 +73,7 @@ _BLOCK_CELLS = 1 << 16
 # both variants (2-vCPU VM) the process peaked at 30.3 / 31.2 / 33.5 MB with
 # 1024 / 2048 / 4096 rows (35.2 MB with whole tables); 1024 rows took about
 # 20 ms more than 4096 in process, as each block runs its own gap_solve Newton
-# loop and memo probes.
+# loop and its own per-column set-up in the serializer.
 _ROW_BLOCK = 2048
 
 # Columns of a sweep table, in order.
@@ -131,8 +133,8 @@ def _sweep_rows(params: ModelParams, thetas: np.ndarray, theta_cr: float | None)
         "f_per_atom": sol.free_energy_per_atom,
         "rz_eq10": population_inversion(cpl, sol),
         "rz_eq4": rz_relaxation(cpl),
-        "phase": sol.phase,
-        "variant": [params.variant.value] * thetas.size,
+        "phase": Coded((sol.phase == Phase.ORDERED.value).view(np.uint8), _PHASE_NAMES.tolist()),
+        "variant": Coded(np.zeros(thetas.size, np.uint8), [params.variant.value]),
     }
 
 
@@ -183,9 +185,10 @@ def sweep_blocks(
 def concat_tables(tables: Sequence[Table]) -> Table:
     """Stack tables with the same columns, row blocks in order.
 
-    A column that is an array in every table stays an array; any other
-    column becomes a list. Raises ``ValueError`` for no tables, or for
-    tables whose columns differ.
+    A column that is :class:`~quasispin.base.Coded` in every table stays
+    coded, and one that is an array in every table stays an array; any other
+    column becomes the list of its cells. Raises ``ValueError`` for no
+    tables, or for tables whose columns differ.
     """
     if not tables:
         raise ValueError("no tables to concatenate")
@@ -195,10 +198,19 @@ def concat_tables(tables: Sequence[Table]) -> Table:
     stacked = {}
     for name in first:
         columns = [table[name] for table in tables]
-        if all(isinstance(column, np.ndarray) for column in columns):
+        if all(isinstance(column, Coded) for column in columns):
+            # each table's codes move past the values of the tables before it
+            codes, values = [], []
+            for column in columns:
+                codes.append(column.codes.astype(np.intp) + len(values))
+                values.extend(column.values)
+            codes = np.concatenate(codes).astype(np.min_scalar_type(len(values)))
+            stacked[name] = Coded(codes, values)
+        elif all(isinstance(column, np.ndarray) for column in columns):
             stacked[name] = np.concatenate(columns)
         else:
-            stacked[name] = list(chain.from_iterable(columns))
+            cells = (column if isinstance(column, list) else column.tolist() for column in columns)
+            stacked[name] = list(chain.from_iterable(cells))
     return stacked
 
 
@@ -263,7 +275,7 @@ def figure1_table(
             # The sweep table is built first: it checks the grid size before
             # the ratio column repeats anything that many times.
             table = sweep_table(params, 0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr)
-            tables.append({"chi_ratio": [ratio] * points, **table})
+            tables.append({"chi_ratio": Coded(np.zeros(points, np.uint8), [ratio]), **table})
     return concat_tables(tables)
 
 
@@ -304,7 +316,10 @@ def phase_map(
 
     Returns ``(cells, boundary)``. ``cells`` has the columns ``chi_ratio,
     theta, phase, variant`` in row-major order: one row of ``nx`` ratios per
-    temperature, temperatures ascending. A cell is ordered where the ordering
+    temperature, temperatures ascending. Each is a
+    :class:`~quasispin.base.Coded` column, whose values are the ``nx``
+    ratios, the ``ny`` temperatures, the two phase names and the variant,
+    so a map costs a few bytes a cell. A cell is ordered where the ordering
     measure is positive. ``boundary`` has the columns ``chi_ratio, theta_cr,
     kind, variant``: the sign changes of that same measure along each ratio
     column's theta grid, by ratio and then by temperature, found as
@@ -346,12 +361,14 @@ def phase_map(
             boundary["theta_cr"].append(root)
             boundary["kind"].append(kind.value)
     boundary["variant"] = [variant.value] * len(boundary["kind"])
-    names = (Phase.DISORDERED.value, Phase.ORDERED.value)
+    # the codes of each cell's ratio and temperature, in the smallest dtype
+    column_codes = np.arange(nx, dtype=np.min_scalar_type(nx - 1))
+    row_codes = np.arange(ny, dtype=np.min_scalar_type(ny - 1))
     cells = {
-        "chi_ratio": ratio_list * ny,
-        "theta": [theta for theta in thetas.tolist() for _ in range(nx)],
-        "phase": list(map(names.__getitem__, ordered.ravel().tolist())),
-        "variant": [variant.value] * (nx * ny),
+        "chi_ratio": Coded(np.tile(column_codes, ny), ratio_list),
+        "theta": Coded(np.repeat(row_codes, nx), thetas.tolist()),
+        "phase": Coded(ordered.ravel().view(np.uint8), _PHASE_NAMES.tolist()),
+        "variant": Coded(np.zeros(nx * ny, np.uint8), [variant.value]),
     }
     return cells, boundary
 
@@ -360,20 +377,6 @@ def phase_map(
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # json.dumps spellings of the non-finite floats.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# A float column's cells in one row block are formatted once per distinct
-# value when the block's first _MEMO_PROBE cells, and then the whole block,
-# hold at most 1/_MEMO_SHARE as many distinct values as cells. A phase map's
-# two float columns hold one value per grid line and pass; a sweep's hold
-# about half distinct values and fail, and memoizing them anyway took the CSV
-# of a 24000-row sweep table from 79 to 193 ms, since %g inside a row template
-# (~300 ns a cell) is cheaper than a separate format plus a lookup. Deciding
-# per block keeps a sweep's saturated low-theta head, where six columns repeat
-# one value, from memoizing the distinct cells after it: deciding once per
-# column from its head took the CSV of a 200000-row sweep table from 0.46 to
-# 1.72 s. The probe is not tied to _ROW_BLOCK: the ratio row of a 256-wide
-# phase map repeats every 256 cells, so only a probe of 4*256 cells passes it.
-_MEMO_PROBE = 1024
-_MEMO_SHARE = 4
 
 
 def _cell_text(value: object, fmt: str) -> str:
@@ -407,66 +410,42 @@ def _row_count(table: Table, names: list[str]) -> int:
     # The rows of a table with the columns names, all of one length
     if list(table) != names:
         raise ValueError(f"tables to serialize must have the same columns, got {list(table)}")
-    lengths = list(map(len, table.values()))
+    lengths = [len(column.codes if isinstance(column, Coded) else column)
+               for column in table.values()]
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
     return lengths[0] if lengths else 0
 
 
-def _row_blocks(
-    tables: Iterable[Table], names: list[str]
-) -> Iterator[list[tuple[type | None, list, dict]]]:
-    # (kind, cells, known) of every column, one row block of one table at a
-    # time: an array's block becomes a list here, so only one block of it is
-    # boxed at a time, and known is the column's memo of texts (see
-    # _memoized), carried from table to table
-    memos = [{} for _ in names]
+def _column_blocks(column, count: int, render: Callable) -> Iterator[tuple[str, Iterable]]:
+    # (row-template field, cells for it) of each row block of one column, from
+    # render(kind, cells). An array's block becomes a list here, so only one
+    # block of it is boxed at a time. A coded column's values are rendered
+    # once, and each block gathers their texts by code.
+    if isinstance(column, Coded):
+        field, cells = render(_column_kind(column.values), column.values)
+        texts = np.array([field % (cell,) for cell in cells], dtype=object)
+        for start in range(0, count, _ROW_BLOCK):
+            yield "%s", texts.take(column.codes[start : start + _ROW_BLOCK]).tolist()
+        return
+    kind = _column_kind(column)
+    for start in range(0, count, _ROW_BLOCK):
+        cells = column[start : start + _ROW_BLOCK]
+        yield render(kind, cells.tolist() if isinstance(cells, np.ndarray) else cells)
+
+
+def _row_blocks(tables: Iterable[Table], names: list[str], render: Callable) -> Iterator[tuple]:
+    # The (field, cells) of every column, one row block of one table at a time
     for table in tables:
         count = _row_count(table, names)
-        columns = [(_column_kind(column), column, known)
-                   for column, known in zip(table.values(), memos)]
-        for start in range(0, count, _ROW_BLOCK):
-            block = []
-            for kind, column, known in columns:
-                cells = column[start : start + _ROW_BLOCK]
-                cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
-                block.append((kind, cells, known))
-            yield block
+        yield from zip(*(_column_blocks(column, count, render) for column in table.values()))
 
 
-def _memoized(cells: list, render: Callable[[float], str], known: dict) -> Iterator[str] | None:
-    # Texts of one row block of a float column that repeats few values and
-    # holds no zero, or None. Each value is rendered once: known holds the
-    # texts of the column's last memoized block, as a phase map's ratios
-    # recur in every block, and is left holding this block's. 0.0 and -0.0
-    # are one key but print differently, so a block holding a zero is
-    # rendered cell by cell; a NaN is found by identity, so each NaN object
-    # is a key of its own.
-    probe = cells[:_MEMO_PROBE]
-    # A head of distinct values already holds more than 1/_MEMO_SHARE of the
-    # probe's cells, so it fails the probe for a quarter of the hashing: most
-    # blocks of a sweep, whose cells are nearly all distinct, stop there.
-    head = probe[: len(probe) // _MEMO_SHARE + 1]
-    if len(set(head)) == len(head) or len(set(probe)) * _MEMO_SHARE > len(probe):
-        return None
-    distinct = set(cells)
-    if len(distinct) * _MEMO_SHARE > len(cells) or 0.0 in distinct:
-        return None
-    texts = {value: known[value] if value in known else render(value) for value in distinct}
-    known.clear()
-    known.update(texts)
-    return map(texts.__getitem__, cells)
-
-
-def _csv_field(
-    kind: type | None, cells: list, known: dict, fmt: str, lone: bool
-) -> tuple[str, Iterable]:
+def _csv_field(kind: type | None, cells: list, fmt: str, lone: bool) -> tuple[str, Iterable]:
     # (row-template field, cells for it) of one column's row block: floats
-    # format in the template unless the block repeats few values, which are
-    # formatted once
+    # format in the template, other cells become their quoted texts
     if kind is float:
-        texts = _memoized(cells, fmt.__mod__, known)
-        return (fmt, cells) if texts is None else ("%s", texts)
+        return fmt, cells
     if kind is None:
         cells = [_cell_text(value, fmt) for value in cells]
     quoted = {text: _csv_quote(text, lone) for text in set(cells)}
@@ -475,10 +454,25 @@ def _csv_field(
     return "%s", cells
 
 
-def _csv_lines(blocks: Iterable[list], fmt: str, lone: bool) -> Iterator[Iterator[str]]:
+def _json_texts(kind: type | None, cells: list, fmt: str) -> tuple[str, Iterable[str]]:
+    # ("%s", texts) of one column's row block, as json.dumps writes each cell
+    # rounded to fmt
+    import json
+
+    if kind is str:
+        return "%s", map({text: json.dumps(text) for text in set(cells)}.__getitem__, cells)
+    if kind is None:
+        return "%s", [json.dumps(float(fmt % value)) if isinstance(value, float)
+                      else json.dumps(value) for value in cells]
+    # the translation also covers a finite cell that rounds to inf
+    # (1.797...e308 at precision 10)
+    spelled = map(repr, map(float, map(fmt.__mod__, cells)))
+    return "%s", (_JSON_NON_FINITE.get(text, text) for text in spelled)
+
+
+def _csv_lines(blocks: Iterable[tuple]) -> Iterator[Iterator[str]]:
     # The CSV lines of each row block, without their line ends
-    for block in blocks:
-        fields = [_csv_field(*column, fmt, lone) for column in block]
+    for fields in blocks:
         rows = zip(*(cells for _, cells in fields))
         if all(field == "%s" for field, _ in fields):
             yield map(",".join, rows)
@@ -486,33 +480,14 @@ def _csv_lines(blocks: Iterable[list], fmt: str, lone: bool) -> Iterator[Iterato
             yield map(",".join(field for field, _ in fields).__mod__, rows)
 
 
-def _json_lines(blocks: Iterable[list], names: list[str], fmt: str) -> Iterator[Iterator[str]]:
-    # The JSON objects of each row block, as json.dumps writes each cell
-    # rounded to fmt
+def _json_lines(blocks: Iterable[tuple], names: list[str]) -> Iterator[Iterator[str]]:
+    # The JSON objects of each row block
     import json
 
     keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in names)
     template = "  {\n" + ",\n".join(keys) + "\n  }"
-
-    def render(value: float) -> str:
-        return json.dumps(float(fmt % value))
-
-    def texts(kind: type | None, cells: list, known: dict) -> Iterable[str]:
-        if kind is str:
-            return map({text: json.dumps(text) for text in set(cells)}.__getitem__, cells)
-        if kind is None:
-            return [render(value) if isinstance(value, float) else json.dumps(value)
-                    for value in cells]
-        memo = _memoized(cells, render, known)
-        if memo is not None:
-            return memo
-        # the translation also covers a finite cell that rounds to inf
-        # (1.797...e308 at precision 10)
-        spelled = map(repr, map(float, map(fmt.__mod__, cells)))
-        return (_JSON_NON_FINITE.get(text, text) for text in spelled)
-
-    for block in blocks:
-        yield map(template.__mod__, zip(*(texts(*column) for column in block)))
+    for fields in blocks:
+        yield map(template.__mod__, zip(*(cells for _, cells in fields)))
 
 
 def _encoded(
@@ -544,20 +519,22 @@ def serialize_blocks(
     them. Yields the encoded header, each block of up to 2048 rows
     (``_ROW_BLOCK``) of a table, then the tail; their concatenation is the
     whole text. The first table's keys name the columns, in order; every
-    column is a list or a 1-D numpy array with one cell per row, and an
-    array's cells are those of its ``tolist()``. Floats are written in
+    column is a list, a 1-D numpy array or a :class:`~quasispin.base.Coded`
+    column with one cell per row, and an array's or a coded column's cells
+    are those of its ``tolist()``. Floats are written in
     round-trip ``g`` form limited to ``precision`` significant digits (6..17,
     default 9), booleans as ``true``/``false``, ``None`` as an empty CSV field
     or JSON ``null``. CSV has LF line endings and RFC 4180 quotes around any
     string cell holding a comma, quote, CR or LF; JSON is a list of objects in
     column order, indented by two spaces, with ``NaN`` and ``Infinity`` for
-    non-finite floats. In each row block, a float column that repeats few
-    values and holds no zero is formatted once per distinct value. Other CSV
-    float columns format inside a row template, and a CSV row of text cells
-    only is joined with commas. The format, the precision and the first table
-    are taken and checked by this call, before the first block is asked for; a
-    later table is taken when its rows are due, and raises ``ValueError`` if
-    its columns differ. Identical inputs give byte-identical output.
+    non-finite floats. A coded column's values are rendered once per table,
+    as a plain column of those cells would be, and each row block gathers
+    their texts by code. CSV float columns format inside a row template, and
+    a CSV row of text cells only is joined with commas. The format, the
+    precision and the first table are taken and checked by this call, before
+    the first block is asked for; a later table is taken when its rows are
+    due, and raises ``ValueError`` if its columns differ. Identical inputs
+    give byte-identical output.
     """
     if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
@@ -570,12 +547,14 @@ def serialize_blocks(
         raise ValueError("no tables to serialize")
     names = list(first)
     _row_count(first, names)
-    blocks = _row_blocks(chain((first,), tables), names)
+    tables = chain((first,), tables)
     if output_format == "csv":
         lone = len(names) == 1
         header = ",".join(_csv_quote(name, lone) for name in names) + "\n"
-        return _encoded(_csv_lines(blocks, fmt, lone), header, "\n", "\n", header)
-    return _encoded(_json_lines(blocks, names, fmt), "[\n", ",\n", "\n]\n", "[]\n")
+        blocks = _row_blocks(tables, names, lambda kind, cells: _csv_field(kind, cells, fmt, lone))
+        return _encoded(_csv_lines(blocks), header, "\n", "\n", header)
+    blocks = _row_blocks(tables, names, lambda kind, cells: _json_texts(kind, cells, fmt))
+    return _encoded(_json_lines(blocks, names), "[\n", ",\n", "\n]\n", "[]\n")
 
 
 def serialize(

@@ -157,8 +157,9 @@ def bisection_solution(lam: float, varpi: float, theta: float) -> dict:
 
 
 def table_records(table: dict) -> list[dict]:
-    """One dict per row of a column table."""
-    return [dict(zip(table, row)) for row in zip(*table.values())]
+    """One dict per row of a column table; an array or coded column gives its ``tolist()``."""
+    columns = [column if isinstance(column, list) else column.tolist() for column in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
 
 
 def temperature_sweep(params, theta_min: float, theta_max: float, points: int) -> list:

@@ -436,6 +436,23 @@ class TestPhase:
         assert out.count("disordered") == 9
         assert boundary_file.read_text() == empty
 
+    def test_memory_grows_by_a_few_bytes_a_cell(self, tmp_path):
+        # The cell columns are codes into the grid lines and the phase names,
+        # so the peak grows by about 8 bytes a cell; Python lists of the
+        # cells grew it by about 34.
+        def peak(ny):
+            argv = ["phase", "--nx", "64", "--ny", str(ny), "--out", str(tmp_path / "map.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(512)  # a first call may still import and cache
+        small = peak(512)
+        assert peak(5120) - small < 16 * 64 * (5120 - 512)
+
     def test_rejects_both_variants(self, capsys):
         code, _, _ = run(capsys, ["phase", "--variant", "both"])
         assert code == EXIT_USAGE

@@ -1,12 +1,11 @@
 """The column-table serializer against the row-dict writer it replaced.
 
 ``oracles.serialize_records`` writes one dict per row through ``csv.writer``
-or ``json.dumps``. The package writes column tables, of lists or 1-D arrays,
-a block of rows at a time, formatting a row block of a float column that
-repeats few values once per distinct value. Both must give the same bytes:
-on generated tables with hostile cells, on seeded tables long enough to
-cross row blocks and the repeat probe, and on every CLI subcommand, whose
-oracle rows are the rows of the library's tables.
+or ``json.dumps``. The package writes column tables, of lists, 1-D arrays or
+coded columns, a block of rows at a time, rendering each value of a coded
+column once per table. Both must give the same bytes: on generated tables
+with hostile cells, on seeded tables long enough to cross row blocks, and on
+every CLI subcommand, whose oracle rows are the rows of the library's tables.
 """
 
 import math
@@ -22,10 +21,10 @@ from hypothesis import strategies as st
 
 from oracles import serialize_records, table_records
 from quasispin import sweep
-from quasispin.base import DomainError, default_theta_max
+from quasispin.base import Coded, DomainError, default_theta_max
 from quasispin.cli import EXIT_OK, _write_bytes, main
 from quasispin.exact import compare_meanfield
-from quasispin.meanfield import critical_temperatures
+from quasispin.meanfield import critical_temperatures, uniform_grid
 from quasispin.sweep import (
     concat_tables,
     figure1_table,
@@ -63,14 +62,22 @@ CELLS = {
 
 
 @st.composite
+def columns(draw, rows):
+    # rows cells of one drawn kind, as a list or coded over a drawn list of values
+    cells = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+    if not draw(st.booleans()):
+        return draw(st.lists(cells, min_size=rows, max_size=rows))
+    values = draw(st.lists(cells, min_size=1 if rows else 0, max_size=4))
+    codes = st.integers(min_value=0, max_value=max(len(values) - 1, 0))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    return Coded(np.array(draw(st.lists(codes, min_size=rows, max_size=rows)), dtype), values)
+
+
+@st.composite
 def tables(draw):
     names = draw(st.lists(TEXT, unique=True, max_size=4))
     rows = draw(st.integers(min_value=0, max_value=5))
-    kinds = [draw(st.sampled_from(sorted(CELLS))) for _ in names]
-    return {
-        name: draw(st.lists(CELLS[kind], min_size=rows, max_size=rows))
-        for name, kind in zip(names, kinds)
-    }
+    return {name: draw(columns(rows)) for name in names}
 
 
 @settings(max_examples=400, deadline=None)
@@ -94,16 +101,12 @@ def test_empty_and_one_column_tables_match_the_row_dict_writer(output_format):
 
 @st.composite
 def table_sequences(draw):
-    # tables with the same columns, each column of any cell kind in each table
+    # tables with the same columns, each column of any cell kind and form in each table
     names = draw(st.lists(TEXT, unique=True, max_size=3))
     sequence = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         rows = draw(st.integers(min_value=0, max_value=3))
-        sequence.append({
-            name: draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))],
-                                min_size=rows, max_size=rows))
-            for name in names
-        })
+        sequence.append({name: draw(columns(rows)) for name in names})
     return sequence
 
 
@@ -113,11 +116,39 @@ def table_sequences(draw):
 def test_a_table_sequence_writes_the_bytes_of_its_concatenation(tables, output_format, precision):
     expected = serialize(concat_tables(tables), output_format, precision)
     assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
+    records = [record for table in tables for record in table_records(table)]
+    assert expected == serialize_records(records, output_format, precision, list(tables[0]))
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_concatenated_tables_write_the_bytes_of_the_sequence(output_format):
+    # an int array stacked with a list becomes Python ints, which JSON takes;
+    # coded columns stack their codes, and a coded column beside a plain one
+    # is decoded
+    ratio = Coded(np.array([1, 0, 1], np.uint8), [0.25, -0.0])
+    plain = {"r": [0.5, 0.25], "s": np.array(["a", "b,c"])}
+    sequences = [
+        [{"n": np.array([1, 2])}, {"n": [3]}],
+        [{"r": ratio, "s": Coded(np.zeros(3, np.uint8), ["x"])},
+         {"r": Coded(np.array([0, 0]), [math.nan]), "s": Coded(np.array([1, 0]), ["", "y"])}],
+        [{"r": ratio, "s": Coded(np.zeros(3, np.uint8), ["x"])}, plain],
+        [plain, {"r": ratio, "s": ["z"] * 3}],
+    ]
+    for tables in sequences:
+        stacked = concat_tables(tables)
+        assert serialize(stacked, output_format) == serialize(tables, output_format)
+        records = [record for table in tables for record in table_records(table)]
+        assert serialize(stacked, output_format) == serialize_records(
+            records, output_format, 9, list(tables[0])
+        )
+    assert type(concat_tables(sequences[1])["s"]) is Coded
+    assert concat_tables(sequences[1])["s"].tolist() == ["x", "x", "x", "y", ""]
+    assert type(concat_tables(sequences[2])["r"]) is list
 
 
 def _sequence_table(rows, seed, arrays):
-    # past a row block, with a repeating float column (memoized), a distinct
-    # one (templated), quoted text as arrays or lists, and a list of ints
+    # past a row block, with a repeating float column, a distinct one, quoted
+    # text as arrays or lists, a list of ints, and a coded float column
     rng = np.random.default_rng(seed)
     columns = {
         "ratio": rng.choice([0.25, 0.5, 1.0 / 3.0, 1e-7], rows),
@@ -125,7 +156,8 @@ def _sequence_table(rows, seed, arrays):
         "phase": np.array(["ordered", "a,b", 'say "x"', ""])[rng.integers(0, 4, rows)],
     }
     table = {name: column if arrays else column.tolist() for name, column in columns.items()}
-    return {**table, "n": rng.integers(-(2**40), 2**40, rows).tolist()}
+    coded = Coded(rng.integers(0, 3, rows).astype(np.uint8), [0.0, -0.0, 1.0 / 7.0])
+    return {**table, "n": rng.integers(-(2**40), 2**40, rows).tolist(), "coded": coded}
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -133,7 +165,8 @@ def _sequence_table(rows, seed, arrays):
 def test_long_table_sequences_write_the_bytes_of_their_concatenation(output_format, precision):
     rows = sweep._ROW_BLOCK + 5
     full = [_sequence_table(rows, seed, arrays) for seed, arrays in ((1, True), (2, False))]
-    empty = {name: column[:0] for name, column in full[0].items()}
+    empty = {name: column[:0] for name, column in full[0].items() if name != "coded"}
+    empty["coded"] = Coded(np.zeros(0, np.uint8), [])
     lone = [{"x": ["", "a", ""]}, {"x": []}, {"x": [""]}]
     sequences = [
         [empty, *full], [full[0], empty, full[1]], [*full, empty],  # an empty table anywhere
@@ -145,7 +178,7 @@ def test_long_table_sequences_write_the_bytes_of_their_concatenation(output_form
         expected = serialize(concat_tables(tables), output_format, precision)
         assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
     assert serialize([empty, empty], "json") == b"[]\n"
-    assert serialize([empty, empty], "csv") == b"ratio,theta,phase,n\n"
+    assert serialize([empty, empty], "csv") == b"ratio,theta,phase,n,coded\n"
 
 
 def test_a_later_table_with_other_columns_raises():
@@ -182,21 +215,23 @@ def test_the_first_table_is_taken_when_the_generator_is_made(tmp_path):
 @pytest.mark.parametrize("precision", [10, 11, 15, 16])
 def test_a_finite_cell_that_rounds_past_the_float_range_matches_the_row_dict_writer(precision):
     # the largest float rounds up to inf at these precisions, and JSON spells
-    # it Infinity; the other cells are distinct, so the column is not memoized
-    table = {"x": [sys.float_info.max, *map(float, range(4_000))]}
-    for output_format in ("csv", "json"):
-        expected = serialize_records(table_records(table), output_format, precision, ["x"])
-        assert serialize(table, output_format, precision) == expected
+    # it Infinity, in a plain column and as the value of a coded one
+    cells = [sys.float_info.max, *map(float, range(4_000))]
+    coded = Coded(np.arange(len(cells))[::-1], cells)
+    for table in ({"x": cells}, {"x": coded}):
+        for output_format in ("csv", "json"):
+            expected = serialize_records(table_records(table), output_format, precision, ["x"])
+            assert serialize(table, output_format, precision) == expected
     assert b"Infinity" in serialize(table, "json", precision)
 
 
 @pytest.fixture(scope="module")
 def long_tables():
-    """Seeded tables that cross row blocks and the repeat probe of a float column.
+    """Seeded tables that cross row blocks, with plain and coded columns.
 
-    The first table's rows go through a template (its float columns hold
-    zeros of both signs, or repeat only after the probe); the others are
-    text rows joined once their float columns are memoized.
+    Their float columns hold zeros of both signs and NaN, and repeat few
+    values over some rows and hold distinct ones over others; the coded
+    columns draw their codes over the same pools of values.
     """
     rows, head = 10_000, 1024
     rng = random.Random(8)
@@ -205,8 +240,11 @@ def long_tables():
     negative_zero = [-0.0 if value == 0.0 else value for value in pool]
 
     def drawn(values, count=rows):
-        # a fresh NaN object now and then: the memo finds each one by identity
+        # a fresh NaN object now and then
         return [float("nan") if rng.random() < 0.01 else rng.choice(values) for _ in range(count)]
+
+    def coded(values, count):
+        return Coded(np.array([rng.randrange(len(values)) for _ in range(count)]), values)
 
     def distinct(count):
         return [rng.uniform(-1e3, 1e3) for _ in range(count)]
@@ -223,6 +261,9 @@ def long_tables():
         {"ratio": drawn(unsigned, rows // 2), "theta": drawn(negative_zero, rows // 2),
          "phase": drawn(words, rows // 2)},
         {"lone": drawn(unsigned, rows // 2)},
+        {"ratio": coded(pool, rows // 2), "theta": drawn(negative_zero, rows // 2),
+         "phase": coded(words, rows // 2)},
+        {"lone": coded(words, rows // 2)},
     )
 
 
@@ -302,77 +343,76 @@ def test_the_arguments_are_checked_when_the_generator_is_made(
     assert not out.exists()
 
 
-def _memo_spy(monkeypatch):
-    # (cells, memoized) of every call to the memo, in order
-    calls = []
-    memoized = sweep._memoized
-
-    def spy(cells, render, known):
-        texts = memoized(cells, render, known)
-        calls.append((len(cells), texts is not None))
-        return texts
-
-    monkeypatch.setattr(sweep, "_memoized", spy)
-    return calls
-
-
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_a_repeating_head_memoizes_no_block_after_its_own(output_format, monkeypatch):
-    # A sweep's saturated low-theta head repeats one value; the cells after
-    # it are distinct, and formatting them through a memo is several times
-    # slower than formatting them in the row template.
-    head = [0.25] * sweep._MEMO_PROBE
+def test_a_repeating_head_then_distinct_cells_match_the_row_dict_writer(output_format):
+    # a sweep's saturated low-theta head repeats one value, and the cells
+    # after it are distinct
+    head = [0.25] * 1024
     distinct = [1.0 + index / 7.0 for index in range(3 * sweep._ROW_BLOCK)]
     table = {"f_per_atom": np.array(head + distinct)}
-    calls = _memo_spy(monkeypatch)
     expected = serialize_records(table_records(table), output_format, 9, list(table))
     assert serialize(table, output_format) == expected
-    assert len(calls) == 4
-    assert sum(cells for cells, memoized in calls if memoized) <= sweep._ROW_BLOCK
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_only_a_block_without_a_zero_is_memoized(output_format, monkeypatch):
-    # 0.0 and -0.0 are one memo key but print differently, so a block holding
-    # a zero of either sign formats cell by cell
+def test_row_blocks_with_zeros_of_either_sign_match_the_row_dict_writer(output_format):
     repeats = [0.5, 0.25, 1.0 / 3.0]
     blocks = [[zero, *repeats] * (sweep._ROW_BLOCK // 4) for zero in (0.0, -0.0, 0.75)]
     table = {"x": np.array([cell for block in blocks for cell in block])}
-    calls = _memo_spy(monkeypatch)
     for precision in (6, 17):
-        calls.clear()
         expected = serialize_records(table_records(table), output_format, precision, ["x"])
         assert serialize(table, output_format, precision) == expected
-        assert calls == [(sweep._ROW_BLOCK, False), (sweep._ROW_BLOCK, False),
-                         (sweep._ROW_BLOCK, True)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(pool=st.integers(min_value=1, max_value=600),
-       rows=st.integers(min_value=1, max_value=2 * sweep._MEMO_PROBE),
-       order=st.sampled_from(["drawn", "sorted", "cycled"]), seed=st.integers(0, 2**32))
-def test_the_memo_decides_by_its_share_of_distinct_values(pool, rows, order, seed):
-    # memoized iff the probe and the whole block each hold at most
-    # 1/_MEMO_SHARE as many distinct values as cells; the head of the probe
-    # only decides sooner
-    rng = random.Random(seed)
-    values = [1.0 + index / 7.0 for index in range(pool)]
-    cells = [values[index % pool] if order == "cycled" else rng.choice(values)
-             for index in range(rows)]
-    if order == "sorted":
-        cells.sort()
-    share, probe = sweep._MEMO_SHARE, cells[:sweep._MEMO_PROBE]
-    rule = len(set(probe)) * share <= len(probe) and len(set(cells)) * share <= len(cells)
-    assert (sweep._memoized(cells, repr, {}) is not None) == rule
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_a_phase_maps_ratio_and_temperature_columns_are_memoized(output_format, monkeypatch):
-    cells, _ = _phase_map(256, 64)
-    calls = _memo_spy(monkeypatch)
-    serialize(cells, output_format)
-    assert calls and all(memoized for _, memoized in calls)
-    assert sum(count for count, _ in calls) == 2 * 256 * 64
+def test_each_value_of_a_coded_column_is_rendered_once_per_table(output_format, monkeypatch):
+    # the values go through the render path of a plain column once per
+    # table, and each row block only gathers their texts
+    render = "_csv_field" if output_format == "csv" else "_json_texts"
+    calls = []
+    original = getattr(sweep, render)
+
+    def spy(kind, cells, *args):
+        calls.append(list(cells))
+        return original(kind, cells, *args)
+
+    monkeypatch.setattr(sweep, render, spy)
+    rows = 3 * sweep._ROW_BLOCK + 1
+    values = [[0.5, -0.0, math.nan, "a,b", None, True], ["x", ""]]
+    tables = [{"x": Coded(np.arange(rows) % len(cells), cells)} for cells in values]
+    for sequence in ([tables[0]], tables):
+        expected = serialize([{"x": table["x"].tolist()} for table in sequence], output_format)
+        calls.clear()
+        assert serialize(sequence, output_format) == expected
+        assert calls == [table["x"].values for table in sequence]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_coded_zero_keeps_its_sign(output_format):
+    table = {"x": Coded(np.array([0, 1, 1, 0], np.uint8), [0.0, -0.0]), "y": ["a"] * 4}
+    lines = serialize(table, output_format, 17).decode().splitlines()
+    if output_format == "csv":
+        assert lines[1:] == ["0,a", "-0,a", "-0,a", "0,a"]
+    else:
+        assert [line.strip() for line in lines if '"x"' in line] == [
+            '"x": 0.0,', '"x": -0.0,', '"x": -0.0,', '"x": 0.0,'
+        ]
+    assert serialize(table, output_format, 17) == serialize(
+        {"x": table["x"].tolist(), "y": table["y"]}, output_format, 17
+    )
+
+
+def test_the_cell_columns_of_a_phase_map_are_coded():
+    nx, ny = 7, 5
+    cells, boundary = _phase_map(nx, ny)
+    assert all(type(column) is Coded for column in cells.values())
+    assert cells["chi_ratio"].tolist() == uniform_grid(0.05, 0.95, nx).tolist() * ny
+    thetas = uniform_grid(0.01, 1.0, ny).tolist()
+    assert cells["theta"].tolist() == [theta for theta in thetas for _ in range(nx)]
+    assert cells["variant"].tolist() == ["proposed"] * nx * ny
+    assert set(cells["phase"].tolist()) <= {"ordered", "disordered"}
+    assert all(column.codes.dtype == np.uint8 for column in cells.values())
+    assert all(type(column) is list for column in boundary.values())
 
 
 def test_writing_a_large_table_through_the_block_path_stays_bounded(tmp_path):

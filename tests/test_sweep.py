@@ -45,9 +45,9 @@ def prop(chi: float) -> ModelParams:
 
 
 def as_lists(table: dict) -> dict:
-    """The table with each array column as the list of its cells."""
+    """The table with each array or coded column as the list of its cells."""
     return {
-        name: column.tolist() if isinstance(column, np.ndarray) else column
+        name: column if isinstance(column, list) else column.tolist()
         for name, column in table.items()
     }
 
@@ -69,11 +69,12 @@ class TestThermoPoint:
     def test_record_follows_fixed_schema(self):
         table = sweep_table(prop(0.6), theta_min=0.0, theta_max=0.3, points=2)
         assert list(table) == list(THERMO_COLUMNS)
-        assert table["variant"] == ["proposed", "proposed"]
+        assert table["variant"].tolist() == ["proposed", "proposed"]
         # the last row is the point at theta = 0.3, as the scalar core solves
         # it, with plain string cells
         cpl = couplings_at(prop(0.6), 0.3)
         sol = gap_solve(cpl)
+        table = as_lists(table)
         assert [column[-1] for column in table.values()] == [
             0.3, cpl.nbar, cpl.lam, cpl.varpi, sol.c_abs, sol.free_energy_per_atom,
             population_inversion(cpl, sol), rz_relaxation(cpl), sol.phase.value, "proposed",
@@ -145,7 +146,7 @@ class TestTemperatureSweep:
                     assert len(sweep_rows(params, theta_min, 1.0, 64)) == 64
             for variant in Variant:
                 cells, _ = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
-                assert cells["chi_ratio"][2] == 0.5
+                assert cells["chi_ratio"].tolist()[2] == 0.5
 
 
 class TestSweepBlocks:
@@ -160,10 +161,10 @@ class TestSweepBlocks:
         assert [len(table["theta"]) for table in blocks] == [block, block, 123]
         stacked, whole = concat_tables(blocks), sweep_table(*args)
         assert list(stacked) == list(whole)
-        assert set(whole["phase"]) == {"ordered", "disordered"}
+        assert set(whole["phase"].tolist()) == {"ordered", "disordered"}
         for name, column in whole.items():
             if name in ("phase", "variant"):
-                assert list(stacked[name]) == list(column)
+                assert stacked[name].tolist() == column.tolist()
             else:
                 assert np.array_equal(stacked[name], column), name
 
@@ -212,7 +213,7 @@ class TestNormalizerAndDefaults:
 class TestFigure1:
     def test_series_layout(self):
         table = figure1_table([0.45, 0.6], points=40)
-        assert table["chi_ratio"] == [0.45] * 80 + [0.6] * 80
+        assert table["chi_ratio"].tolist() == [0.45] * 80 + [0.6] * 80
         rows = table_records(table)
         for block, theta_cr in ((0, 0.4269273096), (80, 0.5707659565)):
             proposed, traditional = rows[block : block + 40], rows[block + 40 : block + 80]
@@ -233,12 +234,12 @@ class TestFigure1:
 
     def test_records_schema(self):
         table = figure1_table([0.6], points=8)
-        assert all(len(column) == 2 * 8 for column in table.values())
+        assert all(len(column) == 2 * 8 for column in as_lists(table).values())
         assert list(table) == ["chi_ratio", "theta_norm"] + list(THERMO_COLUMNS)
         assert table["theta_norm"][7] == pytest.approx(1.05, rel=1e-12)
         # proposed block first, then traditional: the sweeps of both variants
         # on [0, 1.05 * theta_cr], normalized by the proposed root
-        assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
+        assert table["variant"].tolist() == ["proposed"] * 8 + ["traditional"] * 8
         theta_cr = proposed_normalizer(prop(0.6))
         sweeps = concat_tables([
             sweep_table(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
@@ -283,7 +284,7 @@ class TestFigure2:
     def test_traditional_variant_uses_its_own_scale(self):
         table = figure2_table(0.6, points=20, variant=Variant.TRADITIONAL)
         assert table["theta"][-1] == pytest.approx(2.0 * TRAD_CR_06, rel=1e-6)
-        assert table["variant"] == ["traditional"] * 20
+        assert table["variant"].tolist() == ["traditional"] * 20
 
     def test_records_schema(self):
         table = figure2_table(0.6, points=5)
@@ -315,7 +316,7 @@ def grid_classification(variant, ratios, thetas):
 class TestPhaseMap:
     def test_cells_match_scalar_classification(self):
         cells, _ = phase_map(Variant.PROPOSED, (0.3, 0.7), (0.05, 0.65), nx=9, ny=11)
-        assert all(len(column) == 99 for column in cells.values())
+        assert all(len(column) == 99 for column in as_lists(cells).values())
         for row in table_records(cells):
             cpl = couplings_at(prop(row["chi_ratio"]), row["theta"])
             assert (row["phase"] == "ordered") == (ordering_measure(cpl) > 0.0)
@@ -333,6 +334,7 @@ class TestPhaseMap:
     def test_records_are_row_major(self):
         cells, _ = phase_map(Variant.PROPOSED, (0.4, 0.6), (0.1, 0.3), nx=3, ny=2)
         assert list(cells) == ["chi_ratio", "theta", "phase", "variant"]
+        cells = as_lists(cells)
         assert all(len(column) == 6 for column in cells.values())
         assert cells["chi_ratio"] == [0.4, 0.5, 0.6] * 2
         assert cells["theta"] == [0.1] * 3 + [0.3] * 3
@@ -353,6 +355,7 @@ class TestPhaseMap:
         # 300x256 cells span two column blocks of the classification
         nx, ny = 300, 256
         cells, boundary = phase_map(variant, (0.05, 0.95), (0.01, 1.0), nx=nx, ny=ny)
+        cells = as_lists(cells)
         ratios, thetas = cells["chi_ratio"][:nx], cells["theta"][::nx]
         assert len(thetas) == ny
         ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
@@ -369,6 +372,7 @@ class TestPhaseMap:
     def test_boundary_of_a_column_at_unit_ratio(self, nx, ny):
         # the last column has varpi = 0 on every cell: ordered iff theta < 1/2
         cells, boundary = phase_map(Variant.TRADITIONAL, (0.5, 1.0), (0.1, 0.9), nx=nx, ny=ny)
+        cells = as_lists(cells)
         ratios, thetas = cells["chi_ratio"][:nx], np.array(cells["theta"][::nx])
         ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
         assert ordered[:, -1].tolist() == (thetas < 0.5).tolist()
