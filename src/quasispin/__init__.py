@@ -39,9 +39,8 @@ _EXPORTS = {
             "gibbs_observables", "ground_state_m",
         ),
         "sweep": (
-            "THERMO_COLUMNS", "concat_tables", "figure1_table",
-            "figure2_table", "phase_map", "plot_script", "proposed_normalizer", "serialize",
-            "serialize_blocks", "sweep_blocks", "sweep_table",
+            "THERMO_COLUMNS", "figure1_blocks", "figure2_blocks", "phase_map", "plot_script",
+            "proposed_normalizer", "serialize", "serialize_blocks", "sweep_blocks", "sweep_table",
         ),
     }.items()
     for name in names

@@ -8,11 +8,11 @@ failures (no solution in range, resonant level, oversized grid, a result
 past the float range, unwritable output). Any other exception is a bug and
 ends in a traceback.
 
-A failure writes nothing and creates no output file, with one exception:
-``sweep`` solves and writes its rows one block of rows at a time
-(``sweep.sweep_blocks``), so a failure in a block after the first exits 3
-after the header and the whole blocks before it were written. Its first
-block is solved before the output file is opened.
+A failure writes nothing and creates no output file, unless it comes in a
+row block after the first: ``sweep``, ``fig1`` and ``fig2`` write their rows
+a block at a time, so such a failure exits 3 after the header and the whole
+blocks before it. The first block, and every check of ``fig1`` and ``fig2``
+(normalizer scans, grid sizes), run before the output file is opened.
 
 Two tables drive the parser, the help text and the config-file merge:
 ``_FLAGS`` declares each flag once, ``_COMMANDS`` gives each subcommand its
@@ -328,24 +328,25 @@ def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
     return {"out": cells, "boundary_out": boundary}
 
 
-def _cmd_fig1(args: argparse.Namespace) -> dict[str, Table]:
-    from .sweep import figure1_table
+def _cmd_fig1(args: argparse.Namespace) -> dict[str, Iterable[Table]]:
+    from .sweep import figure1_blocks
 
-    table = figure1_table(args.ratios, points=args.points, omega_k=args.omega_k, tol=args.tol)
-    return {"out": table}
+    blocks = figure1_blocks(args.ratios, points=args.points, omega_k=args.omega_k, tol=args.tol)
+    return {"out": blocks}
 
 
-def _cmd_fig2(args: argparse.Namespace) -> dict[str, list[Table]]:
+def _cmd_fig2(args: argparse.Namespace) -> dict[str, Iterable[Table]]:
     _check(args.chi_ratio < 1.0, f"--chi-ratio must lie in (0, 1), got {args.chi_ratio}")
-    from .sweep import figure2_table
+    from .sweep import figure2_blocks
 
-    tables = [
-        figure2_table(
+    # a list: every variant's normalizer scan and grid checks run before any block
+    variants = [
+        figure2_blocks(
             args.chi_ratio, points=args.points, variant=variant, omega_k=args.omega_k, tol=args.tol
         )
         for variant in _variant_list(args.variant)
     ]
-    return {"out": tables}
+    return {"out": chain.from_iterable(variants)}
 
 
 def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:

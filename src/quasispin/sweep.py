@@ -6,22 +6,23 @@ call per block of rows or columns. Results leave only as column tables
 (:data:`quasispin.base.Table`): a ``dict`` of equal-length columns, each a
 list, a 1-D numpy array or a :class:`~quasispin.base.Coded` column (codes
 into a list of distinct cells), whose key order is the column order.
-:func:`sweep_table`, :func:`figure1_table` and :func:`figure2_table` keep the
-core's arrays as columns, with the phase, variant and ratio columns coded;
-the cell table of :func:`phase_map` is coded throughout, its ratios and
-temperatures by grid line. :func:`concat_tables` stacks array columns with
-``np.concatenate`` and coded ones by their codes. The boundary of
-:func:`phase_map` holds lists, as do ``meanfield.critical_temperatures`` and
-``exact.compare_meanfield``. :func:`sweep_blocks` gives the rows of
-:func:`sweep_table` as a sequence of row-block tables, each solved when it is
-asked for. :func:`serialize_blocks` writes a table, or a sequence of tables
-as their concatenation, to CSV or JSON one block of rows at a time, boxing
-only that block of an array column: a coded column's values are rendered
-once per table and gathered by code, float columns format inside a row
-template, and rows of text cells only are joined with commas. So a sweep
-written from :func:`sweep_blocks` holds one block of rows and its grid,
-whatever its length. :func:`serialize` joins the blocks. Nothing here draws
-randomness or runs threads, so identical inputs give identical output bytes.
+:func:`sweep_table` keeps the core's arrays as columns, with the phase and
+variant columns coded. :func:`sweep_blocks` gives the rows of
+:func:`sweep_table`, and :func:`figure1_blocks` and :func:`figure2_blocks`
+the figure datasets (figure 1's ratio column coded), as sequences of
+row-block tables, each solved when it is asked for; every check runs in the
+call, before the first block. The cell table of :func:`phase_map` is coded
+throughout, its ratios and temperatures by grid line; its boundary holds
+lists, as do ``meanfield.critical_temperatures`` and
+``exact.compare_meanfield``. :func:`serialize_blocks` writes a table, or a
+sequence of tables as their concatenation, to CSV or JSON one block of rows
+at a time, boxing only that block of an array column: a coded column's
+values are rendered once per table and gathered by code, float columns
+format inside a row template, and rows of text cells only are joined with
+commas. So a sweep or a figure written from its row blocks holds one block
+of rows and its grids, whatever its length. :func:`serialize` joins the
+blocks. Nothing here draws randomness or runs threads, so identical inputs
+give identical output bytes.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ __all__ = [
     "sweep_table",
     "sweep_blocks",
     "proposed_normalizer",
-    "figure1_table",
-    "figure2_table",
+    "figure1_blocks",
+    "figure2_blocks",
     "phase_map",
-    "concat_tables",
     "serialize",
     "serialize_blocks",
     "plot_script",
@@ -182,38 +182,6 @@ def sweep_blocks(
     )
 
 
-def concat_tables(tables: Sequence[Table]) -> Table:
-    """Stack tables with the same columns, row blocks in order.
-
-    A column that is :class:`~quasispin.base.Coded` in every table stays
-    coded, and one that is an array in every table stays an array; any other
-    column becomes the list of its cells. Raises ``ValueError`` for no
-    tables, or for tables whose columns differ.
-    """
-    if not tables:
-        raise ValueError("no tables to concatenate")
-    first = tables[0]
-    if any(list(table) != list(first) for table in tables):
-        raise ValueError("tables to concatenate must have the same columns")
-    stacked = {}
-    for name in first:
-        columns = [table[name] for table in tables]
-        if all(isinstance(column, Coded) for column in columns):
-            # each table's codes move past the values of the tables before it
-            codes, values = [], []
-            for column in columns:
-                codes.append(column.codes.astype(np.intp) + len(values))
-                values.extend(column.values)
-            codes = np.concatenate(codes).astype(np.min_scalar_type(len(values)))
-            stacked[name] = Coded(codes, values)
-        elif all(isinstance(column, np.ndarray) for column in columns):
-            stacked[name] = np.concatenate(columns)
-        else:
-            cells = (column if isinstance(column, list) else column.tolist() for column in columns)
-            stacked[name] = list(chain.from_iterable(cells))
-    return stacked
-
-
 def _largest_roots(params: ModelParams, tol: float) -> list[float]:
     # Largest transition temperature of each chi lane of params, scanned on
     # the figure window (1e-4, 2)*omega21; a lane without one raises.
@@ -243,21 +211,23 @@ def proposed_normalizer(params: ModelParams, tol: float = ROOT_TOL) -> float:
     return theta_cr
 
 
-def figure1_table(
+def figure1_blocks(
     chi_ratios: Sequence[float],
     points: int = FIG1_POINTS,
     omega_k: float | None = None,
     tol: float = ROOT_TOL,
-) -> Table:
+) -> Iterator[Table]:
     """Order-parameter curves of both variants on a shared normalized axis.
 
     For each ratio the theta grid spans ``[0, 1.05 * theta_cr]``, where
     ``theta_cr`` is the Proposed variant's largest transition temperature
     (:func:`proposed_normalizer`), so ``theta_norm = theta/theta_cr`` covers
-    [0, 1.05] and the Proposed curve reaches zero at 1.0. Columns
+    [0, 1.05] and the Proposed curve reaches zero at 1.0. The row blocks of
+    these sweeps, as :func:`sweep_blocks` gives them, have the columns
     ``chi_ratio``, ``theta_norm``, then :data:`THERMO_COLUMNS`; rows run per
-    ratio, the Proposed block before the Traditional one. Raises
-    :class:`NoCriticalPointError` for a ratio without a Proposed transition.
+    ratio, the Proposed sweep before the Traditional one. Every check runs in
+    this call: it raises :class:`NoCriticalPointError` for a ratio without a
+    Proposed transition, and the errors of :func:`sweep_blocks`.
     """
     if not chi_ratios:
         raise DomainError("chi_ratios must not be empty")
@@ -268,39 +238,44 @@ def figure1_table(
     # is reported before an oversized grid is.
     base = ModelParams(omega21=1.0, chi=np.array(chi_ratios, dtype=float), omega_k=omega_k)
     scales = _largest_roots(base, tol)
-    tables = []
-    for ratio, theta_cr in zip(chi_ratios, scales):
-        for variant in Variant:
-            params = replace(base, chi=ratio, variant=variant)
-            # The sweep table is built first: it checks the grid size before
-            # the ratio column repeats anything that many times.
-            table = sweep_table(params, 0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr)
-            tables.append({"chi_ratio": Coded(np.zeros(points, np.uint8), [ratio]), **table})
-    return concat_tables(tables)
+    # a list: every sweep checks its grid before the first block is asked for
+    sweeps = [
+        (ratio, sweep_blocks(replace(base, chi=ratio, variant=variant),
+                             0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr))
+        for ratio, theta_cr in zip(chi_ratios, scales)
+        for variant in Variant
+    ]
+    return (
+        {"chi_ratio": Coded(np.zeros(len(block["theta"]), np.uint8), [ratio]), **block}
+        for ratio, blocks in sweeps
+        for block in blocks
+    )
 
 
-def figure2_table(
+def figure2_blocks(
     chi_ratio: float,
     points: int = FIG2_POINTS,
     variant: Variant = Variant.PROPOSED,
     omega_k: float | None = None,
     tol: float = ROOT_TOL,
-) -> Table:
+) -> Iterator[Table]:
     """Equilibrium vs relaxation polarization across the variant's transition.
 
-    A ``theta, rz_eq10, rz_eq4, variant`` table on ``[0, 2 * theta_cr]`` of
-    the requested variant: below the transition the two polarizations agree
-    to solver tolerance; above it they separate. Raises
-    :class:`NoCriticalPointError` when the variant has no transition at this
-    ratio.
+    The row blocks, as :func:`sweep_blocks` gives them, of a ``theta,
+    rz_eq10, rz_eq4, variant`` table on ``[0, 2 * theta_cr]`` of the
+    requested variant: below the transition the two polarizations agree to
+    solver tolerance; above it they separate. Every check runs in this call:
+    it raises :class:`NoCriticalPointError` when the variant has no
+    transition at this ratio, and the errors of :func:`sweep_blocks`.
     """
     if not 0.0 < chi_ratio < 1.0:
         raise DomainError(f"chi_ratio must lie in (0, 1), got {chi_ratio}")
     variant = Variant(variant)
     params = ModelParams(omega21=1.0, chi=chi_ratio, omega_k=omega_k, variant=variant)
     (theta_cr,) = _largest_roots(params, tol)
-    columns = sweep_table(params, 0.0, FIG2_AXIS_MAX * theta_cr, points)
-    return {name: columns[name] for name in ("theta", "rz_eq10", "rz_eq4", "variant")}
+    blocks = sweep_blocks(params, 0.0, FIG2_AXIS_MAX * theta_cr, points)
+    return ({name: block[name] for name in ("theta", "rz_eq10", "rz_eq4", "variant")}
+            for block in blocks)
 
 
 def phase_map(
@@ -515,8 +490,8 @@ def serialize_blocks(
     """Deterministic CSV or JSON bytes of a column table, a block of rows at a time.
 
     ``tables`` is one table, or an iterable of tables with the same columns
-    whose rows are written in order, as :func:`concat_tables` would stack
-    them. Yields the encoded header, each block of up to 2048 rows
+    whose rows are written in order, as one table of all their rows would
+    be. Yields the encoded header, each block of up to 2048 rows
     (``_ROW_BLOCK``) of a table, then the tail; their concatenation is the
     whole text. The first table's keys name the columns, in order; every
     column is a list, a 1-D numpy array or a :class:`~quasispin.base.Coded`

@@ -156,10 +156,23 @@ def bisection_solution(lam: float, varpi: float, theta: float) -> dict:
     }
 
 
+def _cells(column) -> list:
+    return column if isinstance(column, list) else column.tolist()
+
+
 def table_records(table: dict) -> list[dict]:
     """One dict per row of a column table; an array or coded column gives its ``tolist()``."""
-    columns = [column if isinstance(column, list) else column.tolist() for column in table.values()]
-    return [dict(zip(table, row)) for row in zip(*columns)]
+    return [dict(zip(table, row)) for row in zip(*map(_cells, table.values()))]
+
+
+def stacked(tables) -> dict:
+    """One table of the rows of tables with the same columns, in order.
+
+    Every column becomes the list of its cells (``tolist()`` of an array or
+    coded column), so no column of the result is an array or coded.
+    """
+    tables = list(tables)
+    return {name: [cell for table in tables for cell in _cells(table[name])] for name in tables[0]}
 
 
 def temperature_sweep(params, theta_min: float, theta_max: float, points: int) -> list:

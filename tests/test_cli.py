@@ -1,15 +1,18 @@
 import json
 import math
 import re
+import shlex
 import tracemalloc
 import warnings
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+from oracles import stacked
 from quasispin import sweep, thermal
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from quasispin.sweep import THERMO_COLUMNS, figure1_table, figure2_table, serialize, sweep_blocks
+from quasispin.sweep import THERMO_COLUMNS, figure1_blocks, figure2_blocks, serialize, sweep_blocks
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 
@@ -517,16 +520,59 @@ class TestFigures:
     def test_default_grid_sizes_match_the_library(self, capsys):
         code, out, _ = run(capsys, ["fig1", "--ratios", "0.6"])
         assert code == EXIT_OK
-        assert len(out.splitlines()) - 1 == len(figure1_table([0.6])["theta"])
+        assert len(out.splitlines()) - 1 == len(stacked(figure1_blocks([0.6]))["theta"])
         code, out, _ = run(capsys, ["fig2", "--chi-ratio", "0.6"])
         assert code == EXIT_OK
-        assert len(out.splitlines()) - 1 == len(figure2_table(0.6)["theta"]) == 200
+        assert len(out.splitlines()) - 1 == len(stacked(figure2_blocks(0.6))["theta"]) == 200
 
     def test_fig2_without_transition_is_a_domain_failure(self, capsys):
         code, _, _ = run(
             capsys, ["fig2", "--chi-ratio", "0.5", "--variant", "traditional"]
         )
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the proposed variant has a transition at 0.5, the traditional one none
+            ["fig2", "--chi-ratio", "0.5", "--variant", "both"],
+            ["fig1", "--ratios", "0.6", "--points", "10000001"],
+        ],
+        ids=["fig2", "fig1"],
+    )
+    def test_a_failure_creates_no_file(self, capsys, tmp_path, argv):
+        # The rows are written a block at a time, but every check of every
+        # sweep runs before the first block, so the output file is never opened
+        out_file = tmp_path / "fig.csv"
+        code, out, err = run(capsys, [*argv, "--out", str(out_file)])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, sweeps",
+        [
+            (["fig1", "--ratios", "0.5,0.6,0.7"], 6),
+            (["fig2", "--chi-ratio", "0.6", "--variant", "both"], 2),
+        ],
+        ids=["fig1", "fig2"],
+    )
+    def test_memory_does_not_grow_with_the_points(self, tmp_path, argv, sweeps):
+        # Each row block is solved, written and dropped before the next, so
+        # ten times the points add only each sweep's grid (8 bytes a node) to
+        # the peak; whole tables added 74 (fig2) to 164 (fig1) bytes a node and sweep.
+        def peak(points):
+            argv_out = [*argv, "--points", str(points), "--out", str(tmp_path / "fig.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv_out) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3_000)  # a first call may still import and cache
+        small = peak(3_000)
+        assert peak(30_000) - small < 16 * sweeps * (30_000 - 3_000)
 
 
 class TestExactCompare:
@@ -730,3 +776,16 @@ class TestConfigFiles:
         code, _, err = run(capsys, ["sweep", "--config", str(config)])
         assert code == EXIT_USAGE
         assert "config" in err
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # every `quasispin ...` line of README.md's sh blocks, continued lines joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    lines = [line for line in blocks.splitlines() if line.startswith("quasispin ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)  # the commands write their files into the working directory
+    for argv in commands:
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), argv

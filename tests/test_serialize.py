@@ -19,16 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import serialize_records, table_records
+from oracles import serialize_records, stacked, table_records
 from quasispin import sweep
-from quasispin.base import Coded, DomainError, default_theta_max
+from quasispin.base import FIG1_POINTS, FIG2_POINTS, Coded, DomainError, default_theta_max
 from quasispin.cli import EXIT_OK, _write_bytes, main
 from quasispin.exact import compare_meanfield
 from quasispin.meanfield import critical_temperatures, uniform_grid
 from quasispin.sweep import (
-    concat_tables,
-    figure1_table,
-    figure2_table,
+    THERMO_COLUMNS,
     phase_map,
     proposed_normalizer,
     serialize,
@@ -114,7 +112,7 @@ def table_sequences(draw):
 @given(tables=table_sequences(), output_format=st.sampled_from(["csv", "json"]),
        precision=st.integers(min_value=6, max_value=17))
 def test_a_table_sequence_writes_the_bytes_of_its_concatenation(tables, output_format, precision):
-    expected = serialize(concat_tables(tables), output_format, precision)
+    expected = serialize(stacked(tables), output_format, precision)
     assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
     records = [record for table in tables for record in table_records(table)]
     assert expected == serialize_records(records, output_format, precision, list(tables[0]))
@@ -122,9 +120,8 @@ def test_a_table_sequence_writes_the_bytes_of_its_concatenation(tables, output_f
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_concatenated_tables_write_the_bytes_of_the_sequence(output_format):
-    # an int array stacked with a list becomes Python ints, which JSON takes;
-    # coded columns stack their codes, and a coded column beside a plain one
-    # is decoded
+    # an int array then a list, coded columns with different values in each
+    # table, and a coded column in one table beside a plain one in the next
     ratio = Coded(np.array([1, 0, 1], np.uint8), [0.25, -0.0])
     plain = {"r": [0.5, 0.25], "s": np.array(["a", "b,c"])}
     sequences = [
@@ -135,15 +132,10 @@ def test_concatenated_tables_write_the_bytes_of_the_sequence(output_format):
         [plain, {"r": ratio, "s": ["z"] * 3}],
     ]
     for tables in sequences:
-        stacked = concat_tables(tables)
-        assert serialize(stacked, output_format) == serialize(tables, output_format)
         records = [record for table in tables for record in table_records(table)]
-        assert serialize(stacked, output_format) == serialize_records(
+        assert serialize(tables, output_format) == serialize_records(
             records, output_format, 9, list(tables[0])
         )
-    assert type(concat_tables(sequences[1])["s"]) is Coded
-    assert concat_tables(sequences[1])["s"].tolist() == ["x", "x", "x", "y", ""]
-    assert type(concat_tables(sequences[2])["r"]) is list
 
 
 def _sequence_table(rows, seed, arrays):
@@ -175,7 +167,7 @@ def test_long_table_sequences_write_the_bytes_of_their_concatenation(output_form
         [full[1], full[0], full[1]],  # a column an array in one table, a list in the next
     ]
     for tables in sequences:
-        expected = serialize(concat_tables(tables), output_format, precision)
+        expected = serialize(stacked(tables), output_format, precision)
         assert b"".join(serialize_blocks(tables, output_format, precision)) == expected
     assert serialize([empty, empty], "json") == b"[]\n"
     assert serialize([empty, empty], "csv") == b"ratio,theta,phase,n,coded\n"
@@ -455,16 +447,14 @@ def test_phase_map_serialization_peaks_below_three_times_its_output(output_forma
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_sweep_serialization_peaks_below_three_times_its_output(output_format):
-    # A sweep's float columns are about half distinct values, so they are not
-    # memoized; their JSON texts are rendered lazily, a row block at a time,
-    # instead of as a list per column (3.8x the output before, 2.1x now).
+    # A sweep's float columns are boxed, and their JSON texts rendered, a row
+    # block at a time, not as a list per column: the blocks and the joined
+    # bytes together are about twice the output.
     base = ModelParams(omega21=1.0, chi=0.6)
     grid = (0.0, default_theta_max(0.6), 12_000)
-    table = concat_tables(
-        [sweep_table(replace(base, variant=v), *grid) for v in Variant]
-    )
-    peak, size = _peak_and_size(table, output_format)
-    assert len(table["theta"]) == 24_000
+    tables = [sweep_table(replace(base, variant=v), *grid) for v in Variant]
+    peak, size = _peak_and_size(tables, output_format)
+    assert sum(len(table["theta"]) for table in tables) == 24_000
     assert peak < 3 * size
 
 
@@ -479,8 +469,8 @@ def _sweep_rows(ratio, variants, points, normalize):
     base = ModelParams(omega21=1.0, chi=ratio)
     theta_cr = proposed_normalizer(base) if normalize else None
     grid = (0.0, default_theta_max(ratio), points)
-    return _rows(concat_tables(
-        [sweep_table(replace(base, variant=v), *grid, theta_cr) for v in variants]
+    return _rows(stacked(
+        sweep_table(replace(base, variant=v), *grid, theta_cr) for v in variants
     ))
 
 
@@ -510,12 +500,28 @@ def _boundary_rows(nx, ny):
     return _rows(_phase_map(nx, ny)[1])
 
 
-def _fig1_rows(ratios):
-    return _rows(figure1_table(ratios))
+def _fig1_rows(ratios, points=FIG1_POINTS):
+    # each ratio's whole-grid sweeps on [0, 1.05 * theta_cr], normalized by
+    # the proposed root
+    rows = []
+    for ratio in ratios:
+        base = ModelParams(omega21=1.0, chi=ratio)
+        theta_cr = proposed_normalizer(base)
+        for variant in Variant:
+            table = sweep_table(replace(base, variant=variant), 0.0, 1.05 * theta_cr, points,
+                                theta_cr)
+            rows += [{"chi_ratio": ratio, **row} for row in table_records(table)]
+    return rows, ("chi_ratio", "theta_norm", *THERMO_COLUMNS)
 
 
-def _fig2_rows(ratio, variants):
-    return _rows(concat_tables([figure2_table(ratio, variant=v) for v in variants]))
+def _fig2_rows(ratio, variants, points=FIG2_POINTS):
+    # each variant's whole-grid sweep on [0, 2 * theta_cr], theta_cr its own largest root
+    rows = []
+    for variant in variants:
+        params = ModelParams(omega21=1.0, chi=ratio, variant=variant)
+        theta_cr = critical_temperatures(params, (1e-4, 2.0), grid_points=1024)["theta_cr"][-1]
+        rows += table_records(sweep_table(params, 0.0, 2.0 * theta_cr, points))
+    return rows, ("theta", "rz_eq10", "rz_eq4", "variant")
 
 
 def _compare_rows(ratio, theta, n_list):
@@ -544,8 +550,12 @@ CASES = {
                        lambda: _critical_rows(0.5, (Variant.TRADITIONAL,))),
     "phase": (["phase", "--nx", "23", "--ny", "31"], lambda: _phase_rows(23, 31)),
     "fig1": (["fig1", "--ratios", "0.45,0.6"], lambda: _fig1_rows([0.45, 0.6])),
+    "fig1-2049": (["fig1", "--ratios", "0.45,0.6", "--points", "2049"],
+                  lambda: _fig1_rows([0.45, 0.6], 2049)),
     "fig2": (["fig2", "--chi-ratio", "0.6", "--variant", "both"],
              lambda: _fig2_rows(0.6, BOTH)),
+    "fig2-4097": (["fig2", "--chi-ratio", "0.6", "--variant", "both", "--points", "4097"],
+                  lambda: _fig2_rows(0.6, BOTH, 4097)),
     "exact-compare": (["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1",
                        "--n-list", "8,64"], lambda: _compare_rows(0.6, 0.1, [8, 64])),
     "micro": (["micro", "--level", "1,1,3,2", "--gamma-cav", "0.5", "--omega-k", "1.0",

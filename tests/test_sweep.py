@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import table_records
+from oracles import stacked, table_records
 from quasispin import meanfield, sweep
 from quasispin.base import default_theta_max
 from quasispin.meanfield import (
@@ -21,9 +21,8 @@ from quasispin.meanfield import (
 )
 from quasispin.sweep import (
     THERMO_COLUMNS,
-    concat_tables,
-    figure1_table,
-    figure2_table,
+    figure1_blocks,
+    figure2_blocks,
     phase_map,
     plot_script,
     proposed_normalizer,
@@ -159,14 +158,10 @@ class TestSweepBlocks:
                 default_theta_max(0.6), 2 * block + 123, theta_cr)
         blocks = list(sweep_blocks(*args))
         assert [len(table["theta"]) for table in blocks] == [block, block, 123]
-        stacked, whole = concat_tables(blocks), sweep_table(*args)
-        assert list(stacked) == list(whole)
+        whole = sweep_table(*args)
         assert set(whole["phase"].tolist()) == {"ordered", "disordered"}
-        for name, column in whole.items():
-            if name in ("phase", "variant"):
-                assert stacked[name].tolist() == column.tolist()
-            else:
-                assert np.array_equal(stacked[name], column), name
+        assert list(blocks[0]) == list(whole)
+        assert stacked(blocks) == as_lists(whole)
 
     def test_the_arguments_are_checked_by_the_call(self):
         for args in ((0.5, 0.2, 10), (0.0, 1.0, 1), (0.0, 1.0, 4, -1.0)):
@@ -212,8 +207,8 @@ class TestNormalizerAndDefaults:
 
 class TestFigure1:
     def test_series_layout(self):
-        table = figure1_table([0.45, 0.6], points=40)
-        assert table["chi_ratio"].tolist() == [0.45] * 80 + [0.6] * 80
+        table = stacked(figure1_blocks([0.45, 0.6], points=40))
+        assert table["chi_ratio"] == [0.45] * 80 + [0.6] * 80
         rows = table_records(table)
         for block, theta_cr in ((0, 0.4269273096), (80, 0.5707659565)):
             proposed, traditional = rows[block : block + 40], rows[block + 40 : block + 80]
@@ -224,8 +219,14 @@ class TestFigure1:
             assert proposed[-1]["theta"] == pytest.approx(1.05 * theta_cr, rel=1e-6)
             assert proposed[-1]["theta_norm"] == pytest.approx(1.05, rel=1e-12)
 
+    def test_blocks_are_the_row_blocks_of_each_sweep(self):
+        block = sweep._ROW_BLOCK
+        blocks = list(figure1_blocks([0.45, 0.6], points=block + 1))
+        assert [len(table["theta"]) for table in blocks] == [block, 1] * 4
+        assert [table["chi_ratio"].values for table in blocks] == [[0.45]] * 4 + [[0.6]] * 4
+
     def test_curve_reaches_zero_at_the_transition(self):
-        rows = [row for row in table_records(figure1_table([0.6], points=200))
+        rows = [row for row in table_records(stacked(figure1_blocks([0.6], points=200)))
                 if row["variant"] == "proposed"]
         above = [row for row in rows if row["theta_norm"] > 1.01]
         below = [row for row in rows if 0.0 < row["theta_norm"] < 0.8]
@@ -233,44 +234,44 @@ class TestFigure1:
         assert below and all(row["c_abs"] > 0.0 for row in below)
 
     def test_records_schema(self):
-        table = figure1_table([0.6], points=8)
-        assert all(len(column) == 2 * 8 for column in as_lists(table).values())
+        table = stacked(figure1_blocks([0.6], points=8))
+        assert all(len(column) == 2 * 8 for column in table.values())
         assert list(table) == ["chi_ratio", "theta_norm"] + list(THERMO_COLUMNS)
         assert table["theta_norm"][7] == pytest.approx(1.05, rel=1e-12)
         # proposed block first, then traditional: the sweeps of both variants
         # on [0, 1.05 * theta_cr], normalized by the proposed root
-        assert table["variant"].tolist() == ["proposed"] * 8 + ["traditional"] * 8
+        assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
         theta_cr = proposed_normalizer(prop(0.6))
-        sweeps = concat_tables([
+        sweeps = stacked(
             sweep_table(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
             for v in Variant
-        ])
-        assert as_lists({name: table[name] for name in sweeps}) == as_lists(sweeps)
+        )
+        assert {name: table[name] for name in sweeps} == sweeps
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            figure1_table([])
+            figure1_blocks([])
         with pytest.raises(DomainError):
-            figure1_table([1.2])
+            figure1_blocks([1.2])
         with pytest.raises(NoCriticalPointError):
-            figure1_table([0.05])
+            figure1_blocks([0.05])
 
     def test_missing_transition_names_the_first_ratio_without_one(self):
         with pytest.raises(NoCriticalPointError, match=re.escape(
             "chi/omega21 = 0.05 (proposed variant) with theta/omega21 in [0.0001, 2]"
         )):
-            figure1_table([0.6, 0.05, 0.04])
+            figure1_blocks([0.6, 0.05, 0.04])
 
     def test_missing_transition_is_reported_before_an_oversized_grid(self):
         with pytest.raises(NoCriticalPointError):
-            figure1_table([0.6, 0.05], points=MAX_PHASE_CELLS + 1)
+            figure1_blocks([0.6, 0.05], points=MAX_PHASE_CELLS + 1)
         with pytest.raises(DomainError, match="exceeds the cap"):
-            figure1_table([0.6], points=MAX_PHASE_CELLS + 1)
+            figure1_blocks([0.6], points=MAX_PHASE_CELLS + 1)
 
 
 class TestFigure2:
     def test_columns_split_at_the_transition(self):
-        rows = table_records(figure2_table(0.6, points=80, variant=Variant.PROPOSED))
+        rows = table_records(stacked(figure2_blocks(0.6, points=80, variant=Variant.PROPOSED)))
         theta_cr = 0.5707659565
         assert rows[0]["theta"] == 0.0
         assert rows[-1]["theta"] == pytest.approx(2.0 * theta_cr, rel=1e-6)
@@ -282,29 +283,29 @@ class TestFigure2:
         assert above and all(abs(row["rz_eq10"] - row["rz_eq4"]) > 1e-3 for row in above)
 
     def test_traditional_variant_uses_its_own_scale(self):
-        table = figure2_table(0.6, points=20, variant=Variant.TRADITIONAL)
+        table = stacked(figure2_blocks(0.6, points=20, variant=Variant.TRADITIONAL))
         assert table["theta"][-1] == pytest.approx(2.0 * TRAD_CR_06, rel=1e-6)
-        assert table["variant"].tolist() == ["traditional"] * 20
+        assert table["variant"] == ["traditional"] * 20
 
     def test_records_schema(self):
-        table = figure2_table(0.6, points=5)
+        table = stacked(figure2_blocks(0.6, points=5))
         assert list(table) == ["theta", "rz_eq10", "rz_eq4", "variant"]
         # the columns of the variant's sweep on [0, 2 * theta_cr]
         theta_cr = critical_temperatures(prop(0.6), (1e-4, 2.0), grid_points=1024)["theta_cr"][-1]
         sweep = sweep_table(prop(0.6), 0.0, 2.0 * theta_cr, 5)
-        assert as_lists(table) == as_lists({name: sweep[name] for name in table})
+        assert table == as_lists({name: sweep[name] for name in table})
 
     def test_missing_transition_is_reported(self):
         with pytest.raises(NoCriticalPointError):
-            figure2_table(0.5, variant=Variant.TRADITIONAL)
+            figure2_blocks(0.5, variant=Variant.TRADITIONAL)
         with pytest.raises(DomainError):
-            figure2_table(1.5)
+            figure2_blocks(1.5)
 
     def test_missing_transition_names_the_variant_and_the_scan_range(self):
         with pytest.raises(NoCriticalPointError, match=re.escape(
             "chi/omega21 = 0.5 (traditional variant) with theta/omega21 in [0.0001, 2]"
         )):
-            figure2_table(0.5, variant=Variant.TRADITIONAL)
+            figure2_blocks(0.5, variant=Variant.TRADITIONAL)
 
 
 def grid_classification(variant, ratios, thetas):
@@ -487,16 +488,6 @@ class TestSerialize:
         table = {"x": [0.1 * i for i in range(20)], "tag": [f"r{i}" for i in range(20)]}
         assert serialize(table) == serialize(table)
         assert serialize(table, "json") == serialize(table, "json")
-
-    def test_concat_stacks_row_blocks(self):
-        first = {"a": [1.0], "b": ["x"]}
-        second = {"a": [2.0, 3.0], "b": ["y", "z"]}
-        assert concat_tables([first, second]) == {"a": [1.0, 2.0, 3.0], "b": ["x", "y", "z"]}
-        assert concat_tables([{"a": []}]) == {"a": []}
-        with pytest.raises(ValueError):
-            concat_tables([first, {"b": ["y"], "a": [2.0]}])
-        with pytest.raises(ValueError, match="no tables to concatenate"):
-            concat_tables([])
 
 
 class TestPlotScript:
