@@ -315,7 +315,7 @@ def _cmd_critical(args: argparse.Namespace) -> dict[str, list[Table]]:
     return {"out": tables}
 
 
-def _cmd_phase(args: argparse.Namespace) -> dict[str, Table]:
+def _cmd_phase(args: argparse.Namespace) -> dict[str, Table | Iterable[Table]]:
     variant = _one_variant(args)
     _check_range(args, "chi")
     _check_range(args, "theta")

@@ -2,27 +2,30 @@
 
 Every grid is solved in one array call to the physics core (couplings,
 ordering measure and gap solve of :mod:`quasispin.meanfield`), or in one
-call per block of rows or columns. Results leave only as column tables
-(:data:`quasispin.base.Table`): a ``dict`` of equal-length columns, each a
-list, a 1-D numpy array or a :class:`~quasispin.base.Coded` column (codes
-into a list of distinct cells), whose key order is the column order.
-:func:`sweep_table` keeps the core's arrays as columns, with the phase and
-variant columns coded. :func:`sweep_blocks` gives the rows of
-:func:`sweep_table`, and :func:`figure1_blocks` and :func:`figure2_blocks`
-the figure datasets (figure 1's ratio column coded), as sequences of
-row-block tables, each solved when it is asked for; every check runs in the
-call, before the first block. The cell table of :func:`phase_map` is coded
-throughout, its ratios and temperatures by grid line; its boundary holds
-lists, as do ``meanfield.critical_temperatures`` and
-``exact.compare_meanfield``. :func:`serialize_blocks` writes a table, or a
-sequence of tables as their concatenation, to CSV or JSON one block of rows
-at a time, boxing only that block of an array column: a coded column's
-values are rendered once per table and gathered by code, float columns
-format inside a row template, and rows of text cells only are joined with
-commas. So a sweep or a figure written from its row blocks holds one block
-of rows and its grids, whatever its length. :func:`serialize` joins the
-blocks. Nothing here draws randomness or runs threads, so identical inputs
-give identical output bytes.
+call per block of rows, or per tile of a transition scan. Results leave
+only as column tables (:data:`quasispin.base.Table`): a ``dict`` of
+equal-length columns, each a list, a 1-D numpy array or a
+:class:`~quasispin.base.Coded` column (codes into a list of distinct
+cells), whose key order is the column order. :func:`sweep_table` keeps the
+core's arrays as columns, with the phase and variant columns coded.
+:func:`sweep_blocks` gives the rows of :func:`sweep_table`, and
+:func:`figure1_blocks` and :func:`figure2_blocks` the figure datasets
+(figure 1's ratio column coded), as sequences of row-block tables, each
+solved when it is asked for; every check runs in the call, before the first
+block. :func:`phase_map` classifies its cells and finds its whole boundary
+in the call, keeping one byte a cell, and gives the cells as coded
+row-block tables of whole temperature rows; its boundary holds lists, as do
+``meanfield.critical_temperatures`` and ``exact.compare_meanfield``.
+:func:`serialize_blocks` writes a table, or a sequence of tables as their
+concatenation, to CSV or JSON one block of rows at a time, boxing only that
+block of an array column: a coded column's values are rendered once per
+table, or once for consecutive tables that share the list, and gathered by
+code; float columns format inside a row template, and rows of text cells
+only are joined with commas. So a sweep, a figure or a phase map written
+from its row blocks holds one block of rows and its grids (a phase map also
+its byte a cell), whatever its size. :func:`serialize` joins the blocks.
+Nothing here draws randomness or runs threads, so identical inputs give
+identical output bytes.
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ from .base import FIG1_POINTS, FIG2_POINTS, ROOT_TOL, Coded, DomainError, Table
 from .meanfield import (
     MAX_PHASE_CELLS,
     NoCriticalPointError,
-    Phase,
     _PHASE_NAMES,
-    _sign_change_roots,
+    _tiled_scan,
     gap_solve,
-    ordering_measure,
     population_inversion,
     rz_relaxation,
     transition_roots,
@@ -64,9 +65,6 @@ __all__ = [
     "plot_script",
 ]
 
-# Phase maps are classified in blocks of whole columns holding about this
-# many cells, so each float temporary stays near 0.5 MB whatever the grid size.
-_BLOCK_CELLS = 1 << 16
 # Sweeps are solved, and tables are serialized, this many rows at a time, and
 # each block is written before the next is made, so neither a sweep's columns
 # nor the output's text and bytes exist whole. On a 12000-point CSV sweep of
@@ -133,7 +131,8 @@ def _sweep_rows(params: ModelParams, thetas: np.ndarray, theta_cr: float | None)
         "f_per_atom": sol.free_energy_per_atom,
         "rz_eq10": population_inversion(cpl, sol),
         "rz_eq4": rz_relaxation(cpl),
-        "phase": Coded((sol.phase == Phase.ORDERED.value).view(np.uint8), _PHASE_NAMES.tolist()),
+        # gap_solve returns c_abs > 0 on exactly its ordered lanes
+        "phase": Coded((sol.c_abs > 0.0).view(np.uint8), _PHASE_NAMES.tolist()),
         "variant": Coded(np.zeros(thetas.size, np.uint8), [params.variant.value]),
     }
 
@@ -238,17 +237,21 @@ def figure1_blocks(
     # is reported before an oversized grid is.
     base = ModelParams(omega21=1.0, chi=np.array(chi_ratios, dtype=float), omega_k=omega_k)
     scales = _largest_roots(base, tol)
-    # a list: every sweep checks its grid before the first block is asked for
+    # Every sweep's grid is checked here, then dropped: its nodes depend only
+    # on the bounds and the count, and sweep_blocks makes them again when the
+    # sweep's first block is due, so one grid exists at a time. Both sweeps of
+    # a ratio share its one-value list, so the serializer renders it once.
     sweeps = [
-        (ratio, sweep_blocks(replace(base, chi=ratio, variant=variant),
-                             0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr))
+        ([ratio], replace(base, chi=ratio), (0.0, FIG1_AXIS_MAX * theta_cr, points, theta_cr))
         for ratio, theta_cr in zip(chi_ratios, scales)
-        for variant in Variant
     ]
+    for _, params, grid in sweeps:
+        _sweep_grid(params, *grid)
     return (
-        {"chi_ratio": Coded(np.zeros(len(block["theta"]), np.uint8), [ratio]), **block}
-        for ratio, blocks in sweeps
-        for block in blocks
+        {"chi_ratio": Coded(np.zeros(len(block["theta"]), np.uint8), values), **block}
+        for values, params, grid in sweeps
+        for variant in Variant
+        for block in sweep_blocks(replace(params, variant=variant), *grid)
     )
 
 
@@ -286,21 +289,24 @@ def phase_map(
     ny: int,
     omega_k: float | None = None,
     tol: float = ROOT_TOL,
-) -> tuple[Table, Table]:
+) -> tuple[Iterator[Table], Table]:
     """Classify the phase on a coupling-ratio x temperature grid.
 
-    Returns ``(cells, boundary)``. ``cells`` has the columns ``chi_ratio,
-    theta, phase, variant`` in row-major order: one row of ``nx`` ratios per
-    temperature, temperatures ascending. Each is a
-    :class:`~quasispin.base.Coded` column, whose values are the ``nx``
-    ratios, the ``ny`` temperatures, the two phase names and the variant,
-    so a map costs a few bytes a cell. A cell is ordered where the ordering
+    Returns ``(cells, boundary)``. ``cells`` is a sequence of row-block
+    tables with the columns ``chi_ratio, theta, phase, variant``, each of
+    whole temperature rows of ``nx`` ratios and about 2048 cells
+    (``_ROW_BLOCK``; one row when ``nx`` is larger), temperatures ascending:
+    the map's rows in row-major order. Each column is a
+    :class:`~quasispin.base.Coded` column, whose values are the ``nx`` ratios
+    (one list shared by every block), the block's temperatures, the two
+    phase names and the variant. A cell is ordered where the ordering
     measure is positive. ``boundary`` has the columns ``chi_ratio, theta_cr,
     kind, variant``: the sign changes of that same measure along each ratio
     column's theta grid, by ratio and then by temperature, found as
-    :func:`transition_roots` finds them. Cells and roots come a block of
-    whole columns at a time, whose ratios are the lanes of one scan, and the
-    measure is evaluated once per block for both.
+    :func:`transition_roots` finds them, by the same scan whose tiles give
+    the cells. Every check and the whole boundary complete in this call,
+    which keeps the map's phases as one byte a cell; the blocks are made
+    from them as they are asked for.
 
     Energies are in units of the bare splitting; ``omega_k`` defaults to
     half of it.
@@ -320,32 +326,34 @@ def phase_map(
         raise DomainError(f"tol must be positive, got {tol}")
     ratios = uniform_grid(ratio_lo, ratio_hi, nx)
     thetas = uniform_grid(theta_lo, theta_hi, ny)
-    ratio_list = ratios.tolist()
+    params = ModelParams(omega21=1.0, chi=ratios, omega_k=omega_k, variant=variant)
     ordered = np.empty((ny, nx), dtype=bool)
-    boundary: Table = {"chi_ratio": [], "theta_cr": [], "kind": []}
-    width = max(1, _BLOCK_CELLS // ny)
-    for start in range(0, nx, width):
-        block = ModelParams(
-            omega21=1.0, chi=ratios[start : start + width], omega_k=omega_k, variant=variant
-        )
-        # the measure of the cells is the node measure of the block's scan
-        measure = ordering_measure(couplings_at(block, thetas[:, None]))
-        ordered[:, start : start + width] = measure > 0.0
-        for root, kind, lane in _sign_change_roots(block, block.chi, thetas, tol, measure):
-            boundary["chi_ratio"].append(ratio_list[start + lane])
-            boundary["theta_cr"].append(root)
-            boundary["kind"].append(kind.value)
-    boundary["variant"] = [variant.value] * len(boundary["kind"])
-    # the codes of each cell's ratio and temperature, in the smallest dtype
-    column_codes = np.arange(nx, dtype=np.min_scalar_type(nx - 1))
-    row_codes = np.arange(ny, dtype=np.min_scalar_type(ny - 1))
-    cells = {
-        "chi_ratio": Coded(np.tile(column_codes, ny), ratio_list),
-        "theta": Coded(np.repeat(row_codes, nx), thetas.tolist()),
-        "phase": Coded(ordered.ravel().view(np.uint8), _PHASE_NAMES.tolist()),
-        "variant": Coded(np.zeros(nx * ny, np.uint8), [variant.value]),
+    roots = _tiled_scan(params, ratios, thetas, tol, ordered)
+    ratio_list = ratios.tolist()
+    boundary = {
+        "chi_ratio": [ratio_list[lane] for _, _, lane in roots],
+        "theta_cr": [root for root, _, _ in roots],
+        "kind": [kind.value for _, kind, _ in roots],
+        "variant": [variant.value] * len(roots),
     }
-    return cells, boundary
+    # Each block's cells are codes into the ratios, its own temperatures and
+    # the phase names, in the smallest dtypes; the value lists that do not
+    # change from block to block are shared, so they are rendered once.
+    rows = max(1, _ROW_BLOCK // nx)
+    column_codes = np.arange(nx, dtype=np.min_scalar_type(nx - 1))
+    phases, variants = _PHASE_NAMES.tolist(), [variant.value]
+
+    def block(start: int) -> Table:
+        stop = min(start + rows, ny)
+        row_codes = np.arange(stop - start, dtype=np.min_scalar_type(stop - start - 1))
+        return {
+            "chi_ratio": Coded(np.tile(column_codes, stop - start), ratio_list),
+            "theta": Coded(np.repeat(row_codes, nx), thetas[start:stop].tolist()),
+            "phase": Coded(ordered[start:stop].ravel().view(np.uint8), phases),
+            "variant": Coded(np.zeros((stop - start) * nx, np.uint8), variants),
+        }
+
+    return map(block, range(0, ny, rows)), boundary
 
 
 # A string cell needs RFC 4180 quotes when it holds one of these characters.
@@ -395,13 +403,11 @@ def _row_count(table: Table, names: list[str]) -> int:
 def _column_blocks(column, count: int, render: Callable) -> Iterator[tuple[str, Iterable]]:
     # (row-template field, cells for it) of each row block of one column, from
     # render(kind, cells). An array's block becomes a list here, so only one
-    # block of it is boxed at a time. A coded column's values are rendered
-    # once, and each block gathers their texts by code.
+    # block of it is boxed at a time. A coded column comes with its values
+    # already rendered, and each block gathers their texts by code.
     if isinstance(column, Coded):
-        field, cells = render(_column_kind(column.values), column.values)
-        texts = np.array([field % (cell,) for cell in cells], dtype=object)
         for start in range(0, count, _ROW_BLOCK):
-            yield "%s", texts.take(column.codes[start : start + _ROW_BLOCK]).tolist()
+            yield "%s", column.values.take(column.codes[start : start + _ROW_BLOCK]).tolist()
         return
     kind = _column_kind(column)
     for start in range(0, count, _ROW_BLOCK):
@@ -410,10 +416,23 @@ def _column_blocks(column, count: int, render: Callable) -> Iterator[tuple[str, 
 
 
 def _row_blocks(tables: Iterable[Table], names: list[str], render: Callable) -> Iterator[tuple]:
-    # The (field, cells) of every column, one row block of one table at a time
+    # The (field, cells) of every column, one row block of one table at a
+    # time. A coded column's values are rendered as a plain column of them
+    # would be, unless the table before had the same list object in that
+    # column, whose texts are reused: a list shared by consecutive tables is
+    # rendered once.
+    rendered: dict[int, tuple[list, np.ndarray]] = {}  # column index -> (values, texts)
     for table in tables:
         count = _row_count(table, names)
-        yield from zip(*(_column_blocks(column, count, render) for column in table.values()))
+        columns = list(table.values())
+        for index, column in enumerate(columns):
+            if isinstance(column, Coded):
+                if rendered.get(index, (None,))[0] is not column.values:
+                    field, cells = render(_column_kind(column.values), column.values)
+                    texts = np.array([field % (cell,) for cell in cells], dtype=object)
+                    rendered[index] = column.values, texts
+                columns[index] = Coded(column.codes, rendered[index][1])
+        yield from zip(*(_column_blocks(column, count, render) for column in columns))
 
 
 def _csv_field(kind: type | None, cells: list, fmt: str, lone: bool) -> tuple[str, Iterable]:
@@ -504,7 +523,8 @@ def serialize_blocks(
     column order, indented by two spaces, with ``NaN`` and ``Infinity`` for
     non-finite floats. A coded column's values are rendered once per table,
     as a plain column of those cells would be, and each row block gathers
-    their texts by code. CSV float columns format inside a row template, and
+    their texts by code; a table whose column holds the same list object as
+    that column of the table before reuses its texts. CSV float columns format inside a row template, and
     a CSV row of text cells only is joined with commas. The format, the
     precision and the first table are taken and checked by this call, before
     the first block is asked for; a later table is taken when its rows are

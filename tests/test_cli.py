@@ -23,6 +23,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def traced_peak(argv):
+    """tracemalloc peak of one main(argv) call, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_silently(capsys, argv):
     """run(), and assert that no warning was raised on the way."""
     with warnings.catch_warnings(record=True) as caught:
@@ -243,14 +253,8 @@ class TestSweep:
         # ten times the points add only the grids (8-24 bytes a node) to the
         # peak; a whole table takes about 80 bytes a node and variant.
         def peak(points):
-            argv = ["sweep", "--chi-ratio", "0.6", "--variant", "both", "--points", str(points),
-                    "--out", str(tmp_path / "sweep.csv")]
-            tracemalloc.start()
-            try:
-                assert main(argv) == EXIT_OK
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(["sweep", "--chi-ratio", "0.6", "--variant", "both",
+                                "--points", str(points), "--out", str(tmp_path / "sweep.csv")])
 
         peak(3_000)  # a first call may still import and cache
         small = peak(3_000)
@@ -382,6 +386,18 @@ class TestCritical:
         code, _, _ = run(capsys, ["critical", "--chi-ratio", "0.6", "--points", "32"])
         assert code == EXIT_USAGE
 
+    def test_memory_grows_by_the_grid_alone(self, tmp_path):
+        # The scan evaluates the measure a tile of 16384 nodes at a time, so
+        # ten times the nodes add the grid (8 bytes a node) and its 1-byte
+        # order check to the peak; one whole-grid evaluation added about 65.
+        def peak(points):
+            return traced_peak(["critical", "--chi-ratio", "0.6", "--points", str(points),
+                                "--out", str(tmp_path / "critical.json")])
+
+        peak(40_000)  # a first call may still import and cache
+        small = peak(40_000)
+        assert peak(400_000) - small < 12 * (400_000 - 40_000)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -440,21 +456,32 @@ class TestPhase:
         assert boundary_file.read_text() == empty
 
     def test_memory_grows_by_a_few_bytes_a_cell(self, tmp_path):
-        # The cell columns are codes into the grid lines and the phase names,
-        # so the peak grows by about 8 bytes a cell; Python lists of the
-        # cells grew it by about 34.
+        # The map keeps one byte a cell for its phases and the temperature
+        # grid, and its cells leave in coded row blocks, so the peak grows by
+        # about 1.2 bytes a cell; whole coded columns grew it by about 8, and
+        # Python lists of the cells by about 34.
         def peak(ny):
-            argv = ["phase", "--nx", "64", "--ny", str(ny), "--out", str(tmp_path / "map.csv")]
-            tracemalloc.start()
-            try:
-                assert main(argv) == EXIT_OK
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(["phase", "--nx", "64", "--ny", str(ny),
+                                "--out", str(tmp_path / "map.csv")])
 
         peak(512)  # a first call may still import and cache
         small = peak(512)
-        assert peak(5120) - small < 16 * 64 * (5120 - 512)
+        growth = peak(5120) - small
+        assert growth < 16 * 64 * (5120 - 512)
+        assert growth < 3 * 64 * (5120 - 512)
+
+    def test_memory_of_a_tall_map_grows_by_a_few_bytes_a_cell(self, tmp_path):
+        # A two-column map is scanned in tiles of whole lanes by a run of
+        # temperatures, so the peak grows by the phases (1 byte a cell) and
+        # the temperature grid (4 bytes a cell here); one evaluation of each
+        # whole column grew it by about 60.
+        def peak(ny):
+            return traced_peak(["phase", "--nx", "2", "--ny", str(ny),
+                                "--out", str(tmp_path / "map.csv")])
+
+        peak(10_000)  # a first call may still import and cache
+        small = peak(10_000)
+        assert peak(100_000) - small < 8 * 2 * (100_000 - 10_000)
 
     def test_rejects_both_variants(self, capsys):
         code, _, _ = run(capsys, ["phase", "--variant", "both"])
@@ -559,20 +586,18 @@ class TestFigures:
     )
     def test_memory_does_not_grow_with_the_points(self, tmp_path, argv, sweeps):
         # Each row block is solved, written and dropped before the next, so
-        # ten times the points add only each sweep's grid (8 bytes a node) to
-        # the peak; whole tables added 74 (fig2) to 164 (fig1) bytes a node and sweep.
+        # ten times the points add only the sweeps' grids (8 bytes a node;
+        # fig1 makes one at a time) to the peak; whole tables added 74 (fig2)
+        # to 164 (fig1) bytes a node and sweep.
         def peak(points):
-            argv_out = [*argv, "--points", str(points), "--out", str(tmp_path / "fig.csv")]
-            tracemalloc.start()
-            try:
-                assert main(argv_out) == EXIT_OK
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak([*argv, "--points", str(points), "--out", str(tmp_path / "fig.csv")])
 
         peak(3_000)  # a first call may still import and cache
         small = peak(3_000)
-        assert peak(30_000) - small < 16 * sweeps * (30_000 - 3_000)
+        growth = peak(30_000) - small
+        assert growth < 16 * sweeps * (30_000 - 3_000)
+        if argv[0] == "fig1":  # its sweeps' grids are made one at a time
+            assert growth < 4 * sweeps * (30_000 - 3_000)
 
 
 class TestExactCompare:

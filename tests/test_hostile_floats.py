@@ -136,8 +136,9 @@ def test_each_integer_alone(name, label, slot):
         assert_contract([name, *BASE[name], *slot(value)], ("csv", "json")[index % 2])
 
 
-# Grids of more than one block: two column blocks of transition_roots lanes
-# (phase), two 4096-row serializer blocks (sweep) and a two-lane scan (fig1).
+# Grids of more than one block: six scan tiles of 300 lanes and six-row
+# cell blocks (phase), three 2048-row serializer blocks (sweep) and a
+# two-lane scan (fig1).
 MULTI_BLOCK = {
     "phase": ["--nx=300", "--ny=300"],
     "sweep": ["--chi-ratio=0.6", "--points=5000"],

@@ -20,12 +20,13 @@ from quasispin.meanfield import (
     transition_roots,
     uniform_grid,
 )
+from quasispin.cli import EXIT_OK, main
 from quasispin.exact import compare_meanfield
 from quasispin.sweep import _SCAN_CEIL, _SCAN_FLOOR, phase_map, proposed_normalizer, sweep_table
 from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
 from quasispin.thermal import mean_photon_number
 
-from oracles import bisection_solution
+from oracles import bisection_solution, stacked
 from oracles import free_energy as oracle_free_energy
 from oracles import order_parameter as oracle_order_parameter
 
@@ -473,6 +474,108 @@ class TestTransitionRoots:
         params = ModelParams(omega21=1.0, chi=np.full((2, 2), 0.6))
         with pytest.raises(DomainError, match="1-D"):
             transition_roots(params, self.GRID)
+
+
+class TestTiledScan:
+    # Tile sizes of a few cells, so that theta runs end on every few nodes
+    # and lanes are split, and of more than any grid here, so that a scan is
+    # one tile.
+    TILES = [2, 7, 10**9]
+    RATIOS = TestTransitionRoots.RATIOS + [0.5, 1.0, 1.3]
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_the_tile_size_changes_no_root(self, monkeypatch, variant, tile):
+        params = ModelParams(omega21=1.0, chi=np.array(self.RATIOS), variant=variant)
+        # the second grid resolves the reentrant window at R_STAR + 1e-7
+        grids = [uniform_grid(1e-4, 2.0, 128), uniform_grid(0.34, 0.355, 128)]
+        expected = [transition_roots(params, grid) for grid in grids]
+        monkeypatch.setattr(meanfield, "_TILE_CELLS", tile)
+        assert [transition_roots(params, grid) for grid in grids] == expected
+        assert len(expected[0]) >= 4
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_the_tile_size_changes_no_cell_of_a_phase_map(self, monkeypatch, variant, tile):
+        args = (variant, (0.42, 1.2), (0.01, 1.0), 13, 97)
+        cells, boundary = phase_map(*args)
+        expected = stacked(cells), boundary
+        monkeypatch.setattr(meanfield, "_TILE_CELLS", tile)
+        cells, boundary = phase_map(*args)
+        assert (stacked(cells), boundary) == expected
+        assert len(boundary["theta_cr"]) >= 10
+
+    @pytest.mark.parametrize("tile", [3, 10**9])
+    def test_the_tile_size_changes_no_cli_byte(self, monkeypatch, tmp_path, capsys, tile):
+        runs = [
+            ["critical", "--chi-ratio", repr(R_STAR + 1e-7), "--variant", "both",
+             "--points", "4096", "--precision", "17"],
+            ["critical", "--chi-ratio", "0.6", "--variant", "both", "--format", "json"],
+            ["phase", "--chi-min", "0.42", "--chi-max", "0.62", "--nx", "23", "--ny", "31",
+             "--precision", "17", "--boundary-out", str(tmp_path / "boundary")],
+            ["fig1", "--ratios", "0.45,0.6", "--points", "50", "--format", "json"],
+        ]
+
+        def outputs():
+            results = []
+            for argv in runs:
+                assert main(argv) == EXIT_OK
+                results.append(capsys.readouterr().out)
+            return results, (tmp_path / "boundary").read_bytes()
+
+        expected = outputs()
+        monkeypatch.setattr(meanfield, "_TILE_CELLS", tile)
+        assert outputs() == expected
+        assert expected[1].count(b"\n") > 10
+
+    @staticmethod
+    def _brackets(monkeypatch, signs, tile):
+        # The (lo, hi, up) brackets that a scan of one lane brackets on the
+        # nodes 1, 2, ... whose measures have the given signs, in tiles of
+        # tile nodes; the root then lies in the first zero or sign change
+        # after lo.
+        grid = np.arange(1.0, len(signs) + 1.0)
+
+        def measure(cpl):
+            theta = np.asarray(cpl.theta, dtype=float)
+            index = np.minimum(np.floor(theta - 0.5).astype(int), len(signs) - 1)
+            return np.broadcast_to(np.take(signs, index), np.shape(cpl.lam)).astype(float)
+
+        seen = []
+        bisect = meanfield._sign_change_roots
+
+        def spy(params, chi, tol, lo, hi, up, lane):
+            seen.extend(zip(lo.tolist(), hi.tolist(), up.tolist()))
+            return bisect(params, chi, tol, lo, hi, up, lane)
+
+        monkeypatch.setattr(meanfield, "ordering_measure", measure)
+        monkeypatch.setattr(meanfield, "_sign_change_roots", spy)
+        monkeypatch.setattr(meanfield, "_TILE_CELLS", tile)
+        roots = transition_roots(prop(0.6), grid)
+        assert len(roots) == len(seen)
+        return seen
+
+    @pytest.mark.parametrize("tile", [2, 3, 100])
+    def test_a_zero_run_across_a_tile_edge_is_skipped(self, monkeypatch, tile):
+        # nodes 3..7 are exact zeros: with tiles of 2 or 3 nodes the run
+        # crosses tile edges, and the sign change across it is one bracket
+        # from node 2 to node 8
+        signs = [1, 1, 0, 0, 0, 0, 0, -1, -1, -1]
+        assert self._brackets(monkeypatch, signs, tile) == [(2.0, 8.0, True)]
+        flipped = [-sign for sign in signs]
+        assert self._brackets(monkeypatch, flipped, tile) == [(2.0, 8.0, False)]
+
+    @pytest.mark.parametrize("tile", [2, 3, 100])
+    def test_a_zero_run_between_equal_signs_is_no_bracket(self, monkeypatch, tile):
+        for signs in ([1, 1, 0, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, -1, 0, 0, -1, -1, 0, 0]):
+            assert self._brackets(monkeypatch, signs, tile) == []
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 100])
+    def test_a_sign_change_on_a_tile_edge_is_bracketed(self, monkeypatch, tile):
+        signs = [1, 1, -1, -1, 0, 1, -1, 0, 0, 0]
+        assert self._brackets(monkeypatch, signs, tile) == [
+            (2.0, 3.0, True), (4.0, 6.0, False), (6.0, 7.0, True)
+        ]
 
 
 class TestPhaseClassification:

@@ -380,6 +380,36 @@ def test_each_value_of_a_coded_column_is_rendered_once_per_table(output_format, 
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_values_list_shared_by_consecutive_tables_is_rendered_once(output_format, monkeypatch):
+    # one list object in the same column of consecutive tables is rendered
+    # once per serialization; an equal list that is another object, or a
+    # list back after another one, is rendered again
+    render = "_csv_field" if output_format == "csv" else "_json_texts"
+    calls = []
+    original = getattr(sweep, render)
+
+    def spy(kind, cells, *args):
+        calls.append(cells)
+        return original(kind, cells, *args)
+
+    monkeypatch.setattr(sweep, render, spy)
+    shared, other = [0.25, "a,b", None], ["x", ""]
+    copy = list(shared)
+    codes = np.arange(sweep._ROW_BLOCK + 5) % 2
+    cases = [
+        ([shared] * 4, [shared]),
+        ([shared, copy, shared], [shared, copy, shared]),
+        ([shared, shared, other, other, shared], [shared, other, shared]),
+    ]
+    for lists, rendered in cases:
+        tables = [{"x": Coded(codes, values)} for values in lists]
+        expected = serialize([{"x": table["x"].tolist()} for table in tables], output_format)
+        calls.clear()
+        assert serialize(tables, output_format) == expected
+        assert [id(cells) for cells in calls] == [id(values) for values in rendered]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_a_coded_zero_keeps_its_sign(output_format):
     table = {"x": Coded(np.array([0, 1, 1, 0], np.uint8), [0.0, -0.0]), "y": ["a"] * 4}
     lines = serialize(table, output_format, 17).decode().splitlines()
@@ -395,16 +425,29 @@ def test_a_coded_zero_keeps_its_sign(output_format):
 
 
 def test_the_cell_columns_of_a_phase_map_are_coded():
-    nx, ny = 7, 5
-    cells, boundary = _phase_map(nx, ny)
-    assert all(type(column) is Coded for column in cells.values())
-    assert cells["chi_ratio"].tolist() == uniform_grid(0.05, 0.95, nx).tolist() * ny
-    thetas = uniform_grid(0.01, 1.0, ny).tolist()
-    assert cells["theta"].tolist() == [theta for theta in thetas for _ in range(nx)]
-    assert cells["variant"].tolist() == ["proposed"] * nx * ny
-    assert set(cells["phase"].tolist()) <= {"ordered", "disordered"}
-    assert all(column.codes.dtype == np.uint8 for column in cells.values())
-    assert all(type(column) is list for column in boundary.values())
+    # Whole temperature rows of about _ROW_BLOCK cells a block (one row when
+    # nx is larger); the ratios and the phase names are one list shared by
+    # every block, and each block's temperatures are its own rows.
+    for nx, ny in [(7, 5), (700, 5), (sweep._ROW_BLOCK + 1, 3)]:
+        cells, boundary = _phase_map(nx, ny)
+        blocks = list(cells)
+        rows = max(1, sweep._ROW_BLOCK // nx)
+        starts = range(0, ny, rows)
+        thetas = uniform_grid(0.01, 1.0, ny).tolist()
+        assert len(blocks) == len(starts)
+        for block, start in zip(blocks, starts):
+            assert all(type(column) is Coded for column in block.values())
+            assert block["theta"].values == thetas[start : start + rows]
+            for name in ("chi_ratio", "phase", "variant"):
+                assert block[name].values is blocks[0][name].values
+            for column in block.values():
+                assert column.codes.dtype == np.min_scalar_type(len(column.values) - 1)
+        whole = stacked(blocks)
+        assert whole["chi_ratio"] == uniform_grid(0.05, 0.95, nx).tolist() * ny
+        assert whole["theta"] == [theta for theta in thetas for _ in range(nx)]
+        assert whole["variant"] == ["proposed"] * nx * ny
+        assert set(whole["phase"]) <= {"ordered", "disordered"}
+        assert all(type(column) is list for column in boundary.values())
 
 
 def test_writing_a_large_table_through_the_block_path_stays_bounded(tmp_path):
@@ -493,7 +536,7 @@ def _phase_map(nx, ny):
 
 
 def _phase_rows(nx, ny):
-    return _rows(_phase_map(nx, ny)[0])
+    return _rows(stacked(_phase_map(nx, ny)[0]))
 
 
 def _boundary_rows(nx, ny):
@@ -549,6 +592,7 @@ CASES = {
     "critical-empty": (["critical", "--chi-ratio", "0.5", "--variant", "traditional"],
                        lambda: _critical_rows(0.5, (Variant.TRADITIONAL,))),
     "phase": (["phase", "--nx", "23", "--ny", "31"], lambda: _phase_rows(23, 31)),
+    "phase-1500x5": (["phase", "--nx", "1500", "--ny", "5"], lambda: _phase_rows(1500, 5)),
     "fig1": (["fig1", "--ratios", "0.45,0.6"], lambda: _fig1_rows([0.45, 0.6])),
     "fig1-2049": (["fig1", "--ratios", "0.45,0.6", "--points", "2049"],
                   lambda: _fig1_rows([0.45, 0.6], 2049)),

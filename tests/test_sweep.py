@@ -145,7 +145,7 @@ class TestTemperatureSweep:
                     assert len(sweep_rows(params, theta_min, 1.0, 64)) == 64
             for variant in Variant:
                 cells, _ = phase_map(variant, (0.25, 0.75), (1e-300, 1.0), nx=5, ny=33)
-                assert cells["chi_ratio"].tolist()[2] == 0.5
+                assert stacked(cells)["chi_ratio"][2] == 0.5
 
 
 class TestSweepBlocks:
@@ -317,7 +317,8 @@ def grid_classification(variant, ratios, thetas):
 class TestPhaseMap:
     def test_cells_match_scalar_classification(self):
         cells, _ = phase_map(Variant.PROPOSED, (0.3, 0.7), (0.05, 0.65), nx=9, ny=11)
-        assert all(len(column) == 99 for column in as_lists(cells).values())
+        cells = stacked(cells)
+        assert all(len(column) == 99 for column in cells.values())
         for row in table_records(cells):
             cpl = couplings_at(prop(row["chi_ratio"]), row["theta"])
             assert (row["phase"] == "ordered") == (ordering_measure(cpl) > 0.0)
@@ -334,8 +335,8 @@ class TestPhaseMap:
 
     def test_records_are_row_major(self):
         cells, _ = phase_map(Variant.PROPOSED, (0.4, 0.6), (0.1, 0.3), nx=3, ny=2)
+        cells = stacked(cells)
         assert list(cells) == ["chi_ratio", "theta", "phase", "variant"]
-        cells = as_lists(cells)
         assert all(len(column) == 6 for column in cells.values())
         assert cells["chi_ratio"] == [0.4, 0.5, 0.6] * 2
         assert cells["theta"] == [0.1] * 3 + [0.3] * 3
@@ -356,7 +357,7 @@ class TestPhaseMap:
         # 300x256 cells span two column blocks of the classification
         nx, ny = 300, 256
         cells, boundary = phase_map(variant, (0.05, 0.95), (0.01, 1.0), nx=nx, ny=ny)
-        cells = as_lists(cells)
+        cells = stacked(cells)
         ratios, thetas = cells["chi_ratio"][:nx], cells["theta"][::nx]
         assert len(thetas) == ny
         ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
@@ -373,7 +374,7 @@ class TestPhaseMap:
     def test_boundary_of_a_column_at_unit_ratio(self, nx, ny):
         # the last column has varpi = 0 on every cell: ordered iff theta < 1/2
         cells, boundary = phase_map(Variant.TRADITIONAL, (0.5, 1.0), (0.1, 0.9), nx=nx, ny=ny)
-        cells = as_lists(cells)
+        cells = stacked(cells)
         ratios, thetas = cells["chi_ratio"][:nx], np.array(cells["theta"][::nx])
         ordered = np.array(cells["phase"]).reshape(ny, nx) == "ordered"
         assert ordered[:, -1].tolist() == (thetas < 0.5).tolist()
@@ -404,10 +405,11 @@ class TestPhaseMap:
         with pytest.raises(DomainError, match="tol must be positive"):
             phase_map(Variant.PROPOSED, (0.1, 0.5), (0.1, 0.5), nx=4, ny=4, tol=0.0)
 
-    def test_each_column_blocks_measure_is_evaluated_once(self, monkeypatch):
-        # The cells' measure is the node measure of the block's scan: one
-        # (ny, width) evaluation per block of columns; the bisection's
-        # midpoints are 1-D.
+    def test_each_tiles_measure_is_evaluated_once(self, monkeypatch):
+        # The cells' measure is the node measure of the scan's tiles: one
+        # 2-D evaluation per tile of whole lanes by a run of temperatures,
+        # covering the map once; every bracket is then bisected in one
+        # lockstep loop of 1-D midpoint evaluations.
         shapes = []
 
         def spy(cpl):
@@ -415,13 +417,15 @@ class TestPhaseMap:
             shapes.append(np.shape(measure))
             return measure
 
-        monkeypatch.setattr(sweep, "ordering_measure", spy)
         monkeypatch.setattr(meanfield, "ordering_measure", spy)
-        ny = 256
-        nx = sweep._BLOCK_CELLS // ny + 44
+        nx, ny = 300, 256
         _, boundary = phase_map(Variant.PROPOSED, (0.05, 0.95), (0.01, 1.0), nx=nx, ny=ny)
-        assert [shape for shape in shapes if len(shape) == 2] == [(ny, nx - 44), (ny, 44)]
-        assert boundary["theta_cr"]
+        run = meanfield._TILE_CELLS // nx
+        tiles = [(min(run, ny - start), nx) for start in range(0, ny, run)]
+        assert [shape for shape in shapes if len(shape) == 2] == tiles
+        steps = [shape for shape in shapes if len(shape) == 1]
+        assert len(boundary["theta_cr"]) > 150
+        assert 0 < len(steps) < 64
 
 
 class TestSerialize:
