@@ -8,9 +8,9 @@ the polarization against exact fixed-spin diagonalization at finite atom
 number, and derives the coupling constants from a microscopic level table.
 
 The public names below load their submodule on first use (numpy with it,
-except for the numpy-free names of ``base``), so ``import quasispin``
-alone imports nothing else; ``python -m quasispin`` relies on that to
-configure the process before numpy loads.
+except for the numpy-free names of ``base``, ``levels`` and ``output``), so
+``import quasispin`` alone imports nothing else; ``python -m quasispin``
+relies on that to configure the process before numpy loads.
 """
 
 __version__ = "0.1.0"
@@ -23,11 +23,10 @@ _EXPORTS = {
             "CRITICAL_POINTS", "Coded", "DomainError", "FIG1_POINTS", "FIG2_POINTS", "ROOT_TOL",
             "Table", "TransitionLevel", "default_theta_max",
         ),
-        "thermal": (
-            "Couplings", "ModelParams", "SingularLevelError",
-            "SINGULARITY_RTOL", "Variant", "coupling_constants", "couplings_at",
-            "mean_photon_number", "transition_amplitude",
+        "levels": (
+            "SINGULARITY_RTOL", "SingularLevelError", "coupling_constants", "transition_amplitude",
         ),
+        "thermal": ("Couplings", "ModelParams", "Variant", "couplings_at", "mean_photon_number"),
         "meanfield": (
             "GapSolution", "NoCriticalPointError", "Phase", "TransitionKind",
             "critical_temperatures", "free_energy_per_atom", "gap_solve", "ordering_measure",
@@ -40,8 +39,9 @@ _EXPORTS = {
         ),
         "sweep": (
             "THERMO_COLUMNS", "figure1_blocks", "figure2_blocks", "phase_map", "plot_script",
-            "proposed_normalizer", "serialize", "serialize_blocks", "sweep_blocks", "sweep_table",
+            "proposed_normalizer", "sweep_blocks", "sweep_table",
         ),
+        "output": ("serialize", "serialize_blocks"),
     }.items()
     for name in names
 }

@@ -25,11 +25,15 @@ output. Each grid is solved in one vectorized pass on a single thread;
 
 The front end (this module's load, parsing, the config merge, the checks and
 the error mapping) needs only the names of :mod:`quasispin.base`: it imports no
-numpy, no physics module and no ``dataclasses``, which loads ``inspect``. Each
-handler imports the modules it runs after its own checks, so ``--version``,
-``--help`` and every usage error exit before numpy loads, and only
-``exact-compare`` loads the exact ladder. Every subcommand is registered with
-its help line, but only the one that runs gets its arguments.
+numpy and no physics module. Each handler imports the modules it runs after
+its own checks, and every output goes through the numpy-free
+:mod:`quasispin.output`, so ``--version``, ``--help`` and every usage error exit
+before numpy loads, ``micro`` (on the numpy-free :mod:`quasispin.levels`)
+never loads it, only ``exact-compare`` loads the exact ladder, and ``critical``
+and ``exact-compare`` never load :mod:`quasispin.sweep`. No module of the
+package imports ``dataclasses``, which loads ``inspect``: the records are
+``NamedTuple``s. Every subcommand is registered with its help line, but only
+the one that runs gets its arguments.
 """
 
 from __future__ import annotations
@@ -258,13 +262,15 @@ def _check_range(args: argparse.Namespace, axis: str, floor: str = "<") -> None:
 
 def _write_outputs(args: argparse.Namespace, tables: dict[str, Table | Iterable[Table]]) -> None:
     """Write each table, or sequence of tables, to the file its output flag names or stdout."""
-    from .sweep import plot_script, serialize_blocks
+    from .output import serialize_blocks
 
     for dest, table in tables.items():
         if dest == "out" or getattr(args, dest) is not None:
             blocks = serialize_blocks(table, args.format, args.precision)
             _write_bytes(getattr(args, dest), blocks)
     if getattr(args, "plot_script", None) is not None:
+        from .sweep import plot_script
+
         _write_bytes(args.plot_script, (plot_script(args.command, args.out).encode("utf-8"),))
 
 
@@ -361,7 +367,7 @@ def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
 def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:
     omega_k = 0.5 * args.omega21 if args.omega_k is None else args.omega_k
     _check(omega_k > 0.0, f"--omega-k must be positive, got {omega_k}")
-    from .thermal import coupling_constants, transition_amplitude
+    from .levels import coupling_constants, transition_amplitude
 
     amplitude = transition_amplitude(args.levels, omega_k)
     chi, gamma = coupling_constants(amplitude, args.gamma_cav, args.omega21, omega_k)

@@ -19,8 +19,7 @@ summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +48,7 @@ MAX_LADDER_ATOMS = 1_000_000
 _ZERO_WEIGHT_EXPONENT = 746.0
 
 
-@dataclass(frozen=True)
-class DickeSpectrum:
+class DickeSpectrum(NamedTuple):
     """Ladder energies of the maximal collective-spin sector, or a window of them.
 
     ``energies[i]`` belongs to ``m = offset + i - n_atoms/2``; labels are
@@ -73,8 +71,7 @@ class DickeSpectrum:
         return np.arange(self.offset, self.offset + self.energies.size) - self.spin
 
 
-@dataclass(frozen=True)
-class GibbsObservables:
+class GibbsObservables(NamedTuple):
     """Thermal averages over the ladder at one temperature."""
 
     z_shifted: float  # partition sum with the lowest energy factored out

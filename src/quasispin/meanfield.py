@@ -11,9 +11,9 @@ in one call, and transition scans and phase maps bounded tiles of a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class TransitionKind(str, Enum):
     VANISHING = "vanishing"
 
 
-@dataclass(frozen=True)
-class GapSolution:
+class GapSolution(NamedTuple):
     """Self-consistent solution of the order-parameter equation."""
 
     c_abs: float  # |order parameter|, in [0, 1/2]

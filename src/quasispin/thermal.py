@@ -3,42 +3,34 @@
 The two-level atoms exchange excitation pairs through a lossy cavity mode,
 so the effective exchange integral and the dressed level splitting inherit
 a temperature dependence through the mode's Planck occupation. This module
-evaluates that occupation, the resulting couplings, and the microscopic
-two-photon amplitude they derive from. Temperatures (and the coupling ``chi``)
-may be numpy arrays; the couplings then broadcast elementwise.
+holds the model's inputs (:class:`ModelParams`) and evaluates that
+occupation and the resulting couplings. Temperatures (and the coupling
+``chi``) may be numpy arrays; the couplings then broadcast elementwise. The
+microscopic two-photon amplitude that ``chi`` derives from is computed, without
+numpy, in :mod:`quasispin.levels`.
+
+Both records are ``NamedTuple``s: immutable, and cheaper to define than
+frozen dataclasses, whose generated methods each process would compile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import DomainError, TransitionLevel
+from .base import DomainError
 
 __all__ = [
     "DomainError",
-    "SingularLevelError",
-    "SINGULARITY_RTOL",
     "Variant",
     "ModelParams",
     "Couplings",
-    "TransitionLevel",
     "mean_photon_number",
     "couplings_at",
-    "transition_amplitude",
-    "coupling_constants",
 ]
-
-# Relative tolerance below which a denominator counts as resonant.
-SINGULARITY_RTOL = 1e-12
-
-
-class SingularLevelError(DomainError):
-    """An intermediate level is resonant with the cavity mode."""
 
 
 class Variant(str, Enum):
@@ -53,28 +45,41 @@ class Variant(str, Enum):
     TRADITIONAL = "traditional"
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical inputs of the exchange model.
-
-    All energies (``omega21``, ``chi``, ``omega_k``) and the temperature
-    share one unit system; only their ratios matter. ``omega_k`` defaults
-    to half the bare splitting, the two-photon resonance point.
-    """
-
+class _ModelFields(NamedTuple):
     omega21: float  # bare two-level splitting, > 0
     chi: float | np.ndarray  # vacuum exchange coupling, > 0 (an array: one per lane)
     omega_k: float | None = None  # cavity mode energy, > 0
     variant: Variant = Variant.PROPOSED
 
-    def __post_init__(self) -> None:
-        if self.omega_k is None:
-            object.__setattr__(self, "omega_k", 0.5 * self.omega21)
-        for name in ("omega21", "chi", "omega_k"):
-            value = getattr(self, name)
+
+class ModelParams(_ModelFields):
+    """Physical inputs of the exchange model.
+
+    All energies (``omega21``, ``chi``, ``omega_k``) and the temperature
+    share one unit system; only their ratios matter. ``omega_k`` defaults
+    to half the bare splitting, the two-photon resonance point. Every way
+    of making one (the constructor, ``_replace``, ``_make``, unpickling)
+    checks the three energies and coerces ``variant`` to :class:`Variant`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, omega21, chi, omega_k=None, variant=Variant.PROPOSED):
+        if omega_k is None:
+            omega_k = 0.5 * omega21
+        for name, value in (("omega21", omega21), ("chi", chi), ("omega_k", omega_k)):
             if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
                 raise DomainError(f"{name} must be positive and finite, got {value}")
-        object.__setattr__(self, "variant", Variant(self.variant))
+        return super().__new__(cls, omega21, chi, omega_k, Variant(variant))
+
+    # The inherited _make and _replace build the tuple with tuple.__new__,
+    # which would skip the checks; these go through __new__.
+    @classmethod
+    def _make(cls, iterable) -> ModelParams:
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> ModelParams:
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def _check_float_chi(params: ModelParams, caller: str) -> None:
@@ -83,8 +88,7 @@ def _check_float_chi(params: ModelParams, caller: str) -> None:
         raise DomainError(f"{caller} takes a float chi; transition_roots scans lanes")
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(NamedTuple):
     """Effective couplings of the ensemble at one temperature.
 
     Every field is a float, or every field is a numpy array (broadcastable
@@ -158,65 +162,3 @@ def _lane_couplings(params: ModelParams, chi, theta) -> Couplings:
     if np.ndim(varpi) == 0:
         return Couplings(theta, *map(float, (nbar, lam, varpi)))
     return Couplings(theta=theta_arr, nbar=nbar, lam=lam, varpi=varpi)
-
-
-def transition_amplitude(levels: Sequence[TransitionLevel], omega_k: float) -> float:
-    """Squared two-photon amplitude summed over the intermediate levels.
-
-    Each level contributes
-    ``proj1*proj2*(omega_a1 - omega_2a) / ((omega_2a - omega_k)*(omega_a1 - omega_k))``;
-    the coherent sum is squared, so the result is >= 0 and individual terms
-    may cancel.
-
-    Raises
-    ------
-    SingularLevelError
-        If ``omega_k`` is resonant with either denominator of some level,
-        within relative tolerance 1e-12; the message names the level by its
-        index in ``levels``.
-    DomainError
-        If a level's denominator underflows to 0, or the amplitude is not
-        finite (it overflowed the float range).
-    """
-    total = 0.0
-    for index, level in enumerate(levels):
-        for name, freq in (("omega_2a", level.omega_2a), ("omega_a1", level.omega_a1)):
-            if abs(freq - omega_k) <= SINGULARITY_RTOL * max(abs(freq), abs(omega_k)):
-                raise SingularLevelError(
-                    f"level {index}: {name} = {freq} is resonant with omega_k = {omega_k}"
-                )
-        denominator = (level.omega_2a - omega_k) * (level.omega_a1 - omega_k)
-        if denominator == 0.0:
-            raise DomainError(f"level {index}: the denominator underflows to 0 at omega_k = {omega_k}")
-        total += level.proj1 * level.proj2 * (level.omega_a1 - level.omega_2a) / denominator
-    amplitude = total * total
-    if not math.isfinite(amplitude):
-        raise DomainError(f"the two-photon amplitude is {amplitude}: past the float range")
-    return amplitude
-
-
-def coupling_constants(
-    amplitude: float, gamma_cav: float, omega21: float, omega_k: float
-) -> tuple[float, float]:
-    """Split the two-photon amplitude into exchange and decay couplings.
-
-    Returns ``(chi, gamma)``: the dispersive exchange coupling and the
-    two-photon decay rate, sharing the Lorentzian denominator
-    ``delta**2 + 4*gamma_cav**2`` with ``delta = 2*omega_k - omega21``.
-    ``chi`` carries the sign of the detuning ``delta`` while ``gamma`` is
-    always >= 0; their ratio is ``delta / (2*gamma_cav)``. Raises
-    :class:`DomainError` when the denominator underflows to 0 or a result is
-    not finite.
-    """
-    if amplitude < 0.0:
-        raise DomainError(f"amplitude must be non-negative, got {amplitude}")
-    if gamma_cav <= 0.0:
-        raise DomainError(f"gamma_cav must be positive, got {gamma_cav}")
-    delta = 2.0 * omega_k - omega21
-    denom = delta * delta + 4.0 * gamma_cav * gamma_cav
-    if denom == 0.0:
-        raise DomainError(f"delta**2 + 4*gamma_cav**2 underflows to 0 at gamma_cav = {gamma_cav}")
-    chi, gamma = amplitude * delta / denom, amplitude * 2.0 * gamma_cav / denom
-    if not (math.isfinite(chi) and math.isfinite(gamma)):
-        raise DomainError(f"coupling constants past the float range: chi = {chi}, gamma = {gamma}")
-    return chi, gamma

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from oracles import stacked
-from quasispin import sweep, thermal
+from quasispin import levels, sweep, thermal
 from quasispin.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from quasispin.sweep import THERMO_COLUMNS, figure1_blocks, figure2_blocks, serialize, sweep_blocks
+from quasispin.output import serialize
+from quasispin.sweep import THERMO_COLUMNS, figure1_blocks, figure2_blocks, sweep_blocks
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
 
@@ -73,7 +74,7 @@ class TestTopLevel:
         def broken(*args):
             raise ValueError("a bug, not a domain failure")
 
-        monkeypatch.setattr(thermal, "transition_amplitude", broken)
+        monkeypatch.setattr(levels, "transition_amplitude", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["micro", "--level", "1,1,3,2", "--gamma-cav", "0.5"])
 

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,9 +176,9 @@ class TestGapSolve:
         good = Couplings(theta=0.2, nbar=0.0, lam=0.6, varpi=0.4)
         for theta in (-1e-300, -0.2, math.nan, math.inf):
             with pytest.raises(DomainError, match="theta must be non-negative and finite"):
-                gap_solve(replace(good, theta=theta))
+                gap_solve(good._replace(theta=theta))
         with pytest.raises(DomainError):
-            gap_solve(replace(good, lam=0.0))
+            gap_solve(good._replace(lam=0.0))
 
     @pytest.mark.parametrize(
         "lam, varpi",
@@ -311,7 +310,7 @@ class TestCriticalTemperatures:
         assert (table["nbar"], table["lambda"], table["varpi"]) == ([0.0], [1.0], [0.0])
         assert table["theta_cr"][0] == pytest.approx(0.5, rel=1e-10)
         for ratio in (1.0 - 1e-10, 1.0 + 1e-10):
-            (near,) = critical_temperatures(replace(params, chi=ratio), (1e-4, 2.0))["theta_cr"]
+            (near,) = critical_temperatures(params._replace(chi=ratio), (1e-4, 2.0))["theta_cr"]
             assert near == pytest.approx(table["theta_cr"][0], rel=1e-9)
 
     def test_reentrant_pair(self):
@@ -395,9 +394,9 @@ class TestTransitionRoots:
         lanes = transition_roots(params, self.GRID)
         assert [lane for _, _, lane in lanes] == sorted(lane for _, _, lane in lanes)
         for index, ratio in enumerate(self.RATIOS):
-            scalar = transition_roots(replace(params, chi=ratio), self.GRID)
+            scalar = transition_roots(params._replace(chi=ratio), self.GRID)
             assert {lane for _, _, lane in scalar} <= {0}
-            assert transition_roots(replace(params, chi=np.array([ratio])), self.GRID) == scalar
+            assert transition_roots(params._replace(chi=np.array([ratio])), self.GRID) == scalar
             mine = [(root, kind) for root, kind, lane in lanes if lane == index]
             assert mine == [(root, kind) for root, kind, _ in scalar]
 

@@ -12,7 +12,6 @@ import math
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,27 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_records, stacked, table_records
-from quasispin import sweep
+from quasispin import output, sweep
 from quasispin.base import FIG1_POINTS, FIG2_POINTS, Coded, DomainError, default_theta_max
 from quasispin.cli import EXIT_OK, _write_bytes, main
 from quasispin.exact import compare_meanfield
 from quasispin.meanfield import critical_temperatures, uniform_grid
-from quasispin.sweep import (
-    THERMO_COLUMNS,
-    phase_map,
-    proposed_normalizer,
-    serialize,
-    serialize_blocks,
-    sweep_table,
-)
-from quasispin.thermal import (
-    ModelParams,
-    TransitionLevel,
-    Variant,
-    coupling_constants,
-    couplings_at,
-    transition_amplitude,
-)
+from quasispin.levels import TransitionLevel, coupling_constants, transition_amplitude
+from quasispin.output import serialize, serialize_blocks
+from quasispin.sweep import THERMO_COLUMNS, phase_map, proposed_normalizer, sweep_table
+from quasispin.thermal import ModelParams, Variant, couplings_at
 
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
@@ -362,14 +349,14 @@ def test_each_value_of_a_coded_column_is_rendered_once_per_table(output_format, 
     # table, and each row block only gathers their texts
     render = "_csv_field" if output_format == "csv" else "_json_texts"
     calls = []
-    original = getattr(sweep, render)
+    original = getattr(output, render)
 
     def spy(kind, cells, *args):
         calls.append(list(cells))
         return original(kind, cells, *args)
 
-    monkeypatch.setattr(sweep, render, spy)
-    rows = 3 * sweep._ROW_BLOCK + 1
+    monkeypatch.setattr(output, render, spy)
+    rows = 3 * output._ROW_BLOCK + 1
     values = [[0.5, -0.0, math.nan, "a,b", None, True], ["x", ""]]
     tables = [{"x": Coded(np.arange(rows) % len(cells), cells)} for cells in values]
     for sequence in ([tables[0]], tables):
@@ -386,16 +373,16 @@ def test_a_values_list_shared_by_consecutive_tables_is_rendered_once(output_form
     # list back after another one, is rendered again
     render = "_csv_field" if output_format == "csv" else "_json_texts"
     calls = []
-    original = getattr(sweep, render)
+    original = getattr(output, render)
 
     def spy(kind, cells, *args):
         calls.append(cells)
         return original(kind, cells, *args)
 
-    monkeypatch.setattr(sweep, render, spy)
+    monkeypatch.setattr(output, render, spy)
     shared, other = [0.25, "a,b", None], ["x", ""]
     copy = list(shared)
-    codes = np.arange(sweep._ROW_BLOCK + 5) % 2
+    codes = np.arange(output._ROW_BLOCK + 5) % 2
     cases = [
         ([shared] * 4, [shared]),
         ([shared, copy, shared], [shared, copy, shared]),
@@ -495,7 +482,7 @@ def test_sweep_serialization_peaks_below_three_times_its_output(output_format):
     # bytes together are about twice the output.
     base = ModelParams(omega21=1.0, chi=0.6)
     grid = (0.0, default_theta_max(0.6), 12_000)
-    tables = [sweep_table(replace(base, variant=v), *grid) for v in Variant]
+    tables = [sweep_table(base._replace(variant=v), *grid) for v in Variant]
     peak, size = _peak_and_size(tables, output_format)
     assert sum(len(table["theta"]) for table in tables) == 24_000
     assert peak < 3 * size
@@ -513,7 +500,7 @@ def _sweep_rows(ratio, variants, points, normalize):
     theta_cr = proposed_normalizer(base) if normalize else None
     grid = (0.0, default_theta_max(ratio), points)
     return _rows(stacked(
-        sweep_table(replace(base, variant=v), *grid, theta_cr) for v in variants
+        sweep_table(base._replace(variant=v), *grid, theta_cr) for v in variants
     ))
 
 
@@ -551,7 +538,7 @@ def _fig1_rows(ratios, points=FIG1_POINTS):
         base = ModelParams(omega21=1.0, chi=ratio)
         theta_cr = proposed_normalizer(base)
         for variant in Variant:
-            table = sweep_table(replace(base, variant=variant), 0.0, 1.05 * theta_cr, points,
+            table = sweep_table(base._replace(variant=variant), 0.0, 1.05 * theta_cr, points,
                                 theta_cr)
             rows += [{"chi_ratio": ratio, **row} for row in table_records(table)]
     return rows, ("chi_ratio", "theta_norm", *THERMO_COLUMNS)

@@ -115,7 +115,8 @@ class TestLazyPackage:
             "    print(home, sorted(own ^ exported))\n"
         )
         assert out == [
-            "base", "[]", "exact", "[]", "meanfield", "[]", "sweep", "[]", "thermal", "[]"
+            "base", "[]", "exact", "[]", "levels", "[]", "meanfield", "[]", "output", "[]",
+            "sweep", "[]", "thermal", "[]",
         ]
 
 
@@ -246,6 +247,16 @@ def test_a_full_output_file_is_a_domain_failure():
 
 
 SUBCOMMANDS = ("sweep", "critical", "phase", "fig1", "fig2", "exact-compare", "micro")
+# A small run of each subcommand that exits 0.
+RUNS = {
+    "sweep": ["sweep", "--chi-ratio", "0.6", "--points", "3"],
+    "critical": ["critical", "--chi-ratio", "0.45", "--points", "64"],
+    "phase": ["phase", "--nx", "3", "--ny", "3"],
+    "fig1": ["fig1", "--ratios", "0.6", "--points", "3"],
+    "fig2": ["fig2", "--chi-ratio", "0.6", "--points", "3"],
+    "exact-compare": ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--n-list", "8"],
+    "micro": ["micro", "--level", "1,1,3,2", "--gamma-cav", "0.5"],
+}
 
 
 class TestCliFrontEnd:
@@ -281,25 +292,33 @@ class TestCliFrontEnd:
         )
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--chi-ratio", "0.6", "--points", "3"],
-            ["critical", "--chi-ratio", "0.45", "--points", "64"],
-            ["phase", "--nx", "3", "--ny", "3"],
-            ["fig1", "--ratios", "0.6", "--points", "3"],
-            ["fig2", "--chi-ratio", "0.6", "--points", "3"],
-        ],
+        "argv", [RUNS[name] for name in ("sweep", "critical", "phase", "fig1", "fig2")]
     )
     def test_a_run_without_the_ladder_never_loads_it(self, argv):
         code, loaded = cli_loads(argv)
         assert code == 0
-        assert "numpy" in loaded and "quasispin.sweep" in loaded
+        # critical writes the scan's table, and needs no sweep, figure or phase map
+        assert "numpy" in loaded and ("quasispin.sweep" in loaded) is (argv[0] != "critical")
         assert "quasispin.exact" not in loaded
 
     def test_exact_compare_loads_the_ladder(self):
-        argv = ["exact-compare", "--chi-ratio", "0.6", "--theta", "0.1", "--n-list", "8"]
-        physics = [f"quasispin.{name}" for name in ("exact", "meanfield", "sweep", "thermal")]
-        assert cli_loads(argv) == (0, ["numpy", *self.FRONT_END, *physics])
+        physics = [f"quasispin.{name}" for name in ("exact", "meanfield", "output", "thermal")]
+        assert cli_loads(RUNS["exact-compare"]) == (0, ["numpy", *self.FRONT_END, *physics])
+
+    def test_critical_loads_only_the_scan(self):
+        physics = [f"quasispin.{name}" for name in ("meanfield", "output", "thermal")]
+        assert cli_loads(RUNS["critical"]) == (0, ["numpy", *self.FRONT_END, *physics])
+
+    def test_micro_loads_no_numpy(self):
+        # the level formulas and the serializer are plain Python
+        pure = ["quasispin.levels", "quasispin.output"]
+        assert cli_loads(RUNS["micro"]) == (0, [*self.FRONT_END, *pure])
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_no_run_loads_dataclasses(self, name):
+        # the records are NamedTuples, and numpy does not import dataclasses either
+        code, loaded = cli_loads(RUNS[name], also=("dataclasses",))
+        assert code == 0 and "dataclasses" not in loaded
 
     @pytest.mark.parametrize(
         "argv, loads_json",

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +25,10 @@ from quasispin.sweep import (
     phase_map,
     plot_script,
     proposed_normalizer,
-    serialize,
     sweep_blocks,
     sweep_table,
 )
+from quasispin.output import serialize
 from quasispin.thermal import DomainError, ModelParams, Variant, couplings_at
 
 TRAD_CR_06 = 0.2 / math.atanh(2.0 / 3.0)
@@ -243,7 +242,7 @@ class TestFigure1:
         assert table["variant"] == ["proposed"] * 8 + ["traditional"] * 8
         theta_cr = proposed_normalizer(prop(0.6))
         sweeps = stacked(
-            sweep_table(replace(prop(0.6), variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
+            sweep_table(prop(0.6)._replace(variant=v), 0.0, 1.05 * theta_cr, 8, theta_cr)
             for v in Variant
         )
         assert {name: table[name] for name in sweeps} == sweeps

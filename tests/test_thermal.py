@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasispin.thermal import (
-    Couplings,
-    DomainError,
-    ModelParams,
+from quasispin.levels import (
     SingularLevelError,
     TransitionLevel,
-    Variant,
     coupling_constants,
-    couplings_at,
-    mean_photon_number,
     transition_amplitude,
 )
+from quasispin.thermal import Couplings, DomainError, ModelParams, Variant, couplings_at
+from quasispin.thermal import mean_photon_number
 
 from oracles import planck_occupation
 
@@ -93,6 +89,40 @@ class TestModelParams:
         ):
             with pytest.raises(DomainError):
                 ModelParams(**kwargs)
+
+    def test_replace_checks_and_coerces(self):
+        params = ModelParams(omega21=1.0, chi=0.6)
+        for chi in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="chi must be positive and finite"):
+                params._replace(chi=chi)
+        assert params._replace(variant="traditional").variant is Variant.TRADITIONAL
+        assert params._replace(chi=0.7) == ModelParams(omega21=1.0, chi=0.7)
+        assert params.chi == 0.6  # the original is unchanged
+
+    def test_make_checks(self):
+        with pytest.raises(DomainError, match="omega_k must be positive and finite"):
+            ModelParams._make((1.0, 0.6, -0.5, "proposed"))
+        assert ModelParams._make((1.0, 0.6, None, "traditional")).variant is Variant.TRADITIONAL
+
+    def test_positional_fields_and_tuple_behaviour(self):
+        params = ModelParams(1.0, 0.6)
+        assert params.omega_k == 0.5
+        assert params == (1.0, 0.6, 0.5, Variant.PROPOSED)
+        assert params[1] == 0.6 and len(params) == 4
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        params = ModelParams(omega21=2.0, chi=0.8, omega_k=0.9, variant="traditional")
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and type(copy) is ModelParams
+
+    def test_fields_are_read_only(self):
+        params = ModelParams(omega21=1.0, chi=0.6)
+        with pytest.raises(AttributeError):
+            params.chi = 0.7
+        with pytest.raises(AttributeError):
+            params.extra = 1.0
 
 
 class TestCouplingsAt:
@@ -224,8 +254,8 @@ def test_couplings_is_immutable():
 def test_one_exception_hierarchy():
     # DomainError lives in the numpy-free base module; every layer raises that one class
     import quasispin
-    from quasispin import base, cli, meanfield, thermal
+    from quasispin import base, cli, levels, meanfield, thermal
 
     (root,) = meanfield.NoCriticalPointError.__bases__
-    assert root is thermal.SingularLevelError.__bases__[0] is thermal.DomainError
+    assert root is levels.SingularLevelError.__bases__[0] is thermal.DomainError
     assert root is quasispin.DomainError is base.DomainError is cli.DomainError
