@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -116,7 +117,7 @@ def _load_config(path: str) -> dict[str, str]:
     """Flat key=value file; '#' starts a comment, blank lines are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -499,6 +500,15 @@ def _resolve(args: argparse.Namespace) -> None:
     if getattr(args, "plot_script", None) is not None:
         _check(args.out is not None, "--plot-script requires --out (the script reads that CSV)")
         _check(args.format == "csv", "--plot-script requires --format csv")
+    # Two output flags that name one file would each truncate it, and the
+    # last write would win; a stream such as /dev/stdout is not a file.
+    seen: dict[str, str] = {}
+    for dest in ("out", "boundary_out", "plot_script"):
+        path = getattr(args, dest, None)
+        if path is None or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        first = seen.setdefault(os.path.realpath(path), dest)
+        _check(first == dest, f"{_option(first)} and {_option(dest)} name the same file {path}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

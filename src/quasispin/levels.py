@@ -59,7 +59,9 @@ def transition_amplitude(levels: Sequence[TransitionLevel], omega_k: float) -> f
                 )
         denominator = (level.omega_2a - omega_k) * (level.omega_a1 - omega_k)
         if denominator == 0.0:
-            raise DomainError(f"level {index}: the denominator underflows to 0 at omega_k = {omega_k}")
+            raise DomainError(
+                f"level {index}: the denominator underflows to 0 at omega_k = {omega_k}"
+            )
         total += level.proj1 * level.proj2 * (level.omega_a1 - level.omega_2a) / denominator
     amplitude = total * total
     if not math.isfinite(amplitude):

@@ -1,10 +1,11 @@
 """Deterministic CSV and JSON bytes of column tables, a block of rows at a time.
 
 :func:`serialize_blocks` writes a table (:data:`quasispin.base.Table`), or a
-sequence of tables as their concatenation, to CSV or JSON one block of rows
-at a time, boxing only that block of an array column: a coded column's
-values are rendered once per table, or once for consecutive tables that
-share the list, and gathered by code; float columns format inside a row
+sequence of tables as their concatenation, to CSV or JSON in one loop: for
+each table it renders every coded column's values once (once for
+consecutive tables that share the list), and for each block of rows it
+boxes only that block of an array column, gathers a coded column's texts by
+code, and encodes the block's lines. CSV float columns format inside a row
 template, and rows of text cells only are joined with commas. So a sweep, a
 figure or a phase map written from its row blocks holds one block of rows,
 whatever its size. :func:`serialize` joins the blocks.
@@ -81,43 +82,6 @@ def _row_count(table: Table, names: list[str]) -> int:
     return lengths[0] if lengths else 0
 
 
-def _column_blocks(column, count: int, render: Callable) -> Iterator[tuple[str, Iterable]]:
-    # (row-template field, cells for it) of each row block of one column, from
-    # render(kind, cells). An array's block becomes a list here, so only one
-    # block of it is boxed at a time. A coded column comes with its values
-    # already rendered, and each block gathers their texts by code.
-    if isinstance(column, Coded):
-        for start in range(0, count, _ROW_BLOCK):
-            yield "%s", column.values.take(column.codes[start : start + _ROW_BLOCK]).tolist()
-        return
-    kind = _column_kind(column)
-    for start in range(0, count, _ROW_BLOCK):
-        cells = column[start : start + _ROW_BLOCK]
-        yield render(kind, cells.tolist() if hasattr(cells, "tolist") else cells)
-
-
-def _row_blocks(tables: Iterable[Table], names: list[str], render: Callable) -> Iterator[tuple]:
-    # The (field, cells) of every column, one row block of one table at a
-    # time. A coded column's values are rendered as a plain column of them
-    # would be, unless the table before had the same list object in that
-    # column, whose texts are reused: a list shared by consecutive tables is
-    # rendered once.
-    rendered: dict[int, tuple[list, numpy.ndarray]] = {}  # column index -> (values, texts)
-    for table in tables:
-        count = _row_count(table, names)
-        columns = list(table.values())
-        for index, column in enumerate(columns):
-            if isinstance(column, Coded):
-                if rendered.get(index, (None,))[0] is not column.values:
-                    import numpy as np  # loaded already: the codes are an array
-
-                    field, cells = render(_column_kind(column.values), column.values)
-                    texts = np.array([field % (cell,) for cell in cells], dtype=object)
-                    rendered[index] = column.values, texts
-                columns[index] = Coded(column.codes, rendered[index][1])
-        yield from zip(*(_column_blocks(column, count, render) for column in columns))
-
-
 def _csv_field(kind: type | None, cells: list, fmt: str, lone: bool) -> tuple[str, Iterable]:
     # (row-template field, cells for it) of one column's row block: floats
     # format in the template, other cells become their quoted texts
@@ -147,40 +111,61 @@ def _json_texts(kind: type | None, cells: list, fmt: str) -> tuple[str, Iterable
     return "%s", (_JSON_NON_FINITE.get(text, text) for text in spelled)
 
 
-def _csv_lines(blocks: Iterable[tuple]) -> Iterator[Iterator[str]]:
-    # The CSV lines of each row block, without their line ends
-    for fields in blocks:
-        rows = zip(*(cells for _, cells in fields))
-        if all(field == "%s" for field, _ in fields):
-            yield map(",".join, rows)
-        else:
-            yield map(",".join(field for field, _ in fields).__mod__, rows)
-
-
-def _json_lines(blocks: Iterable[tuple], names: list[str]) -> Iterator[Iterator[str]]:
-    # The JSON objects of each row block
-    import json
-
-    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in names)
-    template = "  {\n" + ",\n".join(keys) + "\n  }"
-    for fields in blocks:
-        yield map(template.__mod__, zip(*(cells for _, cells in fields)))
+def _csv_line(fields: list[str]) -> Callable[[tuple], str]:
+    # The CSV line of a row of one block's cells: floats format in a row
+    # template, and a row of text cells only is joined with commas
+    if all(field == "%s" for field in fields):
+        return ",".join
+    return ",".join(fields).__mod__
 
 
 def _encoded(
-    blocks: Iterable[Iterable[str]], head: str, sep: str, tail: str, empty: str
+    tables: Iterable[Table], names: list[str], render: Callable, line: Callable,
+    head: str, sep: str, tail: str, empty: str,
 ) -> Iterator[bytes]:
-    # UTF-8 of head, every line of every block joined by sep, and tail, one
-    # block at a time: each block after the first starts with sep. Without
-    # any line it is the UTF-8 of empty alone. The lines come straight from
-    # the lazy row iterator: a list of row tuples would stop zip from reusing
-    # its tuple.
+    # UTF-8 of head, the lines of every row block of every table joined by
+    # sep, and tail, one block at a time: each block after the first starts
+    # with sep. Without any line it is the UTF-8 of empty alone. render(kind,
+    # cells) turns a column's block into (row-template field, cells), and
+    # line(fields) maps a row's cells to its line. An array's block becomes a
+    # list here, so only one block of it is boxed at a time. A coded column's
+    # values are rendered as a plain column of them would be, once for
+    # consecutive tables that hold the same list object in that column, and
+    # each block gathers their texts by code.
+    rendered: dict[int, tuple[list, numpy.ndarray]] = {}  # column index -> (values, texts)
     lead = None
-    for lines in blocks:
-        if lead is None:
-            yield head.encode("utf-8")
-        yield sep.join(chain(lead or (), lines)).encode("utf-8")
-        lead = ("",)
+    for table in tables:
+        count = _row_count(table, names)
+        columns = list(table.values())
+        for index, column in enumerate(columns):
+            if isinstance(column, Coded):
+                if rendered.get(index, (None,))[0] is not column.values:
+                    import numpy as np  # loaded already: the codes are an array
+
+                    field, cells = render(_column_kind(column.values), column.values)
+                    texts = np.array([field % (cell,) for cell in cells], dtype=object)
+                    rendered[index] = column.values, texts
+                columns[index] = Coded(column.codes, rendered[index][1])
+        kinds = [None if isinstance(column, Coded) else _column_kind(column)
+                 for column in columns]
+        for start in range(0, count, _ROW_BLOCK):
+            fields = []
+            for column, kind in zip(columns, kinds):
+                if isinstance(column, Coded):
+                    codes = column.codes[start : start + _ROW_BLOCK]
+                    fields.append(("%s", column.values.take(codes).tolist()))
+                else:
+                    cells = column[start : start + _ROW_BLOCK]
+                    cells = cells.tolist() if hasattr(cells, "tolist") else cells
+                    fields.append(render(kind, cells))
+            if lead is None:
+                yield head.encode("utf-8")
+            # The lines come straight from the lazy row iterator: a list of
+            # row tuples would stop zip from reusing its tuple.
+            rows = zip(*(cells for _, cells in fields))
+            lines = map(line([field for field, _ in fields]), rows)
+            yield sep.join(chain(lead or (), lines)).encode("utf-8")
+            lead = ("",)
     yield (empty if lead is None else tail).encode("utf-8")
 
 
@@ -198,21 +183,18 @@ def serialize_blocks(
     whole text. The first table's keys name the columns, in order; every
     column is a list, a 1-D numpy array or a :class:`~quasispin.base.Coded`
     column with one cell per row, and an array's or a coded column's cells
-    are those of its ``tolist()``. Floats are written in
-    round-trip ``g`` form limited to ``precision`` significant digits (6..17,
-    default 9), booleans as ``true``/``false``, ``None`` as an empty CSV field
-    or JSON ``null``. CSV has LF line endings and RFC 4180 quotes around any
-    string cell holding a comma, quote, CR or LF; JSON is a list of objects in
+    are those of its ``tolist()``. Floats are written in round-trip ``g``
+    form limited to ``precision`` significant digits (6..17, default 9),
+    booleans as ``true``/``false``, ``None`` as an empty CSV field or JSON
+    ``null``. CSV has LF line endings and RFC 4180 quotes around any string
+    cell holding a comma, quote, CR or LF; JSON is a list of objects in
     column order, indented by two spaces, with ``NaN`` and ``Infinity`` for
-    non-finite floats. A coded column's values are rendered once per table,
-    as a plain column of those cells would be, and each row block gathers
-    their texts by code; a table whose column holds the same list object as
-    that column of the table before reuses its texts. CSV float columns format inside a row template, and
-    a CSV row of text cells only is joined with commas. The format, the
-    precision and the first table are taken and checked by this call, before
-    the first block is asked for; a later table is taken when its rows are
-    due, and raises ``ValueError`` if its columns differ. Identical inputs
-    give byte-identical output.
+    non-finite floats. This call checks the format, the precision and the
+    first table, and picks the CSV or JSON cell renderer and line builder;
+    one loop then takes each table when its rows are due (a later table
+    whose columns differ raises ``ValueError``), renders its coded columns'
+    values once, cuts it into row blocks, and yields each block's lines as
+    they are built. Identical inputs give byte-identical output.
     """
     if not 6 <= precision <= 17 or int(precision) != precision:  # NaN and inf fail the range
         raise DomainError(f"precision must be an integer in [6, 17], got {precision}")
@@ -229,10 +211,14 @@ def serialize_blocks(
     if output_format == "csv":
         lone = len(names) == 1
         header = ",".join(_csv_quote(name, lone) for name in names) + "\n"
-        blocks = _row_blocks(tables, names, lambda kind, cells: _csv_field(kind, cells, fmt, lone))
-        return _encoded(_csv_lines(blocks), header, "\n", "\n", header)
-    blocks = _row_blocks(tables, names, lambda kind, cells: _json_texts(kind, cells, fmt))
-    return _encoded(_json_lines(blocks, names), "[\n", ",\n", "\n]\n", "[]\n")
+        return _encoded(tables, names, lambda kind, cells: _csv_field(kind, cells, fmt, lone),
+                        _csv_line, header, "\n", "\n", header)
+    import json
+
+    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in names)
+    template = "  {\n" + ",\n".join(keys) + "\n  }"
+    return _encoded(tables, names, lambda kind, cells: _json_texts(kind, cells, fmt),
+                    lambda fields: template.__mod__, "[\n", ",\n", "\n]\n", "[]\n")
 
 
 def serialize(

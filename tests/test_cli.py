@@ -527,6 +527,30 @@ class TestFigures:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, second",
+        [
+            (["fig1", "--ratios", "0.6"], "--plot-script"),
+            (["phase", "--nx", "3", "--ny", "3"], "--boundary-out"),
+        ],
+    )
+    @pytest.mark.parametrize("existing", [b"keep\n", None], ids=["existing", "new"])
+    def test_two_outputs_naming_one_file_are_a_usage_error(
+        self, capsys, tmp_path, argv, second, existing
+    ):
+        target = tmp_path / "F"
+        if existing is not None:
+            target.write_bytes(existing)
+        alias = tmp_path / "sub" / ".." / "F"
+        (tmp_path / "sub").mkdir()
+        code, out, err = run(capsys, [*argv, "--out", str(target), second, str(alias)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--out" in err and second in err
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+
     def test_plot_script_requires_csv(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -773,6 +797,14 @@ class TestConfigFiles:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["sweep", "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_USAGE
+
+    def test_config_file_that_is_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["sweep", "--chi-ratio", "0.6", "--config", str(config)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot read config file {config}")
+        assert len(err.splitlines()) == 1
 
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
