@@ -501,13 +501,16 @@ def _resolve(args: argparse.Namespace) -> None:
         _check(args.out is not None, "--plot-script requires --out (the script reads that CSV)")
         _check(args.format == "csv", "--plot-script requires --format csv")
     # Two output flags that name one file would each truncate it, and the
-    # last write would win; a stream such as /dev/stdout is not a file.
-    seen: dict[str, str] = {}
+    # last write would win; a stream such as /dev/stdout is not a file. A
+    # file that exists is known by its inode, so hard links to it match.
+    seen: dict[object, str] = {}
     for dest in ("out", "boundary_out", "plot_script"):
         path = getattr(args, dest, None)
         if path is None or (os.path.exists(path) and not os.path.isfile(path)):
             continue
-        first = seen.setdefault(os.path.realpath(path), dest)
+        stat = os.stat(path) if os.path.isfile(path) else None
+        key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
+        first = seen.setdefault(key, dest)
         _check(first == dest, f"{_option(first)} and {_option(dest)} name the same file {path}")
 
 

@@ -6,12 +6,15 @@ each table it renders every coded column's values once (once for
 consecutive tables that share the list), and for each block of rows it
 boxes only that block of an array column, gathers a coded column's texts by
 code, and encodes the block's lines. CSV float columns format inside a row
-template, and rows of text cells only are joined with commas. So a sweep, a
-figure or a phase map written from its row blocks holds one block of rows,
-whatever its size. :func:`serialize` joins the blocks.
+template, and rows of text cells only are joined with commas. A block of a
+float array column whose cells share one bit pattern (a sweep's constant
+couplings, say) renders that cell once, as a literal of the block's CSV row
+or JSON record template. So a sweep, a figure or a phase map written from its
+row blocks holds one block of rows, whatever its size. :func:`serialize`
+joins the blocks.
 
-The module imports no numpy: it reads an array column through its ``dtype``
-and ``tolist()``, and imports numpy only to render a
+The module imports no numpy: it reads an array column through its ``dtype``,
+``view()`` and ``tolist()``, and imports numpy only to render a
 :class:`~quasispin.base.Coded` column, whose codes are a numpy array, so
 numpy is loaded already. A table of lists, such as the one ``micro`` writes,
 is serialized without it.
@@ -20,7 +23,7 @@ is serialized without it.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .base import Coded, DomainError, Table
@@ -128,10 +131,13 @@ def _encoded(
     # with sep. Without any line it is the UTF-8 of empty alone. render(kind,
     # cells) turns a column's block into (row-template field, cells), and
     # line(fields) maps a row's cells to its line. An array's block becomes a
-    # list here, so only one block of it is boxed at a time. A coded column's
-    # values are rendered as a plain column of them would be, once for
-    # consecutive tables that hold the same list object in that column, and
-    # each block gathers their texts by code.
+    # list here, so only one block of it is boxed at a time. A block of a
+    # float array column whose cells hold one bit pattern (so 0.0 and -0.0,
+    # or two NaN payloads, differ) renders that one cell, and its text
+    # becomes a literal of the block's row template, with no cells. A coded
+    # column's values are rendered as a plain column of them would be, once
+    # for consecutive tables that hold the same list object in that column,
+    # and each block gathers their texts by code.
     rendered: dict[int, tuple[list, numpy.ndarray]] = {}  # column index -> (values, texts)
     lead = None
     for table in tables:
@@ -148,23 +154,33 @@ def _encoded(
                 columns[index] = Coded(column.codes, rendered[index][1])
         kinds = [None if isinstance(column, Coded) else _column_kind(column)
                  for column in columns]
+        # the raw bits of each float array column of up to 64 bits
+        bits = [column.view(f"u{column.itemsize}")
+                if kind is float and hasattr(column, "dtype") and column.itemsize <= 8 else None
+                for column, kind in zip(columns, kinds)]
         for start in range(0, count, _ROW_BLOCK):
-            fields = []
-            for column, kind in zip(columns, kinds):
+            stop = min(start + _ROW_BLOCK, count)
+            fields, blocks = [], []
+            for column, kind, raw in zip(columns, kinds, bits):
                 if isinstance(column, Coded):
-                    codes = column.codes[start : start + _ROW_BLOCK]
-                    fields.append(("%s", column.values.take(codes).tolist()))
+                    field, cells = "%s", column.values.take(column.codes[start:stop]).tolist()
+                elif (raw is not None and raw[start] == raw[stop - 1]
+                      and (raw[start:stop] == raw[start]).all()):
+                    field, cells = render(kind, column[start : start + 1].tolist())
+                    fields.append((field % tuple(cells)).replace("%", "%%"))
+                    continue
                 else:
-                    cells = column[start : start + _ROW_BLOCK]
+                    cells = column[start:stop]
                     cells = cells.tolist() if hasattr(cells, "tolist") else cells
-                    fields.append(render(kind, cells))
+                    field, cells = render(kind, cells)
+                fields.append(field)
+                blocks.append(cells)
             if lead is None:
                 yield head.encode("utf-8")
             # The lines come straight from the lazy row iterator: a list of
             # row tuples would stop zip from reusing its tuple.
-            rows = zip(*(cells for _, cells in fields))
-            lines = map(line([field for field, _ in fields]), rows)
-            yield sep.join(chain(lead or (), lines)).encode("utf-8")
+            rows = zip(*blocks) if blocks else repeat((), stop - start)
+            yield sep.join(chain(lead or (), map(line(fields), rows))).encode("utf-8")
             lead = ("",)
     yield (empty if lead is None else tail).encode("utf-8")
 
@@ -215,10 +231,14 @@ def serialize_blocks(
                         _csv_line, header, "\n", "\n", header)
     import json
 
-    keys = ("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in names)
-    template = "  {\n" + ",\n".join(keys) + "\n  }"
+    keys = ["    %s: " % json.dumps(name).replace("%", "%%") for name in names]
+
+    def record(fields: list[str]) -> Callable[[tuple], str]:
+        # the JSON object template of a row of one block's cells
+        return ("  {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n  }").__mod__
+
     return _encoded(tables, names, lambda kind, cells: _json_texts(kind, cells, fmt),
-                    lambda fields: template.__mod__, "[\n", ",\n", "\n]\n", "[]\n")
+                    record, "[\n", ",\n", "\n]\n", "[]\n")
 
 
 def serialize(

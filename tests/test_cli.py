@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shlex
 import tracemalloc
@@ -550,6 +551,24 @@ class TestFigures:
             assert not target.exists()
         else:
             assert target.read_bytes() == existing
+
+    @pytest.mark.parametrize(
+        "argv, second",
+        [
+            (["fig1", "--ratios", "0.6", "--points", "5"], "--plot-script"),
+            (["phase", "--nx", "3", "--ny", "3"], "--boundary-out"),
+        ],
+    )
+    def test_two_outputs_naming_one_file_by_a_hard_link_are_a_usage_error(
+        self, capsys, tmp_path, argv, second
+    ):
+        target, link = tmp_path / "F", tmp_path / "G"
+        target.write_bytes(b"keep\n")
+        os.link(target, link)
+        code, out, err = run(capsys, [*argv, "--out", str(target), second, str(link)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--out" in err and second in err
+        assert target.read_bytes() == b"keep\n"
 
     def test_plot_script_requires_csv(self, capsys, tmp_path):
         code, _, _ = run(

@@ -343,6 +343,65 @@ def test_row_blocks_with_zeros_of_either_sign_match_the_row_dict_writer(output_f
         assert serialize(table, output_format, precision) == expected
 
 
+def _blocks_of(*values, dtype=np.float64):
+    # two whole row blocks and a one-row last block, each of one value
+    B = sweep._ROW_BLOCK
+    return np.array([values[0]] * B + [values[1]] * B + [values[2]], dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        _blocks_of(0.0, -0.0, 0.0),
+        _blocks_of(math.nan, math.inf, 1.0),
+        _blocks_of(1e300, -1e300, 1e300),
+        _blocks_of(0.1, -0.0, math.nan, dtype=np.float32),
+        np.repeat(_blocks_of(1.0 / 3.0, 0.25, -math.inf), 2)[::2],  # a strided view
+    ],
+    ids=["zeros", "nan-inf-one", "1e300", "float32", "strided"],
+)
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_row_blocks_of_one_value_match_the_row_dict_writer(column, output_format):
+    # the constant blocks next to columns of distinct cells, text and codes,
+    # and alone or with other constant columns, where no column has cells
+    rows = len(column)
+    tables = [
+        {"c": column, "x": np.arange(rows) / 7.0,
+         "phase": ["ordered", "a,b%s"] * (rows // 2) + [""],
+         "variant": Coded(np.arange(rows) % 2, ["traditional", 0.5])},
+        {"c": column},
+        {"c": column, "d": np.zeros(rows), "e": column[::-1]},
+    ]
+    for precision in (6, 9, 17):
+        for table in tables:
+            records = table_records(table)
+            expected = serialize_records(records, output_format, precision, list(table))
+            assert serialize(table, output_format, precision) == expected
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_row_block_of_one_bit_pattern_is_rendered_as_one_cell(output_format, monkeypatch):
+    # a block that mixes 0.0 and -0.0, or two NaN payloads, is not one bit
+    # pattern, so each of its cells is rendered
+    render = "_csv_field" if output_format == "csv" else "_json_texts"
+    calls = []
+    original = getattr(output, render)
+
+    def spy(kind, cells, *args):
+        calls.append(list(cells))
+        return original(kind, cells, *args)
+
+    monkeypatch.setattr(output, render, spy)
+    B = output._ROW_BLOCK
+    payload = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    column = np.array([0.25] * B + [0.0, -0.0] * (B // 2) + [math.nan, payload] * (B // 2) + [7.0])
+    expected = serialize({"x": column.tolist()}, output_format)
+    calls.clear()
+    assert serialize({"x": column}, output_format) == expected
+    assert [len(cells) for cells in calls] == [1, B, B, 1]
+    assert calls[0] == [0.25] and calls[-1] == [7.0]
+
+
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_each_value_of_a_coded_column_is_rendered_once_per_table(output_format, monkeypatch):
     # the values go through the render path of a plain column once per
