@@ -4,25 +4,27 @@
 sequence of tables as their concatenation, to CSV or JSON in one loop: for
 each table it renders every coded column's values once (once for
 consecutive tables that share the list), and for each block of rows it
-boxes only that block of an array column, gathers a coded column's texts by
-code, and encodes the block's lines. CSV float columns format inside a row
-template, and rows of text cells only are joined with commas. A block of a
+reads only that block of an array column, gathers a coded column's texts by
+code, and encodes the block's lines. CSV is built as bytes: a row with
+float fields is formatted by a bytes row template, a row of text cells only
+is joined with commas, and each distinct text cell is quoted and encoded
+once; JSON is built as text and encoded a block at a time. A block of a
 float array column whose cells share one bit pattern (a sweep's constant
 couplings, say) renders that cell once, as a literal of the block's CSV row
-or JSON record template. So a sweep, a figure or a phase map written from its
-row blocks holds one block of rows, whatever its size. :func:`serialize`
-joins the blocks.
+or JSON record template. So a sweep, a figure or a phase map written from
+its row blocks holds one block of rows, whatever its size. :func:`serialize` joins the blocks.
 
 The module imports no numpy: it reads an array column through its ``dtype``,
-``view()`` and ``tolist()``, and imports numpy only to render a
-:class:`~quasispin.base.Coded` column, whose codes are a numpy array, so
-numpy is loaded already. A table of lists, such as the one ``micro`` writes,
-is serialized without it.
+``view()``, its buffer (a ``memoryview``) and ``tolist()``, and imports numpy
+only to render a :class:`~quasispin.base.Coded` column, whose codes are a
+numpy array, so numpy is loaded already. A table of lists, such as the one
+``micro`` writes, is serialized without it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -31,7 +33,7 @@ from .base import Coded, DomainError, Table
 __all__ = ["serialize", "serialize_blocks"]
 
 # Sweeps are solved (quasispin.sweep takes this size from here), and tables are
-# serialized, this many rows at a time, and each block is written before the
+# serialized, at most this many rows at a time, and each block is written before the
 # next is made, so neither a sweep's columns nor the output's text and bytes
 # exist whole. On a 12000-point CSV sweep of both variants (2-vCPU VM) the
 # process peaked at 30.3 / 31.2 / 33.5 MB with 1024 / 2048 / 4096 rows (35.2 MB
@@ -39,6 +41,11 @@ __all__ = ["serialize", "serialize_blocks"]
 # each block runs its own gap_solve Newton loop and its own per-column set-up
 # in the serializer.
 _ROW_BLOCK = 2048
+# A serializer block also holds at most this many cells: a 10-column sweep
+# block about 800 rows, a 4-column phase-map block its whole 2048 rows. The
+# 12000-point CSV sweep above peaked at 30.4 MB without the cap and 30.0 MB
+# with it (medians of 7, 2 vCPUs).
+_BLOCK_CELLS = 2**13
 
 
 # A string cell needs RFC 4180 quotes when it holds one of these characters.
@@ -64,12 +71,18 @@ def _csv_quote(text: str, lone: bool) -> str:
     return text
 
 
+def _plain_array(column) -> bool:
+    # A numpy ndarray, not a subclass: a masked array's tolist() cells are
+    # None where masked, whatever its dtype. numpy is loaded if it is one.
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and type(column) is numpy.ndarray
+
+
 def _column_kind(column) -> type | None:
-    # float or str when every cell of the column is one, else None; an
+    # float or str when every cell of the column is one, else None; a plain
     # array's dtype answers without a pass over its cells
-    dtype = getattr(column, "dtype", None)
-    if dtype is not None and dtype.kind in "fU":
-        return float if dtype.kind == "f" else str
+    if _plain_array(column) and column.dtype.kind in "fU":
+        return float if column.dtype.kind == "f" else str
     kinds = set(map(type, column))
     return float if kinds <= {float} else str if kinds <= {str} else None
 
@@ -85,20 +98,19 @@ def _row_count(table: Table, names: list[str]) -> int:
     return lengths[0] if lengths else 0
 
 
-def _csv_field(kind: type | None, cells: list, fmt: str, lone: bool) -> tuple[str, Iterable]:
-    # (row-template field, cells for it) of one column's row block: floats
-    # format in the template, other cells become their quoted texts
+def _csv_field(kind: type | None, cells: Iterable, fmt: str, lone: bool) -> tuple[bytes, Iterable]:
+    # (row-template field, cells for it) of one column's row block, as bytes:
+    # floats format in the template, other cells become their quoted UTF-8,
+    # encoded once for each distinct text
     if kind is float:
-        return fmt, cells
+        return fmt.encode(), cells
     if kind is None:
         cells = [_cell_text(value, fmt) for value in cells]
-    quoted = {text: _csv_quote(text, lone) for text in set(cells)}
-    if any(text != cell for text, cell in quoted.items()):
-        cells = list(map(quoted.__getitem__, cells))
-    return "%s", cells
+    quoted = {text: _csv_quote(text, lone).encode("utf-8") for text in set(cells)}
+    return b"%s", list(map(quoted.__getitem__, cells))
 
 
-def _json_texts(kind: type | None, cells: list, fmt: str) -> tuple[str, Iterable[str]]:
+def _json_texts(kind: type | None, cells: Iterable, fmt: str) -> tuple[str, Iterable[str]]:
     # ("%s", texts) of one column's row block, as json.dumps writes each cell
     # rounded to fmt
     import json
@@ -114,75 +126,91 @@ def _json_texts(kind: type | None, cells: list, fmt: str) -> tuple[str, Iterable
     return "%s", (_JSON_NON_FINITE.get(text, text) for text in spelled)
 
 
-def _csv_line(fields: list[str]) -> Callable[[tuple], str]:
-    # The CSV line of a row of one block's cells: floats format in a row
-    # template, and a row of text cells only is joined with commas
-    if all(field == "%s" for field in fields):
-        return ",".join
-    return ",".join(fields).__mod__
+def _csv_line(fields: list[bytes]) -> Callable[[tuple], bytes]:
+    # The CSV line of a row of one block's cells: a row of text cells only is
+    # joined with commas, any other formats in a bytes row template
+    if fields.count(b"%s") == len(fields):
+        return b",".join
+    return b",".join(fields).__mod__
 
 
 def _encoded(
     tables: Iterable[Table], names: list[str], render: Callable, line: Callable,
-    head: str, sep: str, tail: str, empty: str,
+    head: str, sep: str, tail: str, empty: str, binary: bool,
 ) -> Iterator[bytes]:
     # UTF-8 of head, the lines of every row block of every table joined by
     # sep, and tail, one block at a time: each block after the first starts
-    # with sep. Without any line it is the UTF-8 of empty alone. render(kind,
+    # with sep. Without any line it is the UTF-8 of empty alone. A block
+    # holds at most _ROW_BLOCK rows and _BLOCK_CELLS cells. render(kind,
     # cells) turns a column's block into (row-template field, cells), and
-    # line(fields) maps a row's cells to its line. An array's block becomes a
-    # list here, so only one block of it is boxed at a time. A block of a
-    # float array column whose cells hold one bit pattern (so 0.0 and -0.0,
-    # or two NaN payloads, differ) renders that one cell, and its text
-    # becomes a literal of the block's row template, with no cells. A coded
-    # column's values are rendered as a plain column of them would be, once
-    # for consecutive tables that hold the same list object in that column,
-    # and each block gathers their texts by code.
-    rendered: dict[int, tuple[list, numpy.ndarray]] = {}  # column index -> (values, texts)
-    lead = None
+    # line(fields) maps a row's cells to its line; both are bytes when
+    # binary (CSV), else str, encoded a block at a time. Only one block of
+    # an array is read at a time: a plain native float64 or float32 array
+    # through its buffer, which boxes one cell at a time, any other through
+    # tolist(). A block of a plain float array column whose cells hold one
+    # bit pattern (so 0.0 and -0.0, or two NaN payloads, differ) renders that
+    # one cell, and its text (a float's text holds no %) becomes a literal of
+    # the block's row template, with no cells. A coded column's values are
+    # rendered as a plain column of them would be, once for consecutive
+    # tables that hold the same list object in that column, and each block
+    # gathers their texts by code.
+    rendered: dict[int, tuple] = {}  # column index -> (values, texts)
+    step = min(_ROW_BLOCK, max(1, _BLOCK_CELLS // max(1, len(names))))
+    percent = b"%s" if binary else "%s"
+    joiner = sep.encode("utf-8") if binary else sep
+    started = False
     for table in tables:
         count = _row_count(table, names)
         columns = list(table.values())
+        kinds = [None if isinstance(column, Coded) else _column_kind(column)
+                 for column in columns]
         for index, column in enumerate(columns):
             if isinstance(column, Coded):
-                if rendered.get(index, (None,))[0] is not column.values:
+                values, texts = rendered.get(index, (None, None))
+                if values is not column.values:
                     import numpy as np  # loaded already: the codes are an array
 
                     field, cells = render(_column_kind(column.values), column.values)
                     texts = np.array([field % (cell,) for cell in cells], dtype=object)
                     rendered[index] = column.values, texts
-                columns[index] = Coded(column.codes, rendered[index][1])
-        kinds = [None if isinstance(column, Coded) else _column_kind(column)
-                 for column in columns]
-        # the raw bits of each float array column of up to 64 bits
-        bits = [column.view(f"u{column.itemsize}")
-                if kind is float and hasattr(column, "dtype") and column.itemsize <= 8 else None
-                for column, kind in zip(columns, kinds)]
-        for start in range(0, count, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, count)
+                columns[index] = Coded(column.codes, texts)
+        # per column: the raw bits of a plain float array of up to 64 bits,
+        # and whether its blocks are read through the buffer
+        bits, buffers = [], []
+        for column, kind in zip(columns, kinds):
+            flt = kind is float and _plain_array(column) and column.dtype.kind == "f"
+            bits.append(column.view(f"u{column.itemsize}") if flt and column.itemsize <= 8 else None)
+            buffers.append(flt and column.dtype.isnative and column.dtype.char in "df")
+        for start in range(0, count, step):
+            stop = min(start + step, count)
             fields, blocks = [], []
-            for column, kind, raw in zip(columns, kinds, bits):
+            for column, kind, raw, buffer in zip(columns, kinds, bits, buffers):
                 if isinstance(column, Coded):
-                    field, cells = "%s", column.values.take(column.codes[start:stop]).tolist()
+                    field = percent
+                    cells = column.values.take(column.codes[start:stop]).tolist()
                 elif (raw is not None and raw[start] == raw[stop - 1]
                       and (raw[start:stop] == raw[start]).all()):
                     field, cells = render(kind, column[start : start + 1].tolist())
-                    fields.append((field % tuple(cells)).replace("%", "%%"))
+                    fields.append(field % tuple(cells))
                     continue
                 else:
                     cells = column[start:stop]
-                    cells = cells.tolist() if hasattr(cells, "tolist") else cells
+                    if buffer:
+                        cells = memoryview(cells)
+                    elif hasattr(cells, "tolist"):
+                        cells = cells.tolist()
                     field, cells = render(kind, cells)
                 fields.append(field)
                 blocks.append(cells)
-            if lead is None:
+            if not started:
                 yield head.encode("utf-8")
             # The lines come straight from the lazy row iterator: a list of
             # row tuples would stop zip from reusing its tuple.
             rows = zip(*blocks) if blocks else repeat((), stop - start)
-            yield sep.join(chain(lead or (), map(line(fields), rows))).encode("utf-8")
-            lead = ("",)
-    yield (empty if lead is None else tail).encode("utf-8")
+            block = joiner.join(chain((joiner[:0],) if started else (), map(line(fields), rows)))
+            yield block if binary else block.encode("utf-8")
+            started = True
+    yield (tail if started else empty).encode("utf-8")
 
 
 def serialize_blocks(
@@ -194,12 +222,15 @@ def serialize_blocks(
 
     ``tables`` is one table, or an iterable of tables with the same columns
     whose rows are written in order, as one table of all their rows would
-    be. Yields the encoded header, each block of up to 2048 rows
-    (``_ROW_BLOCK``) of a table, then the tail; their concatenation is the
-    whole text. The first table's keys name the columns, in order; every
-    column is a list, a 1-D numpy array or a :class:`~quasispin.base.Coded`
-    column with one cell per row, and an array's or a coded column's cells
-    are those of its ``tolist()``. Floats are written in round-trip ``g``
+    be. Yields the encoded header, each block of a table's rows, then the
+    tail; their concatenation is the whole text. A block holds up to 2048
+    rows (``_ROW_BLOCK``) and up to 8192 cells (``_BLOCK_CELLS``), so about
+    800 rows of a 10-column sweep. The first table's keys name the columns,
+    in order; every column is a list, a 1-D numpy array or a
+    :class:`~quasispin.base.Coded` column with one cell per row, and an
+    array's or a coded column's cells are those of its ``tolist()`` (a
+    longdouble array's as the floats they round to; a masked array's masked
+    cells are ``None``). Floats are written in round-trip ``g``
     form limited to ``precision`` significant digits (6..17, default 9),
     booleans as ``true``/``false``, ``None`` as an empty CSV field or JSON
     ``null``. CSV has LF line endings and RFC 4180 quotes around any string
@@ -228,7 +259,7 @@ def serialize_blocks(
         lone = len(names) == 1
         header = ",".join(_csv_quote(name, lone) for name in names) + "\n"
         return _encoded(tables, names, lambda kind, cells: _csv_field(kind, cells, fmt, lone),
-                        _csv_line, header, "\n", "\n", header)
+                        _csv_line, header, "\n", "\n", header, binary=True)
     import json
 
     keys = ["    %s: " % json.dumps(name).replace("%", "%%") for name in names]
@@ -238,7 +269,7 @@ def serialize_blocks(
         return ("  {\n" + ",\n".join(map(str.__add__, keys, fields)) + "\n  }").__mod__
 
     return _encoded(tables, names, lambda kind, cells: _json_texts(kind, cells, fmt),
-                    record, "[\n", ",\n", "\n]\n", "[]\n")
+                    record, "[\n", ",\n", "\n]\n", "[]\n", binary=False)
 
 
 def serialize(

@@ -16,7 +16,7 @@ block. :func:`phase_map` classifies its cells and finds its whole boundary
 in the call, keeping one byte a cell, and gives the cells as coded
 row-block tables of whole temperature rows; its boundary holds lists, as do
 ``meanfield.critical_temperatures`` and ``exact.compare_meanfield``. Row
-blocks have the serializer's size, ``output._ROW_BLOCK``, and
+blocks have the serializer's row limit, ``output._ROW_BLOCK``, and
 :func:`quasispin.output.serialize_blocks` writes a sequence of them as one
 table, so a sweep, a figure or a phase map written from its row blocks holds
 one block of rows and its grids (a phase map also its byte a cell), whatever

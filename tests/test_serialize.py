@@ -271,8 +271,16 @@ def test_long_tables_match_the_row_dict_writer(output_format, long_tables):
         np.array(["ordered", "disordered", 3, 0.5] * 1100, dtype=object),
         np.array([True, False, True]),
         np.array([-(2**62), 0, 7], dtype=np.int64),
+        # float arrays that lend no buffer the serializer reads: memoryview
+        # cannot iterate formats >d and e
+        np.array(SPECIAL_FLOATS * 300, dtype=">f8"),
+        np.array([0.1, -0.0, 6e-8, 65504.0, math.nan, -math.inf] * 800, dtype=np.float16),
+        np.array([0.5, 1.5, -0.0, math.nan] * 1100, dtype=object),  # floats, not a float dtype
+        # masked cells are None in tolist(), and the 2.0 under them is not written
+        np.ma.array([1.0, 2.0, 3.0] * 1400, mask=[0, 1, 0] * 1400),
     ],
-    ids=["float64", "float32", "repeats", "zeros-by-block", "str", "object", "bool", "int64"],
+    ids=["float64", "float32", "repeats", "zeros-by-block", "str", "object", "bool", "int64",
+         "big-endian", "float16", "object-floats", "masked"],
 )
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_an_array_column_writes_the_bytes_of_its_list(column, output_format):
@@ -287,18 +295,40 @@ def test_an_array_column_writes_the_bytes_of_its_list(column, output_format):
     )
 
 
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_longdouble_column_writes_the_bytes_of_the_floats_of_its_cells(output_format):
+    # numpy lends no buffer of a longdouble array that memoryview can read,
+    # and its tolist() cells are longdouble scalars, which neither csv.writer
+    # nor json.dumps writes as floats: its cells print as the floats they
+    # round to, as a float column does
+    column = np.array(SPECIAL_FLOATS * 300, dtype=np.longdouble) / 3  # mostly not float64 values
+    as_floats = column.astype(np.float64).tolist()
+    for precision in (6, 17):
+        for table, as_list in (({"x": column}, {"x": as_floats}),
+                               ({"x": column, "y": ["a,b"] * len(column)},
+                                {"x": as_floats, "y": ["a,b"] * len(column)})):
+            expected = serialize_records(table_records(as_list), output_format, precision,
+                                         list(table))
+            assert serialize(table, output_format, precision) == expected
+
+
 def test_the_blocks_are_the_header_each_row_block_and_the_tail():
-    B = sweep._ROW_BLOCK
-    rows = 2 * B + 1
-    table = {"x": np.arange(rows, dtype=float), "phase": ["ordered"] * rows}
-    csv_blocks = list(serialize_blocks(table))
-    assert len(csv_blocks) == 5
-    assert csv_blocks[0] == b"x,phase\n" and csv_blocks[-1] == b"\n"
-    assert [block.count(b"\n") for block in csv_blocks[1:-1]] == [B - 1, B, 1]
-    json_blocks = list(serialize_blocks(table, "json"))
-    assert (len(json_blocks), json_blocks[0], json_blocks[-1]) == (5, b"[\n", b"\n]\n")
-    for output_format, blocks in (("csv", csv_blocks), ("json", json_blocks)):
-        assert b"".join(blocks) == serialize(table, output_format)
+    # A block holds _ROW_BLOCK rows, or fewer when they would pass
+    # _BLOCK_CELLS cells: 819 rows of a 10-column table
+    for columns in (2, 10):
+        B = min(sweep._ROW_BLOCK, output._BLOCK_CELLS // columns)
+        assert B == sweep._ROW_BLOCK if columns == 2 else B < sweep._ROW_BLOCK
+        rows = 2 * B + 1
+        table = {"x": np.arange(rows, dtype=float), "phase": ["ordered"] * rows}
+        table.update({f"c{index}": np.arange(rows) / 7.0 for index in range(columns - 2)})
+        csv_blocks = list(serialize_blocks(table))
+        assert len(csv_blocks) == 5
+        assert csv_blocks[0] == (",".join(table) + "\n").encode() and csv_blocks[-1] == b"\n"
+        assert [block.count(b"\n") for block in csv_blocks[1:-1]] == [B - 1, B, 1]
+        json_blocks = list(serialize_blocks(table, "json"))
+        assert (len(json_blocks), json_blocks[0], json_blocks[-1]) == (5, b"[\n", b"\n]\n")
+        for output_format, blocks in (("csv", csv_blocks), ("json", json_blocks)):
+            assert b"".join(blocks) == serialize(table, output_format)
 
 
 @pytest.mark.parametrize(
@@ -497,20 +527,23 @@ def test_the_cell_columns_of_a_phase_map_are_coded():
 
 
 def test_writing_a_large_table_through_the_block_path_stays_bounded(tmp_path):
-    # 200 000 sweep rows are about 22 MB of CSV; the blocks are written as
-    # they are produced, so the writer holds about one block of text and of
-    # boxed cells, whatever the table's length. Writing the whole output as
-    # one bytes object would peak at about twice its size.
-    base = ModelParams(omega21=1.0, chi=0.6)
-    table = sweep_table(base, 0.0, default_theta_max(0.6), 200_000)
+    # 60 000 sweep rows at precision 17 are over twice the bound of CSV; the
+    # blocks are written as they are produced, so the writer holds about one
+    # block of text and of read cells, whatever the table's length. Writing
+    # the whole output as one bytes object would peak at about twice its
+    # size. tracemalloc's cost goes by the allocation, so the rows are wide
+    # (17 digits) and the traditional variant's couplings, constant blocks
+    # rendered once each, format few of their cells.
+    params = ModelParams(omega21=1.0, chi=0.6, variant=Variant.TRADITIONAL)
+    table = sweep_table(params, 0.0, default_theta_max(0.6), 60_000)
     out = tmp_path / "sweep.csv"
     tracemalloc.start()
     try:
-        _write_bytes(str(out), serialize_blocks(table))
+        _write_bytes(str(out), serialize_blocks(table, "csv", 17))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.stat().st_size > 20_000_000
+    assert out.stat().st_size > 2 * 4 * 2**20
     assert peak < 4 * 2**20
 
 
