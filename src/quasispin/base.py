@@ -5,8 +5,8 @@ numpy, so the names it needs before a subcommand runs live here: the root of
 the package's exceptions (exit 3 in ``main()``), the level record that
 ``--level`` parses into (a ``NamedTuple``: a dataclass would load ``inspect``),
 the column-table type that every handler returns with its coded column form,
-the root tolerance and grid sizes that the help shows as defaults, and the
-default sweep extent of the ``sweep`` range check. The physics modules import them from here.
+the root tolerance, grid sizes and scan window that the help shows as
+defaults, and the default sweep extent of the ``sweep`` range check. The physics modules import them from here.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ ROOT_TOL = 1e-10
 CRITICAL_POINTS = 512
 FIG1_POINTS = 400
 FIG2_POINTS = 200
+# The critical scan's default window, which the figures' normalizer scans
+# take too, (1e-4, 2)*omega21: every transition of either variant with
+# chi/omega21 in (0, 1) and omega_k = omega21/2 lies well below its top.
+_SCAN_FLOOR = 1e-4
+_SCAN_CEIL = 2.0
 
 
 class DomainError(ValueError):

@@ -41,20 +41,22 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
-from .base import CRITICAL_POINTS, FIG1_POINTS, FIG2_POINTS, ROOT_TOL, DomainError, Table
-from .base import TransitionLevel, default_theta_max
+from .base import _SCAN_CEIL, _SCAN_FLOOR, CRITICAL_POINTS, FIG1_POINTS, FIG2_POINTS, ROOT_TOL
+from .base import DomainError, Table, TransitionLevel, default_theta_max
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_DOMAIN", "UsageError", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+_VALUE_START = re.compile(r"-\.?\d")  # see _Parser; one compile per parser cost peak RSS
 
 
 class UsageError(Exception):
@@ -62,6 +64,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # "-", an optional "." and a digit start a value, not an option: argparse's
+    # own pattern takes plain negative numbers only, not a level -1,1,3,2.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _VALUE_START
+
     # Route argparse failures through UsageError so main() owns the exit
     # code; argparse would sys.exit(2) on its own otherwise.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -219,6 +227,13 @@ def _one_variant(args: argparse.Namespace) -> str:
     return args.variant
 
 
+def _models(args: argparse.Namespace) -> list:
+    from .thermal import ModelParams  # numpy: handlers call this after their checks
+
+    return [ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
+            for variant in _variant_list(args.variant)]
+
+
 def _write_stdout(blocks: Iterable[bytes]) -> None:
     # Straight to the unbuffered binary stream, looping until every byte of
     # each block lands: a raw stream may take part of the data, and a failed
@@ -287,22 +302,15 @@ def _cmd_sweep(args: argparse.Namespace) -> dict[str, Iterable[Table]]:
         args.theta_max = default_theta_max(args.chi_ratio)
     _check_range(args, "theta", "<=")
     from .sweep import proposed_normalizer, sweep_blocks
-    from .thermal import ModelParams
 
-    base = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k)
-    theta_cr = proposed_normalizer(base, tol=args.tol) if args.normalize else None
+    models = _models(args)
+    theta_cr = proposed_normalizer(models[0], tol=args.tol) if args.normalize else None
     grid = (args.theta_min, args.theta_max, args.points)
     # The variants' rows in turn, each solved a row block at a time as it is
     # written, so only one variant's grid exists at a time. Its checks run
     # when the first block is asked for, before the output file is opened;
     # they do not depend on the variant.
-    variants = (
-        sweep_blocks(
-            ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant),
-            *grid, theta_cr,
-        )
-        for variant in _variant_list(args.variant)
-    )
+    variants = (sweep_blocks(params, *grid, theta_cr) for params in models)
     return {"out": chain.from_iterable(variants)}
 
 
@@ -310,15 +318,10 @@ def _cmd_critical(args: argparse.Namespace) -> dict[str, list[Table]]:
     _check(args.points >= 64, f"--points must be >= 64 for a critical scan, got {args.points}")
     _check_range(args, "theta")
     from .meanfield import critical_temperatures
-    from .thermal import ModelParams
 
-    tables = [
-        critical_temperatures(
-            ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant),
-            (args.theta_min, args.theta_max), grid_points=args.points, tol=args.tol,
-        )
-        for variant in _variant_list(args.variant)
-    ]
+    window = (args.theta_min, args.theta_max)
+    tables = [critical_temperatures(params, window, grid_points=args.points, tol=args.tol)
+              for params in _models(args)]
     return {"out": tables}
 
 
@@ -357,12 +360,10 @@ def _cmd_fig2(args: argparse.Namespace) -> dict[str, Iterable[Table]]:
 
 
 def _cmd_exact_compare(args: argparse.Namespace) -> dict[str, Table]:
-    variant = _one_variant(args)
+    _one_variant(args)
     from .exact import compare_meanfield
-    from .thermal import ModelParams
 
-    params = ModelParams(omega21=1.0, chi=args.chi_ratio, omega_k=args.omega_k, variant=variant)
-    return {"out": compare_meanfield(params, args.theta, args.n_list)}
+    return {"out": compare_meanfield(*_models(args), args.theta, args.n_list)}
 
 
 def _cmd_micro(args: argparse.Namespace) -> dict[str, Table]:
@@ -413,7 +414,7 @@ _COMMANDS = {
     ),
     "critical": _command(
         _cmd_critical, "scan for order/disorder transition temperatures", "json",
-        variant="proposed", chi_ratio=_REQUIRED, theta_min=1e-4, theta_max=2.0,
+        variant="proposed", chi_ratio=_REQUIRED, theta_min=_SCAN_FLOOR, theta_max=_SCAN_CEIL,
         points=CRITICAL_POINTS, tol=ROOT_TOL,
     ),
     "phase": _command(

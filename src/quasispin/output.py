@@ -1,18 +1,18 @@
 """Deterministic CSV and JSON bytes of column tables, a block of rows at a time.
 
 :func:`serialize_blocks` writes a table (:data:`quasispin.base.Table`), or a
-sequence of tables as their concatenation, to CSV or JSON in one loop: for
-each table it renders every coded column's values once (once for
-consecutive tables that share the list), and for each block of rows it
-reads only that block of an array column, gathers a coded column's texts by
-code, and encodes the block's lines. CSV is built as bytes: a row with
-float fields is formatted by a bytes row template, a row of text cells only
-is joined with commas, and each distinct text cell is quoted and encoded
-once; JSON is built as text and encoded a block at a time. A block of a
-float array column whose cells share one bit pattern (a sweep's constant
-couplings, say) renders that cell once, as a literal of the block's CSV row
-or JSON record template. So a sweep, a figure or a phase map written from
-its row blocks holds one block of rows, whatever its size. :func:`serialize` joins the blocks.
+sequence of tables as their concatenation, to CSV or JSON in one loop. It
+picks each column's reader once per table: a coded column's values are
+rendered once (once for consecutive tables that share the list) and a row
+block gathers their texts by code; an array column is read one block at a
+time. CSV is built as bytes: a row with float fields is formatted by a bytes
+row template, a row of text cells only is joined with commas, and each
+distinct text cell is quoted and encoded once; JSON is built as text and
+encoded a block at a time. A block of a float array column whose cells share
+one bit pattern (a sweep's constant couplings, say) renders that cell once,
+as a literal of the block's CSV row or JSON record template. So a sweep, a
+figure or a phase map written from its row blocks holds one block of rows,
+whatever its size. :func:`serialize` joins the blocks.
 
 The module imports no numpy: it reads an array column through its ``dtype``,
 ``view()``, its buffer (a ``memoryview``) and ``tolist()``, and imports numpy
@@ -78,13 +78,17 @@ def _plain_array(column) -> bool:
     return numpy is not None and type(column) is numpy.ndarray
 
 
-def _column_kind(column) -> type | None:
-    # float or str when every cell of the column is one, else None; a plain
-    # array's dtype answers without a pass over its cells
+def _kind_and_cells(column) -> tuple[type | None, object]:
+    # (float or str when every cell of the column is one, else None; its
+    # cells): a plain array's dtype answers without a pass over its cells,
+    # and a list's numpy scalars (cells with a tolist(): the module imports
+    # no numpy) become their tolist() values, as an array's cells are.
     if _plain_array(column) and column.dtype.kind in "fU":
-        return float if column.dtype.kind == "f" else str
+        return float if column.dtype.kind == "f" else str, column
     kinds = set(map(type, column))
-    return float if kinds <= {float} else str if kinds <= {str} else None
+    if not hasattr(column, "tolist") and any(hasattr(kind, "tolist") for kind in kinds):
+        column = [cell.tolist() if hasattr(cell, "tolist") else cell for cell in column]
+    return float if kinds <= {float} else str if kinds <= {str} else None, column
 
 
 def _row_count(table: Table, names: list[str]) -> int:
@@ -134,6 +138,41 @@ def _csv_line(fields: list[bytes]) -> Callable[[tuple], bytes]:
     return b",".join(fields).__mod__
 
 
+def _reader(column, render: Callable, percent, rendered: dict, index: int) -> Callable:
+    # Column index's read path, chosen once per table: a function of a row
+    # block (start, stop) to render's (row-template field, cells) of it. A
+    # coded column's values are rendered once as a list of them would be
+    # (once for consecutive tables holding the same list: rendered keeps it),
+    # and a block gathers their texts by code. A plain float array's block
+    # of one bit pattern (so 0.0 and -0.0, or two NaN payloads, differ)
+    # renders that cell, whose text (it holds no %) is the field, a literal
+    # of the row template, with cells None. A block of a plain native
+    # float64/float32 array is read through its buffer, which boxes one cell
+    # at a time, of another array by tolist(), and of a list as a list.
+    if isinstance(column, Coded):
+        values, texts = rendered.get(index, (None, None))
+        if values is not column.values:
+            import numpy as np  # loaded already: the codes are an array
+
+            field, cells = render(*_kind_and_cells(column.values))
+            texts = np.array([field % (cell,) for cell in cells], dtype=object)
+            rendered[index] = column.values, texts
+        return lambda start, stop: (percent, texts.take(column.codes[start:stop]).tolist())
+    kind, column = _kind_and_cells(column)
+    flt = _plain_array(column) and column.dtype.kind == "f"
+    bits = column.view(f"u{column.itemsize}") if flt and column.itemsize <= 8 else None
+    buffer = flt and column.dtype.isnative and column.dtype.char in "df"
+    load = memoryview if buffer else getattr(type(column), "tolist", list)
+
+    def read(start: int, stop: int) -> tuple:
+        one = bits is not None and bits[start] == bits[stop - 1]
+        one = one and (bits[start:stop] == bits[start]).all()
+        field, cells = render(kind, load(column[start : start + 1 if one else stop]))
+        return (field % tuple(cells), None) if one else (field, cells)
+
+    return read
+
+
 def _encoded(
     tables: Iterable[Table], names: list[str], render: Callable, line: Callable,
     head: str, sep: str, tail: str, empty: str, binary: bool,
@@ -141,67 +180,23 @@ def _encoded(
     # UTF-8 of head, the lines of every row block of every table joined by
     # sep, and tail, one block at a time: each block after the first starts
     # with sep. Without any line it is the UTF-8 of empty alone. A block
-    # holds at most _ROW_BLOCK rows and _BLOCK_CELLS cells. render(kind,
-    # cells) turns a column's block into (row-template field, cells), and
-    # line(fields) maps a row's cells to its line; both are bytes when
-    # binary (CSV), else str, encoded a block at a time. Only one block of
-    # an array is read at a time: a plain native float64 or float32 array
-    # through its buffer, which boxes one cell at a time, any other through
-    # tolist(). A block of a plain float array column whose cells hold one
-    # bit pattern (so 0.0 and -0.0, or two NaN payloads, differ) renders that
-    # one cell, and its text (a float's text holds no %) becomes a literal of
-    # the block's row template, with no cells. A coded column's values are
-    # rendered as a plain column of them would be, once for consecutive
-    # tables that hold the same list object in that column, and each block
-    # gathers their texts by code.
-    rendered: dict[int, tuple] = {}  # column index -> (values, texts)
+    # holds at most _ROW_BLOCK rows and _BLOCK_CELLS cells, each column
+    # read by its _reader. render(kind, cells) turns a column's block into
+    # (row-template field, cells), and line(fields) maps a row's cells to its
+    # line; both are bytes when binary (CSV), else str, encoded per block.
+    rendered: dict[int, tuple] = {}  # coded column index -> (values, texts)
     step = min(_ROW_BLOCK, max(1, _BLOCK_CELLS // max(1, len(names))))
     percent = b"%s" if binary else "%s"
     joiner = sep.encode("utf-8") if binary else sep
     started = False
     for table in tables:
         count = _row_count(table, names)
-        columns = list(table.values())
-        kinds = [None if isinstance(column, Coded) else _column_kind(column)
-                 for column in columns]
-        for index, column in enumerate(columns):
-            if isinstance(column, Coded):
-                values, texts = rendered.get(index, (None, None))
-                if values is not column.values:
-                    import numpy as np  # loaded already: the codes are an array
-
-                    field, cells = render(_column_kind(column.values), column.values)
-                    texts = np.array([field % (cell,) for cell in cells], dtype=object)
-                    rendered[index] = column.values, texts
-                columns[index] = Coded(column.codes, texts)
-        # per column: the raw bits of a plain float array of up to 64 bits,
-        # and whether its blocks are read through the buffer
-        bits, buffers = [], []
-        for column, kind in zip(columns, kinds):
-            flt = kind is float and _plain_array(column) and column.dtype.kind == "f"
-            bits.append(column.view(f"u{column.itemsize}") if flt and column.itemsize <= 8 else None)
-            buffers.append(flt and column.dtype.isnative and column.dtype.char in "df")
+        readers = [_reader(column, render, percent, rendered, index)
+                   for index, column in enumerate(table.values())]
         for start in range(0, count, step):
             stop = min(start + step, count)
-            fields, blocks = [], []
-            for column, kind, raw, buffer in zip(columns, kinds, bits, buffers):
-                if isinstance(column, Coded):
-                    field = percent
-                    cells = column.values.take(column.codes[start:stop]).tolist()
-                elif (raw is not None and raw[start] == raw[stop - 1]
-                      and (raw[start:stop] == raw[start]).all()):
-                    field, cells = render(kind, column[start : start + 1].tolist())
-                    fields.append(field % tuple(cells))
-                    continue
-                else:
-                    cells = column[start:stop]
-                    if buffer:
-                        cells = memoryview(cells)
-                    elif hasattr(cells, "tolist"):
-                        cells = cells.tolist()
-                    field, cells = render(kind, cells)
-                fields.append(field)
-                blocks.append(cells)
+            fields, blocks = zip(*(reader(start, stop) for reader in readers))
+            blocks = [cells for cells in blocks if cells is not None]
             if not started:
                 yield head.encode("utf-8")
             # The lines come straight from the lazy row iterator: a list of

@@ -32,6 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .base import FIG1_POINTS, FIG2_POINTS, ROOT_TOL, Coded, DomainError, Table
+from .base import _SCAN_CEIL, _SCAN_FLOOR
 from .meanfield import (
     MAX_PHASE_CELLS,
     NoCriticalPointError,
@@ -77,12 +78,7 @@ FIG1_AXIS_MAX = 1.05
 # separation above, with theta_cr exactly on the grid.
 FIG2_AXIS_MAX = 2.0
 
-# Critical-point searches scan (1e-4, 2)*omega21: every transition of either
-# variant with chi/omega21 in (0, 1) and omega_k = omega21/2 lies well below
-# the upper end.
-_SCAN_FLOOR = 1e-4
-_SCAN_CEIL = 2.0
-_SCAN_GRID = 1024
+_SCAN_GRID = 1024  # nodes of the normalizer scans, on the window of quasispin.base
 
 
 def _sweep_grid(

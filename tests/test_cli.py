@@ -766,6 +766,18 @@ class TestMicro:
         code, _, _ = run(capsys, ["micro", "--level", "1,1,3", "--gamma-cav", "0.5"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("level", ["-1,1,3,2", "-.5,1,3,2", "-1e-1,1,3,2"])
+    def test_a_signed_level_parses_after_a_space(self, capsys, level):
+        # a level is one token whether it follows --level after a space or an
+        # "=", and a negative first projection does not read as an option
+        tail = ["--gamma-cav", "0.5", "--omega-k", "1.0"]
+        spaced = run(capsys, ["micro", "--level", "1,1,3,2", "--level", level, *tail])
+        joined = run(capsys, ["micro", "--level=1,1,3,2", f"--level={level}", *tail])
+        assert spaced == joined and spaced[0] == EXIT_OK
+        # the two paths' projection products add in the amplitude, squared
+        proj1 = float(level.split(",")[0])
+        assert json.loads(spaced[1])[0]["amplitude"] == pytest.approx(0.25 * (1.0 + proj1) ** 2)
+
     def test_levels_from_config(self, capsys, tmp_path):
         config = tmp_path / "micro.cfg"
         config.write_text(
